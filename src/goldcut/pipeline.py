@@ -74,13 +74,10 @@ def parent_permutation(f1: Fragment, f2: Fragment, n_parent: int) -> np.ndarray:
     if sorted(parent_of) != list(range(n_parent)):
         raise SupportMismatch("fragment outputs do not cover the parent exactly once")
     m = len(parent_of)
-    perm = np.zeros(2 ** n_parent, dtype=np.int64)
-    for i in range(2 ** n_parent):
-        c = 0
-        for j, q in enumerate(parent_of):
-            bit = (i >> (n_parent - 1 - q)) & 1
-            c |= bit << (m - 1 - j)
-        perm[i] = c
+    index = np.arange(2 ** n_parent, dtype=np.int64)
+    perm = np.zeros_like(index)
+    for j, q in enumerate(parent_of):
+        perm |= ((index >> (n_parent - 1 - q)) & 1) << (m - 1 - j)
     return perm
 
 
@@ -155,27 +152,33 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     k = circuit.n_cuts
 
     ledger = CostLedger()
-    report = None
     up_results = None
-    if prune == "off":
-        neglected = frozenset()
-    elif prune == "known":
-        neglected = _normalize_neglect(neglect)
-    elif prune == "exact":
-        oracle = run_fragment(f1, upstream_variants(f1, obs=obs1))
-        report = detect_exact(build_tensor(oracle, obs1, "upstream"), eps)
-        neglected = report.golden_pairs()
-    else:
+    if prune == "statistical":
         variants = upstream_variants(f1, obs=obs1)
         up_results = run_fragment(f1, variants, shots=shots, seed=seed,
                                   seed_path=(trial, SIDE_UPSTREAM), ledger=ledger)
         report = detect_statistical(up_results, obs1, alpha=alpha, tau=tau)
+    else:
+        # Every other mode reports exact detection on the full upstream
+        # oracle; without shots those results also feed the reconstruction.
+        oracle = run_fragment(f1, upstream_variants(f1, obs=obs1))
+        report = detect_exact(build_tensor(oracle, obs1, "upstream"), eps)
+    if prune == "off":
+        neglected = frozenset()
+    elif prune == "known":
+        neglected = _normalize_neglect(neglect)
+    else:
         neglected = report.golden_pairs()
 
     if up_results is None:
         variants = upstream_variants(f1, neglected, obs=obs1)
-        up_results = run_fragment(f1, variants, shots=shots, seed=seed,
-                                  seed_path=(trial, SIDE_UPSTREAM), ledger=ledger)
+        if shots is None:
+            by_key = {r.key: r for r in oracle}
+            up_results = [by_key[key] for key, _ in variants]
+            ledger.record("upstream", len(up_results), 0)
+        else:
+            up_results = run_fragment(f1, variants, shots=shots, seed=seed,
+                                      seed_path=(trial, SIDE_UPSTREAM), ledger=ledger)
     down_variants = downstream_variants(f2, neglected, obs=obs2)
     down_results = run_fragment(f2, down_variants, shots=shots, seed=seed,
                                 seed_path=(trial, SIDE_DOWNSTREAM), ledger=ledger)
@@ -188,10 +191,6 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
         rec = contract_expectation(a, b, neglected)
     rec.shots_used = ledger.shots_total
     ledger.basis_tuples = rec.terms_evaluated
-
-    if report is None and prune in ("off", "known"):
-        oracle = run_fragment(f1, upstream_variants(f1, obs=obs1))
-        report = detect_exact(build_tensor(oracle, obs1, "upstream"), eps)
 
     baseline = CostLedger()
     baseline.record("upstream", 3 ** k, 0 if shots is None else shots)

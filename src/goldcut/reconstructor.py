@@ -61,14 +61,15 @@ class FragmentTensor:
         return self.entries[idx]
 
 
-def _sign_weights(paulis):
+def _sign_weights(k):
     """Signed outcome weights over the joint cut-bit index, first cut most
-    significant; identity contributes (+1, +1), everything else (+1, -1)."""
-    factors = [
-        np.array([1.0, 1.0]) if p is PauliOp.I else np.array([1.0, -1.0])
-        for p in paulis
-    ]
-    return reduce(np.kron, factors, np.array([1.0]))
+    significant, keyed by which of the K cuts carry the identity: identity
+    contributes (+1, +1), every other basis (+1, -1)."""
+    factor = {True: np.array([1.0, 1.0]), False: np.array([1.0, -1.0])}
+    return {
+        pattern: reduce(np.kron, [factor[is_i] for is_i in pattern], np.array([1.0]))
+        for pattern in itertools.product((True, False), repeat=k)
+    }
 
 
 def _output_weights(obs, rest_locals):
@@ -154,11 +155,12 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
             table[setting] = mat if dist else mat @ weights
         shape = (4,) * k + ((2 ** len(out_bits),) if dist else ())
         entries = np.zeros(shape)
+        signs = _sign_weights(k)
         for combo in itertools.product(*allowed):
             setting = tuple("Z" if p is PauliOp.I else p.value for p in combo)
             if setting not in table:
                 raise MissingVariant("missing upstream setting %s" % (setting,))
-            w = _sign_weights(combo)
+            w = signs[tuple(p is PauliOp.I for p in combo)]
             idx = tuple(_BASE_INDEX[p] for p in combo)
             entries[idx] = w @ table[setting]
         tensor = FragmentTensor(side, cut_ids, "distribution" if dist else "expectation",
@@ -194,7 +196,8 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
 
     if source == "exact" and not dist and obs.kind == "projector":
         bound = 2.0 ** k + 1e-9
-        assert np.all(np.abs(tensor.entries) <= bound), "tensor entry out of bound"
+        if not np.all(np.abs(tensor.entries) <= bound):
+            raise GoldcutError("projector tensor entry exceeds the bound 2^K = %g" % 2.0 ** k)
     return tensor
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, PauliOp, gate_matrix, h, sdg
 from .errors import (
+    GoldcutError,
     IdentityBasisRequested,
     InvalidInitial,
     SupportMismatch,
@@ -119,9 +120,14 @@ def simulate(circuit: Circuit, initial=None) -> StateVector:
             if abs(np.linalg.norm(vec) - 1.0) > _ATOL:
                 raise InvalidInitial("initial state on qubit %d is not normalized" % q)
         psi = np.kron(psi, vec)
-    psi = psi.reshape((2,) * n) if n else psi
+    return apply_gates(StateVector(psi), circuit.gates)
 
-    for g in circuit.gates:
+
+def apply_gates(state: StateVector, gates) -> StateVector:
+    """Apply a gate sequence to any state; the input state is left intact."""
+    n = state.n_qubits
+    psi = state.amplitudes.reshape((2,) * n) if n else state.amplitudes
+    for g in gates:
         k = len(g.qubits)
         u = gate_matrix(g).reshape((2,) * (2 * k))
         psi = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), list(g.qubits)))
@@ -141,6 +147,8 @@ def exact_distribution(state: StateVector, qubits) -> np.ndarray:
     probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
     if not qubits:
         return np.array([probs.sum()])
+    if qubits == tuple(range(n)):
+        return probs.reshape(-1)
     rest = [q for q in range(n) if q not in qubits]
     return probs.transpose(tuple(qubits) + tuple(rest)).reshape(
         2 ** len(qubits), -1
@@ -167,7 +175,8 @@ def exact_expectation(state: StateVector, obs: ObservableSpec) -> float:
         phi = np.tensordot(p.matrix, phi, axes=([1], [q]))
         phi = np.moveaxis(phi, 0, q)
     value = np.vdot(psi, phi)
-    assert abs(value.imag) <= _ATOL, "imaginary residue %g" % value.imag
+    if not abs(value.imag) <= _ATOL:
+        raise GoldcutError("imaginary residue %g in a Pauli expectation" % value.imag)
     return float(value.real)
 
 

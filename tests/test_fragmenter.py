@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import goldcut.fragmenter as fragmenter
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
 from goldcut.errors import AllBasesNeglected
 from goldcut.fragmenter import (
@@ -15,7 +16,8 @@ from goldcut.fragmenter import (
     upstream_variants,
 )
 from goldcut.metrics import CostLedger
-from goldcut.simulator import ObservableSpec, exact_distribution, exact_expectation, simulate
+from goldcut.seeding import stream
+from goldcut.simulator import ObservableSpec, exact_distribution, exact_expectation, sample, simulate
 
 from conftest import make_cut_circuit
 
@@ -192,3 +194,93 @@ class TestResultSerialization:
         for r0, r1 in zip(results, back):
             assert r0.key == r1.key
             assert r0.counts.counts == r1.counts.counts
+
+
+def multicut_fragments(k):
+    """Bipartite 8-wire circuit with K cut wires: a 5-wire upstream block
+    (5 - K outputs) and a 4-wire downstream block."""
+    return bipartition(make_cut_circuit(5, 4, k, 2, 40 + k))
+
+
+def xy_observable(qubits):
+    """X and Y factors alternating over the given fragment outputs."""
+    labels = [PauliOp.X if i % 2 == 0 else PauliOp.Y for i in range(len(qubits))]
+    return ObservableSpec.pauli_string(labels, qubits)
+
+
+def variant_lists(frag, k):
+    """Named variant lists: full, pruned, shuffled, and two observables mixed."""
+    enum = upstream_variants if frag.side == "upstream" else downstream_variants
+    obs = xy_observable(frag.output_qubits[:2])
+    other = xy_observable(frag.output_qubits[-1:])
+    dropped = {(1, PauliOp.Y)} | ({(2, PauliOp.X)} if k >= 2 else set())
+    full = enum(frag, obs=obs)
+    rng = np.random.default_rng(k)
+    shuffled = [full[i] for i in rng.permutation(len(full))]
+    mixed = full + enum(frag, dropped, obs=other)
+    mixed = [mixed[i] for i in rng.permutation(len(mixed))]
+    return {"full": (full, 1), "pruned": (enum(frag, dropped, obs=obs), 1),
+            "shuffled": (shuffled, 1), "mixed": (mixed, 2)}
+
+
+class TestRunOnce:
+    """run_fragment simulates bodies once; every variant must still equal a
+    simulation of its own circuit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("name", ["full", "pruned", "shuffled", "mixed"])
+    def test_exact_probabilities_match_own_circuit(self, k, side, name, monkeypatch):
+        frag = multicut_fragments(k)[side]
+        variants, bodies = variant_lists(frag, k)[name]
+        calls = []
+
+        def counting_simulate(circuit, initial=None):
+            calls.append(circuit)
+            return simulate(circuit, initial)
+
+        monkeypatch.setattr(fragmenter, "simulate", counting_simulate)
+        results = run_fragment(frag, variants)
+        assert len(calls) == bodies * (1 if frag.side == "upstream" else 2 ** k)
+        assert len(results) == len(variants)
+        for (key, circ), r in zip(variants, results):
+            assert r.key == key
+            want = exact_distribution(simulate(circ), range(circ.n_qubits))
+            assert np.max(np.abs(r.probs - want)) <= 1e-12
+
+    def test_upstream_shot_counts_equal_own_circuit_draws(self):
+        # upstream states apply the same gates in the same order as a full
+        # simulation of each variant, so its own circuit's draws come back
+        frag = multicut_fragments(2)[0]
+        variants, _ = variant_lists(frag, 2)["mixed"]
+        results = run_fragment(frag, variants, shots=500, seed=7, seed_path=(3, 1))
+        for i, ((key, circ), r) in enumerate(zip(variants, results)):
+            want = sample(simulate(circ), range(circ.n_qubits), 500, stream(7, 3, 1, i))
+            assert r.key == key
+            assert r.counts.counts == want.counts
+
+    def test_downstream_shot_counts_follow_seed_path_and_index(self):
+        # downstream probabilities may differ from a full simulation in the
+        # last ulp, which can flip a draw, so the reference distribution is
+        # run_fragment's own exact one for the same list
+        frag = multicut_fragments(2)[1]
+        variants, _ = variant_lists(frag, 2)["mixed"]
+        exact = run_fragment(frag, variants)
+        results = run_fragment(frag, variants, shots=500, seed=7, seed_path=(3, 1))
+        for i, (e, r) in enumerate(zip(exact, results)):
+            p = np.clip(e.probs, 0.0, None)
+            draws = stream(7, 3, 1, i).multinomial(500, p / p.sum())
+            assert r.key == e.key
+            assert r.counts.counts == {
+                format(j, "0%db" % r.n_bits): int(c) for j, c in enumerate(draws) if c
+            }
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_circuit_without_its_cut_gates_rejected(self, side):
+        frag = bell_fragments()[side]
+        enum = upstream_variants if frag.side == "upstream" else downstream_variants
+        # an X key carries a rotation or preparation that the Z circuit lacks
+        (key, _), = [v for v in enum(frag) if v[0].label(1) in ("X", "Xp")]
+        (_, wrong), = [v for v in enum(frag) if v[0].label(1) in ("Z", "Zp")]
+        with pytest.raises(ValueError):
+            run_fragment(frag, [(key, wrong)])

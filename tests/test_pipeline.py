@@ -2,11 +2,14 @@
 import numpy as np
 import pytest
 
+import goldcut.pipeline as pipeline
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
 from goldcut.errors import NotBipartite
+from goldcut.fragmenter import run_fragment
 from goldcut.pipeline import (
     ground_truth_distribution,
     ground_truth_expectation,
+    parent_permutation,
     reconstruct,
     split_observable,
     uncut_sampled_distribution,
@@ -36,6 +39,48 @@ class TestSplitObservable:
         obs1, obs2 = split_observable(f1, f2, obs)
         assert obs1.bits == "0" and obs1.qubits == (0,)
         assert obs2.bits == "10" and obs2.qubits == (0, 1)
+
+
+def loop_permutation(f1, f2, n_parent):
+    """Bit-by-bit loop over every parent index: the reference that
+    parent_permutation's vectorised form must equal."""
+    parent_of = [f1.parent_qubits[q] for q in f1.output_qubits]
+    parent_of += [f2.parent_qubits[q] for q in f2.output_qubits]
+    m = len(parent_of)
+    perm = np.zeros(2 ** n_parent, dtype=np.int64)
+    for i in range(2 ** n_parent):
+        c = 0
+        for j, q in enumerate(parent_of):
+            bit = (i >> (n_parent - 1 - q)) & 1
+            c |= bit << (m - 1 - j)
+        perm[i] = c
+    return perm
+
+
+def crossed():
+    """Upstream outputs a higher parent wire than the downstream ones, so
+    the concatenated order is not the parent order."""
+    return Circuit(4, (h(3), cnot(3, 0), cnot(0, 1), cnot(1, 2)), (CutPoint(0, 1, 1),))
+
+
+class TestParentPermutation:
+    @pytest.mark.parametrize("make", [
+        fig1,
+        crossed,
+        lambda: golden_ansatz(5, 2, 3),
+        lambda: make_cut_circuit(2, 3, 2, 2, 0),
+        lambda: make_cut_circuit(4, 3, 3, 1, 5),
+    ])
+    def test_matches_loop(self, make):
+        circ = make()
+        f1, f2 = bipartition(circ)
+        got = parent_permutation(f1, f2, circ.n_qubits)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, loop_permutation(f1, f2, circ.n_qubits))
+
+    def test_crossed_split_is_not_the_identity(self):
+        f1, f2 = bipartition(crossed())
+        assert not np.array_equal(parent_permutation(f1, f2, 4), np.arange(16))
 
 
 class TestExactReconstruction:
@@ -103,6 +148,28 @@ class TestPruneModes:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             reconstruct(fig1(), prune="bogus")
+
+
+class TestOracleReuse:
+    @pytest.mark.parametrize("prune", ["off", "known", "exact"])
+    def test_exact_mode_runs_the_upstream_oracle_once(self, prune, monkeypatch):
+        # the full upstream set feeds the golden report and, filtered by
+        # the pruned keys, the reconstruction; the ledger counts the pruned set
+        calls = []
+
+        def counting(fragment, variants, **kwargs):
+            calls.append((fragment.side, len(variants)))
+            return run_fragment(fragment, variants, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_fragment", counting)
+        neglect = [(1, "Y")] if prune == "known" else ()
+        run = reconstruct(golden_ansatz(3, 1, 0), prune=prune, neglect=neglect)
+        pruned = prune != "off"
+        assert calls == [("upstream", 3), ("downstream", 4 if pruned else 6)]
+        assert run.cost.variants_executed == (6 if pruned else 9)
+        assert run.golden.entry(1, "Y").golden
+        want = ground_truth_distribution(golden_ansatz(3, 1, 0))
+        assert np.max(np.abs(run.raw_distribution - want)) < 1e-10
 
 
 class TestDeterminism:

@@ -14,7 +14,13 @@ from goldcut.circuits import (
     h,
     uncut,
 )
-from goldcut.errors import ArityMismatch, MissingVariant, ShotStarvation, WrongSide
+from goldcut.errors import (
+    ArityMismatch,
+    GoldcutError,
+    MissingVariant,
+    ShotStarvation,
+    WrongSide,
+)
 from goldcut.fragmenter import (
     VariantResult,
     downstream_variants,
@@ -113,6 +119,18 @@ class TestDownstreamEntries:
             _, _, a, b = exact_tensors(circ, IDENTITY_OBS, IDENTITY_OBS)
             assert np.all(np.abs(b.entries) <= 2.0 ** b.n_cuts + 1e-9)
             assert np.all(np.abs(a.entries) <= 1.0 + 1e-9)
+
+
+class TestProjectorBound:
+    def test_entry_beyond_two_to_the_k_raises(self):
+        obs = ObservableSpec.projector("0", [0])
+        f1, _ = bipartition(fig1())
+        results = run_fragment(f1, upstream_variants(f1))
+        build_tensor(results, obs, "upstream")
+        inflated = [VariantResult(r.key, "exact", 10.0 * r.probs, None, r.n_bits,
+                                  r.cut_bits, r.output_bits) for r in results]
+        with pytest.raises(GoldcutError):
+            build_tensor(inflated, obs, "upstream")
 
 
 class TestContractExpectation:

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from goldcut.circuits import Circuit, CutPoint, PauliOp, cnot, gate_matrix, h, random_circuit
+from goldcut.circuits import Circuit, CutPoint, Gate, PauliOp, cnot, gate_matrix, h, random_circuit
 from goldcut.errors import (
+    GoldcutError,
     IdentityBasisRequested,
     InvalidInitial,
     SupportMismatch,
@@ -124,6 +125,13 @@ class TestExactExpectation:
         sv = simulate(Circuit(1, (), ()))
         with pytest.raises(SupportMismatch):
             exact_expectation(sv, ObservableSpec.pauli_string("Z", (3,)))
+
+    def test_nan_state_raises(self):
+        # a NaN angle leaves no real expectation; the residue check raises
+        # an error, which python -O keeps, instead of returning NaN
+        sv = simulate(Circuit(1, (Gate("rx", (0,), (float("nan"),)),), ()))
+        with pytest.raises(GoldcutError):
+            exact_expectation(sv, ObservableSpec.pauli_string("X", (0,)))
 
 
 class TestExactDistribution:
