@@ -259,6 +259,8 @@ def validate(circuit: Circuit) -> ValidationReport:
         if g.kind in _ROTATIONS:
             if len(g.params) != 1:
                 bad.append("gate %d: rotation needs exactly one angle" % i)
+            elif not math.isfinite(g.params[0]):
+                bad.append("gate %d: angle %r is not finite" % (i, g.params[0]))
         elif g.params:
             bad.append("gate %d: unexpected parameters" % i)
         if g.kind == "unitary":
@@ -272,7 +274,7 @@ def validate(circuit: Circuit) -> ValidationReport:
                 if m.shape != (dim, dim):
                     bad.append("gate %d: matrix shape %s does not fit %d qubit(s)"
                                % (i, m.shape, len(g.qubits)))
-                elif np.max(np.abs(m @ m.conj().T - np.eye(dim))) > 1e-10:
+                elif not np.max(np.abs(m @ m.conj().T - np.eye(dim))) <= 1e-10:
                     bad.append("gate %d: non-unitary matrix" % i)
         elif g.kind in GATE_ARITY and len(g.qubits) != GATE_ARITY[g.kind]:
             bad.append("gate %d: %s takes %d qubit(s)" % (i, g.kind, GATE_ARITY[g.kind]))
@@ -464,15 +466,10 @@ def golden_ansatz(n_qubits: int, depth: int, seed: int) -> Circuit:
 
 
 def _certify_golden_y(circuit: Circuit, eps: float) -> bool:
-    from .fragmenter import run_fragment, upstream_variants
-    from .golden import detect_exact
-    from .reconstructor import build_tensor
-    from .simulator import ObservableSpec
+    from .pipeline import exact_upstream_report
 
     f1, _ = bipartition(circuit)
-    results = run_fragment(f1, upstream_variants(f1))
-    obs = ObservableSpec.distribution(f1.output_qubits)
-    report = detect_exact(build_tensor(results, obs, "upstream"), eps)
+    _, report = exact_upstream_report(f1, eps=eps)
     return report.entry(1, "Y").golden
 
 
@@ -505,10 +502,18 @@ def to_json(circuit: Circuit) -> str:
             % (circuit.n_qubits, gates, cuts))
 
 
+def _json_int(value, what):
+    """value when it is a JSON integer; ValueError for floats and booleans,
+    which int() would silently coerce."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %s" % (what, json.dumps(value)))
+    return value
+
+
 def from_json(text: str) -> Circuit:
     data = json.loads(text)
     gates = []
-    for g in data.get("gates", []):
+    for i, g in enumerate(data.get("gates", [])):
         matrix = None
         if g.get("matrix") is not None:
             flat = [complex(re, im) for re, im in g["matrix"]]
@@ -517,11 +522,13 @@ def from_json(text: str) -> Circuit:
                 raise ValueError("matrix length %d does not fit %d qubit(s)"
                                  % (len(flat), len(g["qubits"])))
             matrix = tuple(tuple(flat[r * dim:(r + 1) * dim]) for r in range(dim))
-        gates.append(Gate(g["kind"], tuple(g["qubits"]), tuple(g.get("params", ())), matrix))
+        qubits = tuple(_json_int(q, "gate %d qubit" % i) for q in g["qubits"])
+        gates.append(Gate(g["kind"], qubits, tuple(g.get("params", ())), matrix))
     cuts = tuple(
-        CutPoint(c["qubit"], c["after_gate"], c["cut_id"]) for c in data.get("cuts", ())
+        CutPoint(*(_json_int(c[f], "cut %s" % f) for f in ("qubit", "after_gate", "cut_id")))
+        for c in data.get("cuts", ())
     )
-    return Circuit(data["n_qubits"], tuple(gates), cuts)
+    return Circuit(_json_int(data["n_qubits"], "n_qubits"), tuple(gates), cuts)
 
 
 def save(circuit: Circuit, path) -> None:

@@ -17,15 +17,16 @@ import time
 from .circuits import PauliOp, _fmt, bipartition, golden_ansatz, save, validate
 from .errors import GoldcutError
 from .fragmenter import run_fragment, upstream_variants
-from .golden import GENERATION_EPS, detect_exact, detect_statistical
+from .golden import GENERATION_EPS, detect_statistical
 from .metrics import CSV_COLUMNS, closed_form_counts, weighted_distance
 from .pipeline import (
     SIDE_UPSTREAM,
+    exact_upstream_report,
     ground_truth_distribution,
     reconstruct,
     uncut_sampled_distribution,
 )
-from .reconstructor import build_tensor, contract_expectation, term_count
+from .reconstructor import FragmentTensor, contract_expectation, term_count
 from .seeding import stream
 from .simulator import ObservableSpec
 from . import circuits
@@ -81,17 +82,11 @@ def _csv(columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _upstream_exact_report(circ, eps=GENERATION_EPS):
-    f1, _ = bipartition(circ)
-    obs = ObservableSpec.distribution(f1.output_qubits)
-    results = run_fragment(f1, upstream_variants(f1, obs=obs))
-    return detect_exact(build_tensor(results, obs, "upstream"), eps)
-
-
 def cmd_generate(args) -> int:
     circ = golden_ansatz(args.qubits, args.depth, args.seed)
     save(circ, args.out)
-    report = _upstream_exact_report(circ)
+    f1, _ = bipartition(circ)
+    _, report = exact_upstream_report(f1, eps=GENERATION_EPS)
     flagged = [e for e in report.entries if e.golden]
     if flagged:
         for e in flagged:
@@ -166,7 +161,9 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         rec = contract_expectation(a, b, neglected)
         seconds = time.perf_counter() - t0
-        assert rec.terms_evaluated == tuples
+        if rec.terms_evaluated != tuples:
+            raise GoldcutError("contracted %d basis tuples where term_count gives %d"
+                               % (rec.terms_evaluated, tuples))
         rows.append({
             "K": k, "K_g": k_g,
             "tuples_pruned": tuples, "tuples_baseline": baseline.basis_tuples,
@@ -186,12 +183,8 @@ def cmd_bench(args) -> int:
 
 
 def _random_tensor(side, k, rng, neglected):
-    from .reconstructor import BASES, FragmentTensor, _allowed_mask
-
-    entries = rng.standard_normal((4,) * k)
-    entries[~_allowed_mask(tuple(range(1, k + 1)), neglected)] = 0.0
     return FragmentTensor(side, tuple(range(1, k + 1)), "expectation",
-                          entries, "exact", frozenset(neglected))
+                          rng.standard_normal((4,) * k), "exact", frozenset(neglected))
 
 
 def cmd_detect(args) -> int:
@@ -199,14 +192,12 @@ def cmd_detect(args) -> int:
     if not circ.cuts:
         raise GoldcutError("circuit has no cuts; nothing to detect")
     f1, _ = bipartition(circ)
-    obs = ObservableSpec.distribution(f1.output_qubits)
-    variants = upstream_variants(f1, obs=obs)
     if args.shots is None:
-        results = run_fragment(f1, variants)
-        report = detect_exact(build_tensor(results, obs, "upstream"), args.eps)
+        _, report = exact_upstream_report(f1, eps=args.eps)
     else:
-        results = run_fragment(f1, variants, shots=args.shots, seed=args.seed,
-                               seed_path=(0, SIDE_UPSTREAM))
+        obs = ObservableSpec.distribution(f1.output_qubits)
+        results = run_fragment(f1, upstream_variants(f1, obs=obs), shots=args.shots,
+                               seed=args.seed, seed_path=(0, SIDE_UPSTREAM))
         report = detect_statistical(results, obs, alpha=args.alpha, tau=args.tau)
     _emit(report.to_json() + "\n", args.out)
     return 0

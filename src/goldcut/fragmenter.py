@@ -49,16 +49,6 @@ _PREP_GATES = {
     "Ym": (x, h, s),
 }
 
-# (label, eigenvalue weight) pairs per basis; identity reuses the Z
-# eigenstates with both weights +1.
-PREP_TERMS = {
-    PauliOp.I: (("Zp", 1.0), ("Zm", 1.0)),
-    PauliOp.X: (("Xp", 1.0), ("Xm", -1.0)),
-    PauliOp.Y: (("Yp", 1.0), ("Ym", -1.0)),
-    PauliOp.Z: (("Zp", 1.0), ("Zm", -1.0)),
-}
-
-
 def prep_gates(label: str, qubit: int) -> list:
     """Gates that build the labeled eigenstate from |0> on the given wire."""
     return [factory(qubit) for factory in _PREP_GATES[label]]

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Fragment, PauliOp, bipartition, uncut
+from .circuits import Circuit, Fragment, bipartition, uncut
 from .errors import SupportMismatch
 from .fragmenter import downstream_variants, run_fragment, upstream_variants
 from .golden import ORACLE_EPS, GoldenReport, detect_exact, detect_statistical
 from .metrics import CostLedger, CostReport, cost_report
 from .reconstructor import (
     Reconstruction,
+    _normalize_neglected,
     build_tensor,
     contract_distribution,
     contract_expectation,
@@ -117,11 +118,18 @@ class RunResult:
     k_golden: int
 
 
-def _normalize_neglect(neglect):
-    out = set()
-    for cid, p in neglect or ():
-        out.add((int(cid), p if isinstance(p, PauliOp) else PauliOp(p)))
-    return frozenset(out)
+def exact_upstream_report(f1: Fragment, obs: ObservableSpec = None,
+                          eps: float = ORACLE_EPS):
+    """Run every upstream setting on the exact oracle and detect golden bases.
+
+    obs None reads the full distribution over the fragment's outputs.
+    Returns (results, report): the results in upstream_variants order, and
+    detect_exact at eps on the tensor built from them.
+    """
+    if obs is None:
+        obs = ObservableSpec.distribution(f1.output_qubits)
+    results = run_fragment(f1, upstream_variants(f1, obs=obs))
+    return results, detect_exact(build_tensor(results, obs, "upstream"), eps)
 
 
 def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
@@ -161,12 +169,11 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     else:
         # Every other mode reports exact detection on the full upstream
         # oracle; without shots those results also feed the reconstruction.
-        oracle = run_fragment(f1, upstream_variants(f1, obs=obs1))
-        report = detect_exact(build_tensor(oracle, obs1, "upstream"), eps)
+        oracle, report = exact_upstream_report(f1, obs1, eps)
     if prune == "off":
         neglected = frozenset()
     elif prune == "known":
-        neglected = _normalize_neglect(neglect)
+        neglected = _normalize_neglected(neglect)
     else:
         neglected = report.golden_pairs()
 

@@ -1,16 +1,20 @@
 """Build signed fragment tensors and contract them into uncut results.
 
 The upstream tensor A and downstream tensor B are indexed by a Pauli basis
-tuple M with one entry per cut. A[M] folds the signed sum over measurement
-outcomes, B[M] the signed sum over eigenstate preparations; identity entries
-take both terms with weight +1 from the Z-setting data. The uncut
-expectation is (1/2^K) * sum over allowed M of A[M] * B[M], and the uncut
-distribution applies the same contraction per output bitstring pair.
+tuple M with one entry per cut. Each cut contributes six data columns:
+upstream, the (setting, outcome bit) pairs X0 X1 Y0 Y1 Z0 Z1; downstream,
+the eigenstate preparations Zp Zm Xp Xm Yp Ym. One fixed 4x6 map per side
+(SIDE_MAPS) takes a cut's columns to its basis rows I, X, Y, Z: a Pauli row
+is the signed difference of its two columns, and the identity row adds the
+two Z columns with weight +1. A tensor is that map applied along every cut
+axis of the variant data (the wire-cut identity of Peng, Harrow, Ozols and
+Wu, PRL 125, 150504, 2020). Neglecting a basis zeroes its row, so pruning
+is a row mask. The uncut expectation is (1/2^K) * sum over allowed M of
+A[M] * B[M], and the uncut distribution applies the same contraction per
+output bitstring pair.
 """
 from __future__ import annotations
 
-import itertools
-import json
 from dataclasses import dataclass
 from functools import reduce
 
@@ -18,11 +22,29 @@ import numpy as np
 
 from .circuits import PauliOp, _fmt
 from .errors import ArityMismatch, GoldcutError, MissingVariant, WrongSide
-from .fragmenter import PREP_TERMS, VariantKey
+from .fragmenter import MEASURED_BASES, PREP_LABELS
 
 BASES = (PauliOp.I, PauliOp.X, PauliOp.Y, PauliOp.Z)
 _BASE_INDEX = {p: i for i, p in enumerate(BASES)}
 MAX_CUTS = 8
+
+# Per side: the variant labels per cut, the data columns per label (one
+# per outcome bit of the cut wire), and the 4x6 map from a cut's columns,
+# label-major as in the module docstring, to the basis rows I, X, Y, Z.
+SIDE_MAPS = {
+    "upstream": (tuple(p.value for p in MEASURED_BASES), 2, np.array([
+        [0, 0, 0, 0, 1, 1],
+        [1, -1, 0, 0, 0, 0],
+        [0, 0, 1, -1, 0, 0],
+        [0, 0, 0, 0, 1, -1],
+    ], dtype=float)),
+    "downstream": (PREP_LABELS, 1, np.array([
+        [1, 1, 0, 0, 0, 0],
+        [0, 0, 1, -1, 0, 0],
+        [0, 0, 0, 0, 1, -1],
+        [1, -1, 0, 0, 0, 0],
+    ], dtype=float)),
+}
 
 
 def _normalize_neglected(neglected):
@@ -39,7 +61,7 @@ class FragmentTensor:
     entries has shape (4,)*K in expectation mode and (4,)*K + (D,) in
     distribution mode, with axis order following sorted cut_ids and basis
     order I, X, Y, Z. Entries whose tuple touches a neglected (cut, basis)
-    pair are never filled and stay zero.
+    pair are zero.
     """
 
     side: str
@@ -59,17 +81,6 @@ class FragmentTensor:
         idx = tuple(_BASE_INDEX[p if isinstance(p, PauliOp) else PauliOp(p)]
                     for p in labels)
         return self.entries[idx]
-
-
-def _sign_weights(k):
-    """Signed outcome weights over the joint cut-bit index, first cut most
-    significant, keyed by which of the K cuts carry the identity: identity
-    contributes (+1, +1), every other basis (+1, -1)."""
-    factor = {True: np.array([1.0, 1.0]), False: np.array([1.0, -1.0])}
-    return {
-        pattern: reduce(np.kron, [factor[is_i] for is_i in pattern], np.array([1.0]))
-        for pattern in itertools.product((True, False), repeat=k)
-    }
 
 
 def _output_weights(obs, rest_locals):
@@ -99,23 +110,16 @@ def _output_weights(obs, rest_locals):
     raise ValueError("unsupported observable kind %r" % obs.kind)
 
 
-def _conditioned(result, cut_ids):
-    """Probability tensor reshaped to (2**K, 2**rest): joint cut-bit index
-    first (cut_id order), remaining local bits ascending."""
-    p = result.probabilities().reshape((2,) * result.n_bits)
-    pos = dict(result.cut_bits)
-    cut_axes = [pos[cid] for cid in cut_ids]
-    rest = [q for q in range(result.n_bits) if q not in set(cut_axes)]
-    moved = np.transpose(p, cut_axes + rest)
-    return moved.reshape(2 ** len(cut_axes), -1), tuple(rest)
-
-
 def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     """Assemble the signed tensor for one side from its variant results.
 
-    neglected lists the (cut_id, basis) pairs being pruned; their tuples are
-    left out (and, for a neglected Z, the Z-signed entry is zeroed even
-    though the Z-setting data exists for the identity term).
+    Each result supplies data columns per cut (see SIDE_MAPS), and the
+    tensor is the side's 4x6 map applied along every cut axis. neglected
+    lists the (cut_id, basis) pairs being pruned; their rows of the map are
+    zeroed, so those entries stay zero (for a neglected Z as well, although
+    the Z-setting data still feeds the identity row). Only the variants a
+    kept basis reads must be present; for a repeated key the last result
+    counts.
     """
     if not results:
         raise MissingVariant("no variant results")
@@ -128,71 +132,66 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     source = "exact" if modes == {"exact"} else "shots"
     neglected = _normalize_neglected(neglected)
 
-    if side == "upstream":
-        cut_ids = tuple(sorted(cid for cid, _ in results[0].cut_bits))
-    else:
-        cut_ids = tuple(sorted(cid for cid, _ in results[0].key.assignment))
+    cut_ids = tuple(sorted(cid for cid, _ in results[0].key.assignment))
     k = len(cut_ids)
     if k > MAX_CUTS:
         raise GoldcutError("tensor capped at %d cuts, got %d" % (MAX_CUTS, k))
-
+    labels, per_label, side_map = SIDE_MAPS[side]
+    measured = cut_ids if side == "upstream" else ()
     dist = obs.kind == "distribution"
-    allowed = [
-        [p for p in BASES if (cid, p) not in neglected]
-        for cid in cut_ids
-    ]
 
-    if side == "upstream":
-        table = {}
-        out_bits = None
-        weights = None
-        for r in results:
-            mat, rest = _conditioned(r, cut_ids)
-            if out_bits is None:
-                out_bits = rest
-                weights = _output_weights(obs, list(rest))
-            setting = tuple(r.key.label(cid) for cid in cut_ids)
-            table[setting] = mat if dist else mat @ weights
-        shape = (4,) * k + ((2 ** len(out_bits),) if dist else ())
-        entries = np.zeros(shape)
-        signs = _sign_weights(k)
-        for combo in itertools.product(*allowed):
-            setting = tuple("Z" if p is PauliOp.I else p.value for p in combo)
-            if setting not in table:
-                raise MissingVariant("missing upstream setting %s" % (setting,))
-            w = signs[tuple(p is PauliOp.I for p in combo)]
-            idx = tuple(_BASE_INDEX[p] for p in combo)
-            entries[idx] = w @ table[setting]
-        tensor = FragmentTensor(side, cut_ids, "distribution" if dist else "expectation",
-                                entries, source, neglected,
-                                out_bits if dist else ())
-    else:
-        table = {}
-        out_bits = None
-        for r in results:
-            p = r.probabilities()
-            if out_bits is None:
-                out_bits = tuple(range(r.n_bits))
-                weights = _output_weights(obs, list(out_bits))
-            label_tuple = tuple(r.key.label(cid) for cid in cut_ids)
-            table[label_tuple] = p if dist else float(p @ weights)
-        shape = (4,) * k + ((2 ** len(out_bits),) if dist else ())
-        entries = np.zeros(shape)
-        for combo in itertools.product(*allowed):
-            total = np.zeros(shape[k:]) if dist else 0.0
-            for parts in itertools.product(*(PREP_TERMS[p] for p in combo)):
-                labels = tuple(lab for lab, _ in parts)
-                if labels not in table:
-                    raise MissingVariant("missing downstream preparation %s" % (labels,))
-                weight = 1.0
-                for _, w in parts:
-                    weight *= w
-                total = total + weight * table[labels]
-            idx = tuple(_BASE_INDEX[p] for p in combo)
-            entries[idx] = total
-        tensor = FragmentTensor(side, cut_ids, "distribution" if dist else "expectation",
-                                entries, source, neglected,
-                                out_bits if dist else ())
+    # Data per result: its probabilities with the measured cut bits first
+    # (cut_id order) and the output bits after them, one axis per cut bit.
+    n = results[0].n_bits
+    pos = dict(results[0].cut_bits)
+    cut_axes = [pos[cid] for cid in measured]
+    out_bits = tuple(q for q in range(n) if q not in cut_axes)
+    order = cut_axes + list(out_bits)
+    weights = _output_weights(obs, list(out_bits))
+    tail = (2 ** len(out_bits),) if dist else ()
+    index = {lab: i for i, lab in enumerate(labels)}
+    table = {}
+    for r in results:
+        data = r.probabilities().reshape((2,) * n).transpose(order).reshape(per_label ** k, -1)
+        if not dist:
+            data = data @ weights
+        table[tuple(index[r.key.label(cid)] for cid in cut_ids)] = (
+            data.reshape((per_label,) * k + tail))
+
+    maps = [side_map * np.array([[(cid, p) not in neglected] for p in BASES])
+            for cid in cut_ids]
+    read = [m.reshape(4, len(labels), per_label).any(axis=(0, 2)) for m in maps]
+    need = reduce(np.multiply.outer, read[1:], read[0])
+    missing = set(zip(*np.nonzero(need))) - table.keys()
+    if missing:
+        raise MissingVariant("missing %s variant %s"
+                             % (side, tuple(labels[i] for i in min(missing))))
+
+    # Mode products one column of the first cut at a time, so that only a
+    # 6^(K-1) block of data is held, never all 6^K columns at once. The
+    # block has label axes, then outcome-bit axes, for cuts 2..K; "pairs"
+    # puts each cut's two side by side, which orders its columns as the map.
+    by_first = [[] for _ in labels]
+    for key, data in table.items():
+        if need[key]:
+            by_first[key[0]].append((key[1:], data))
+    pairs = [a for j in range(k - 1) for a in (j, k - 1 + j)]
+    pairs += range(2 * k - 2, 2 * k - 2 + len(tail))
+    entries = np.zeros((4, 4 ** (k - 1) * int(np.prod(tail))))
+    for col in np.flatnonzero(maps[0].any(axis=0)):
+        first, bit = divmod(col, per_label)
+        block = np.zeros((len(labels),) * (k - 1) + (per_label,) * (k - 1) + tail)
+        for rest, data in by_first[first]:
+            block[rest] = data[bit]
+        block = block.transpose(pairs)
+        for j, m in enumerate(maps[1:]):
+            block = np.matmul(m, block.reshape(4 ** j, 6, -1))
+        for basis in np.flatnonzero(maps[0][:, col]):
+            entries[basis] += maps[0][basis, col] * block.reshape(-1)
+    entries = entries.reshape((4,) * k + tail)
+    tensor = FragmentTensor(side, cut_ids, "distribution" if dist else "expectation",
+                            entries, source, neglected,
+                            out_bits if dist else ())
 
     if source == "exact" and not dist and obs.kind == "projector":
         bound = 2.0 ** k + 1e-9

@@ -6,12 +6,11 @@ package-wide convention: qubit 0 is the most significant (leftmost) bit.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, Gate, PauliOp, gate_matrix, h, sdg
+from .circuits import _INV_SQRT2, Circuit, PauliOp, gate_matrix, h, sdg
 from .errors import (
     GoldcutError,
     IdentityBasisRequested,
@@ -201,8 +200,6 @@ def sample(state: StateVector, qubits, shots: int, seed) -> Counts:
     counts = {bitstring(i, width): int(c) for i, c in enumerate(draws) if c}
     return Counts(shots, counts)
 
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 _EIGENSTATES = {
     (PauliOp.Z, 1): np.array([1.0, 0.0], dtype=complex),

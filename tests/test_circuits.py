@@ -98,6 +98,16 @@ class TestValidate:
         report = validate(Circuit(1, (Gate("rx", (0,)),), ()))
         assert any("angle" in v for v in report.violations)
 
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle(self, angle):
+        report = validate(Circuit(1, (rx(angle, 0),), ()))
+        assert any("not finite" in v for v in report.violations)
+
+    def test_non_finite_opaque_matrix(self):
+        g = Gate("unitary", (0,), (), ((float("nan"), 0.0), (0.0, 1.0)))
+        report = validate(Circuit(1, (g,), ()))
+        assert any("non-unitary" in v for v in report.violations)
+
 
 def fig1_circuit():
     # upstream pair of wires prepares a state, one gate couples the shared

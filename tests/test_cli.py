@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from goldcut import cli
 from goldcut.circuits import Circuit, CutPoint, cnot, h, load, save
 from goldcut.cli import main
 from goldcut.metrics import CSV_COLUMNS
+from goldcut.reconstructor import term_count
 
 
 def ansatz_path(tmp_path, name="circ.json", seed=0):
@@ -140,6 +142,15 @@ class TestBench:
     def test_zero_cuts_is_config_error(self):
         assert main(["bench", "--cuts", "0"]) == 2
 
+    def test_count_mismatch_is_validation_error(self, monkeypatch):
+        # the tuple check is a real error, so it also holds under python -O
+        def off_by_one(k_regular, k_golden):
+            tuples, terms = term_count(k_regular, k_golden)
+            return tuples + 1, terms
+
+        monkeypatch.setattr(cli, "term_count", off_by_one)
+        assert main(["bench", "--cuts", "2"]) == 3
+
 
 class TestDetect:
     def test_exact_report_to_stdout(self, tmp_path, capsys):
@@ -166,6 +177,51 @@ class TestDetect:
     def test_cutless_circuit_is_validation_error(self, tmp_path):
         path = tmp_path / "uncut.json"
         save(Circuit(2, (h(0),), ()), str(path))
+        assert main(["detect", "--circuit", str(path)]) == 3
+
+
+def fig1_doc():
+    return {"n_qubits": 3,
+            "gates": [{"kind": "h", "qubits": [0], "params": []},
+                      {"kind": "cnot", "qubits": [0, 1], "params": []},
+                      {"kind": "cnot", "qubits": [1, 2], "params": []}],
+            "cuts": [{"qubit": 1, "after_gate": 1, "cut_id": 1}]}
+
+
+class TestBoundaryInput:
+    @pytest.mark.parametrize("angle", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--trials", "1", "--shots", "100"],
+        ["detect"],
+    ])
+    def test_non_finite_angle_is_validation_error(self, tmp_path, command, angle):
+        doc = fig1_doc()
+        doc["gates"][0] = {"kind": "ry", "qubits": [0], "params": [0.5]}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc).replace("0.5", angle))
+        assert main(command + ["--circuit", str(path)]) == 3
+
+    def test_valid_document_passes(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(fig1_doc()))
+        assert main(["detect", "--circuit", str(path)]) == 0
+
+    @pytest.mark.parametrize("value", [0.7, 1.0, True])
+    @pytest.mark.parametrize("field", [
+        ("n_qubits",),
+        ("gates", 0, "qubits", 0),
+        ("cuts", 0, "qubit"),
+        ("cuts", 0, "after_gate"),
+        ("cuts", 0, "cut_id"),
+    ])
+    def test_non_integer_field_is_validation_error(self, tmp_path, field, value):
+        doc = fig1_doc()
+        holder = doc
+        for step in field[:-1]:
+            holder = holder[step]
+        holder[field[-1]] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
         assert main(["detect", "--circuit", str(path)]) == 3
 
 

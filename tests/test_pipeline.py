@@ -155,6 +155,9 @@ class TestOracleReuse:
     def test_exact_mode_runs_the_upstream_oracle_once(self, prune, monkeypatch):
         # the full upstream set feeds the golden report and, filtered by
         # the pruned keys, the reconstruction; the ledger counts the pruned set
+        # (golden_ansatz certifies through the same pipeline helper, so the
+        # circuit is built before run_fragment is counted)
+        circ = golden_ansatz(3, 1, 0)
         calls = []
 
         def counting(fragment, variants, **kwargs):
@@ -163,12 +166,12 @@ class TestOracleReuse:
 
         monkeypatch.setattr(pipeline, "run_fragment", counting)
         neglect = [(1, "Y")] if prune == "known" else ()
-        run = reconstruct(golden_ansatz(3, 1, 0), prune=prune, neglect=neglect)
+        run = reconstruct(circ, prune=prune, neglect=neglect)
         pruned = prune != "off"
         assert calls == [("upstream", 3), ("downstream", 4 if pruned else 6)]
         assert run.cost.variants_executed == (6 if pruned else 9)
         assert run.golden.entry(1, "Y").golden
-        want = ground_truth_distribution(golden_ansatz(3, 1, 0))
+        want = ground_truth_distribution(circ)
         assert np.max(np.abs(run.raw_distribution - want)) < 1e-10
 
 

@@ -1,4 +1,5 @@
 """Signed tensor assembly and contraction against independent oracles."""
+import itertools
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from goldcut.errors import (
     WrongSide,
 )
 from goldcut.fragmenter import (
+    MEASURED_BASES,
     VariantResult,
     downstream_variants,
     run_fragment,
@@ -131,6 +133,127 @@ class TestProjectorBound:
                                   r.cut_bits, r.output_bits) for r in results]
         with pytest.raises(GoldcutError):
             build_tensor(inflated, obs, "upstream")
+
+
+# The reference definition, one entry at a time: an upstream entry is the
+# signed sum over cut outcome bits of the data of its setting (the identity
+# reads the Z setting with both signs +1); a downstream entry is the signed
+# sum over the eigenstate preparations of its bases.
+REF_SIGNS = {PauliOp.I: (1.0, 1.0), PauliOp.X: (1.0, -1.0),
+             PauliOp.Y: (1.0, -1.0), PauliOp.Z: (1.0, -1.0)}
+REF_PREPS = {PauliOp.I: (("Zp", 1.0), ("Zm", 1.0)), PauliOp.X: (("Xp", 1.0), ("Xm", -1.0)),
+             PauliOp.Y: (("Yp", 1.0), ("Ym", -1.0)), PauliOp.Z: (("Zp", 1.0), ("Zm", -1.0))}
+REF_BASES = (PauliOp.I, PauliOp.X, PauliOp.Y, PauliOp.Z)
+
+
+def ref_data(result, cut_ids, obs):
+    """{cut outcome bits: output vector or observable value} of one result."""
+    n = result.n_bits
+    pos = dict(result.cut_bits)
+    cut_pos = [pos[cid] for cid in cut_ids]
+    outputs = [q for q in range(n) if q not in cut_pos]
+    data = {}
+    for i, prob in enumerate(result.probabilities()):
+        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
+        b = tuple(bits[q] for q in cut_pos)
+        if obs.kind == "distribution":
+            row = data.setdefault(b, np.zeros(2 ** len(outputs)))
+            row[int("".join(str(bits[q]) for q in outputs) or "0", 2)] += prob
+            continue
+        if obs.kind == "pauli":
+            value = np.prod([(-1.0) ** bits[q]
+                             for q, pa in zip(obs.qubits, obs.paulis) if pa is not PauliOp.I])
+        else:
+            value = float(all(bits[q] == int(c) for q, c in zip(obs.qubits, obs.bits)))
+        data[b] = data.get(b, 0.0) + prob * value
+    return data
+
+
+def ref_tensor(results, obs, side):
+    """{basis tuple: entry} for every tuple, none neglected."""
+    cut_ids = tuple(sorted(cid for cid, _ in results[0].key.assignment))
+    k = len(cut_ids)
+    measured = cut_ids if side == "upstream" else ()
+    table = {tuple(r.key.label(cid) for cid in cut_ids): ref_data(r, measured, obs)
+             for r in results}
+    out = {}
+    for combo in itertools.product(REF_BASES, repeat=k):
+        total = 0.0
+        if side == "upstream":
+            setting = tuple("Z" if p is PauliOp.I else p.value for p in combo)
+            for b in itertools.product((0, 1), repeat=k):
+                weight = np.prod([REF_SIGNS[p][bit] for p, bit in zip(combo, b)])
+                total = total + weight * table[setting][b]
+        else:
+            for parts in itertools.product(*(REF_PREPS[p] for p in combo)):
+                weight = np.prod([w for _, w in parts])
+                total = total + weight * table[tuple(lab for lab, _ in parts)][()]
+        out[combo] = total
+    return out
+
+
+class TestReferenceDefinition:
+    @pytest.mark.parametrize("shots", [None, 300])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_builder_matches_reference(self, k, shots):
+        circ = make_cut_circuit(k + 1, k + 1, k, 2, 40 + k)
+        f1, f2 = bipartition(circ)
+        rng = np.random.default_rng(k)
+        for frag, side, enumerate_variants in ((f1, "upstream", upstream_variants),
+                                               (f2, "downstream", downstream_variants)):
+            outs = frag.output_qubits
+            observables = (
+                ObservableSpec.distribution(outs),
+                ObservableSpec.pauli_string(rng.choice(["I", "X", "Y", "Z"], len(outs)), outs),
+                ObservableSpec.projector("".join(rng.choice(["0", "1"], len(outs))), outs),
+            )
+            for obs in observables:
+                results = run_fragment(frag, enumerate_variants(frag, obs=obs),
+                                       shots=shots, seed=5)
+                by_key = {r.key: r for r in results}
+                want = ref_tensor(results, obs, side)
+                for choice in itertools.product((None,) + MEASURED_BASES, repeat=k):
+                    neglected = frozenset((cid, p) for cid, p in zip(range(1, k + 1), choice)
+                                          if p is not None)
+                    kept = [by_key[key] for key, _ in enumerate_variants(frag, neglected, obs)]
+                    got = build_tensor(kept, obs, side, neglected)
+                    for combo, entry in want.items():
+                        # a neglected basis leaves its entries at zero
+                        if any(pair in neglected for pair in zip(range(1, k + 1), combo)):
+                            entry = 0.0
+                        assert np.max(np.abs(got.entry(combo) - entry)) < 1e-12
+
+    def test_missing_variant_only_when_a_kept_basis_reads_it(self):
+        circ = make_cut_circuit(3, 3, 2, 2, 7)
+        f1, f2 = bipartition(circ)
+        up = run_fragment(f1, upstream_variants(f1))
+        down = run_fragment(f2, downstream_variants(f2))
+        no_y1 = [r for r in up if r.key.label(1) != "Y"]
+        build_tensor(no_y1, IDENTITY_OBS, "upstream", {(1, PauliOp.Y)})
+        for neglected in (frozenset(), {(2, PauliOp.Y)}):
+            with pytest.raises(MissingVariant):
+                build_tensor(no_y1, IDENTITY_OBS, "upstream", neglected)
+        # the identity row reads the Z setting, so neglecting Z keeps it needed
+        no_z1 = [r for r in up if r.key.label(1) != "Z"]
+        with pytest.raises(MissingVariant):
+            build_tensor(no_z1, IDENTITY_OBS, "upstream", {(1, PauliOp.Z)})
+        no_yp2 = [r for r in down if r.key.label(2) != "Yp"]
+        build_tensor(no_yp2, IDENTITY_OBS, "downstream", {(2, PauliOp.Y)})
+        for neglected in (frozenset(), {(1, PauliOp.Y)}):
+            with pytest.raises(MissingVariant):
+                build_tensor(no_yp2, IDENTITY_OBS, "downstream", neglected)
+        no_zm1 = [r for r in down if r.key.label(1) != "Zm"]
+        with pytest.raises(MissingVariant):
+            build_tensor(no_zm1, IDENTITY_OBS, "downstream", {(1, PauliOp.Z)})
+
+    def test_repeated_key_last_result_counts(self):
+        f1, _ = bipartition(fig1())
+        results = run_fragment(f1, upstream_variants(f1))
+        doubled = [VariantResult(r.key, "exact", 0.5 * r.probs, None, r.n_bits,
+                                 r.cut_bits, r.output_bits) for r in results]
+        twice = build_tensor(results + doubled, DIST, "upstream")
+        once = build_tensor(results, DIST, "upstream")
+        assert np.allclose(twice.entries, 0.5 * once.entries, atol=1e-15)
 
 
 class TestContractExpectation:
