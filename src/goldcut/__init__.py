@@ -54,11 +54,9 @@ from .reconstructor import (
     term_count,
 )
 from .simulator import (
-    Counts,
     ObservableSpec,
     StateVector,
     basis_rotation,
-    eigenstate,
     exact_distribution,
     exact_expectation,
     sample,
@@ -80,7 +78,7 @@ __all__ = [
     "reconstruct",
     "FragmentTensor", "Reconstruction", "build_tensor",
     "contract_distribution", "contract_expectation", "term_count",
-    "Counts", "ObservableSpec", "StateVector", "basis_rotation", "eigenstate",
-    "exact_distribution", "exact_expectation", "sample", "simulate",
+    "ObservableSpec", "StateVector", "basis_rotation", "exact_distribution",
+    "exact_expectation", "sample", "simulate",
     "__version__",
 ]

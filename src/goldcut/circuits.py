@@ -36,16 +36,6 @@ class PauliOp(Enum):
     def matrix(self) -> np.ndarray:
         return _PAULI_MATRICES[self].copy()
 
-    def eigenpairs(self):
-        """Return ((eigenvalue, projector), (eigenvalue, projector)).
-
-        Projectors are rank-1 with unit trace and are written with exact
-        dyadic entries so that the eigenvalue-weighted sum reproduces the
-        Pauli matrix bitwise. The identity has eigenvalues +1, +1 with
-        projectors onto |0> and |1>.
-        """
-        return tuple((val, proj.copy()) for val, proj in _EIGENPAIRS[self])
-
 
 _PAULI_MATRICES = {
     PauliOp.I: np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
@@ -54,21 +44,17 @@ _PAULI_MATRICES = {
     PauliOp.Z: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 
-_P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
-_EIGENPAIRS = {
-    PauliOp.I: ((1.0, _P0), (1.0, _P1)),
-    PauliOp.X: (
-        (1.0, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)),
-        (-1.0, np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)),
-    ),
-    PauliOp.Y: (
-        (1.0, np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex)),
-        (-1.0, np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)),
-    ),
-    PauliOp.Z: ((1.0, _P0), (-1.0, _P1)),
-}
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for booleans and floats,
+    which int() would silently coerce."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_int(value, what) -> int:
+    if not _is_int(value):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -85,7 +71,7 @@ class Gate:
     matrix: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(_as_int(q, "gate qubit") for q in self.qubits))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.matrix is not None:
             rows = tuple(tuple(complex(v) for v in row) for row in self.matrix)
@@ -245,6 +231,8 @@ def validate(circuit: Circuit) -> ValidationReport:
     """Collect structural violations without raising."""
     bad = []
     n = circuit.n_qubits
+    if not _is_int(n):
+        return ValidationReport(["n_qubits must be an integer, got %r" % (n,)])
     if n < 1:
         bad.append("n_qubits must be positive")
     for i, g in enumerate(circuit.gates):
@@ -282,6 +270,10 @@ def validate(circuit: Circuit) -> ValidationReport:
     seen_qubit = {}
     ids = [c.cut_id for c in circuit.cuts]
     for c in circuit.cuts:
+        odd = [f for f in ("qubit", "after_gate", "cut_id") if not _is_int(getattr(c, f))]
+        if odd:
+            bad += ["%r: %s is not an integer" % (c, f) for f in odd]
+            continue
         if not 0 <= c.qubit < n:
             bad.append("cut %d: qubit %d out of range" % (c.cut_id, c.qubit))
         if not -1 <= c.after_gate < len(circuit.gates):
@@ -502,18 +494,10 @@ def to_json(circuit: Circuit) -> str:
             % (circuit.n_qubits, gates, cuts))
 
 
-def _json_int(value, what):
-    """value when it is a JSON integer; ValueError for floats and booleans,
-    which int() would silently coerce."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("%s must be an integer, got %s" % (what, json.dumps(value)))
-    return value
-
-
 def from_json(text: str) -> Circuit:
     data = json.loads(text)
     gates = []
-    for i, g in enumerate(data.get("gates", [])):
+    for g in data.get("gates", []):
         matrix = None
         if g.get("matrix") is not None:
             flat = [complex(re, im) for re, im in g["matrix"]]
@@ -522,13 +506,12 @@ def from_json(text: str) -> Circuit:
                 raise ValueError("matrix length %d does not fit %d qubit(s)"
                                  % (len(flat), len(g["qubits"])))
             matrix = tuple(tuple(flat[r * dim:(r + 1) * dim]) for r in range(dim))
-        qubits = tuple(_json_int(q, "gate %d qubit" % i) for q in g["qubits"])
-        gates.append(Gate(g["kind"], qubits, tuple(g.get("params", ())), matrix))
+        gates.append(Gate(g["kind"], tuple(g["qubits"]), tuple(g.get("params", ())), matrix))
     cuts = tuple(
-        CutPoint(*(_json_int(c[f], "cut %s" % f) for f in ("qubit", "after_gate", "cut_id")))
+        CutPoint(*(_as_int(c[f], "cut %s" % f) for f in ("qubit", "after_gate", "cut_id")))
         for c in data.get("cuts", ())
     )
-    return Circuit(_json_int(data["n_qubits"], "n_qubits"), tuple(gates), cuts)
+    return Circuit(_as_int(data["n_qubits"], "n_qubits"), tuple(gates), cuts)
 
 
 def save(circuit: Circuit, path) -> None:

@@ -41,10 +41,6 @@ class MissingVariant(GoldcutError):
     """A variant result required by the declared neglected set is absent."""
 
 
-class ShotStarvation(GoldcutError):
-    """A required variant carries zero shots."""
-
-
 class ArityMismatch(GoldcutError):
     """Fragment tensors disagree on cut arity or identity."""
 

@@ -13,21 +13,21 @@ cut wires, so run_fragment simulates each distinct fragment body once:
 upstream, it applies each variant's readout rotations to a copy of the
 body's final state; downstream, it simulates the body on the 2^K
 computational inputs of the cut wires and forms each preparation as the
-matching linear combination of those 2^K output states.
+matching linear combination of those 2^K output states. Each variant's
+result is one probability vector over its local qubits: the exact Born
+probabilities, or the frequencies of a multinomial draw of so many shots.
 """
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Fragment, Gate, PauliOp, _fmt, h, s, x
-from .errors import AllBasesNeglected, ShotStarvation, SupportMismatch
+from .circuits import Circuit, Fragment, PauliOp, h, s, x
+from .errors import AllBasesNeglected, SupportMismatch
 from .seeding import stream
 from .simulator import (
-    Counts,
     StateVector,
     apply_gates,
     basis_rotation,
@@ -88,32 +88,19 @@ class VariantKey:
 class VariantResult:
     """Execution record for one variant.
 
-    Bit position i of every recorded bitstring is local qubit i of the
-    fragment; cut_bits names which positions are measured cut wires, so
-    they stay distinguishable from output bits.
+    probs is indexed by bitstring over the fragment's local qubits, bit
+    position i being local qubit i: the exact Born probabilities when shots
+    is 0, otherwise the frequencies of that many shots. cut_bits names which
+    positions are measured cut wires, so they stay distinguishable from
+    output bits.
     """
 
     key: VariantKey
-    mode: str
-    probs: np.ndarray | None
-    counts: Counts | None
+    probs: np.ndarray
+    shots: int
     n_bits: int
     cut_bits: tuple
     output_bits: tuple
-
-    def probabilities(self) -> np.ndarray:
-        if self.mode == "exact":
-            return self.probs
-        if self.counts.shots < 1:
-            raise ShotStarvation("variant %r has no shots" % (self.key,))
-        out = np.zeros(2 ** self.n_bits)
-        for bits, c in self.counts.counts.items():
-            out[int(bits, 2) if bits else 0] = c
-        return out / self.counts.shots
-
-    @property
-    def shots(self) -> int:
-        return 0 if self.mode == "exact" else self.counts.shots
 
 
 def _neglected_by_cut(cut_ids, neglected):
@@ -271,17 +258,18 @@ def _downstream_states(fragment: Fragment, body: Circuit, keys):
 
 def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=(),
                  ledger=None):
-    """Execute every variant; exact probabilities or sampled counts.
+    """Execute every variant; exact or sampled probability vectors.
 
     Variants are grouped by fragment body, and each distinct body is
     simulated once (2^K times downstream, once per computational input on
     the cut wires); see the module docstring. Any list of variants of this
     fragment works, in any order. shots None stores exact probability
-    vectors; otherwise each variant is sampled with its own RNG stream
-    derived from (seed, *seed_path, index), index being its position in
-    variants, so results are deterministic and independent of execution
-    order. A ledger object with a record(side, variants, shots_each) method
-    picks up the execution counts when provided.
+    vectors (result shots 0); otherwise each variant stores its draw divided
+    by shots, sampled with its own RNG stream derived from (seed,
+    *seed_path, index), index being its position in variants, so results
+    are deterministic and independent of execution order. A ledger object
+    with a record(side, variants, shots_each) method picks up the execution
+    counts when provided.
     """
     side = fragment.side
     n = fragment.circuit.n_qubits
@@ -304,54 +292,12 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=(),
         keys = [variants[i][0] for i in indices]
         for i, key, sv in zip(indices, keys, states(fragment, Circuit(n, body, ()), keys)):
             if shots is None:
-                res = VariantResult(key, "exact", exact_distribution(sv, everything), None,
-                                    n, fragment.upstream_cut_qubits, fragment.output_qubits)
+                probs, used = exact_distribution(sv, everything), 0
             else:
-                counts = sample(sv, everything, shots, stream(seed, *seed_path, i))
-                res = VariantResult(key, "shots", None, counts, n,
-                                    fragment.upstream_cut_qubits, fragment.output_qubits)
-            results[i] = res
+                draws = sample(sv, everything, shots, stream(seed, *seed_path, i))
+                probs, used = draws / shots, shots
+            results[i] = VariantResult(key, probs, used, n, fragment.upstream_cut_qubits,
+                                       fragment.output_qubits)
     if ledger is not None:
         ledger.record(side, len(results), 0 if shots is None else shots)
     return results
-
-
-def _key_json(key: VariantKey) -> str:
-    items = ", ".join('"%d": %s' % (cid, json.dumps(lab)) for cid, lab in key.assignment)
-    return '{"side": %s, "assignment": {%s}}' % (json.dumps(key.side), items)
-
-
-def results_to_json(results) -> str:
-    """Canonical JSON array for a variant-result set."""
-    rows = []
-    for r in results:
-        if r.mode == "exact":
-            data = "[%s]" % ", ".join(_fmt(v) for v in r.probs)
-        else:
-            data = r.counts.to_json()
-        cut_bits = ", ".join("[%d, %d]" % (cid, pos) for cid, pos in r.cut_bits)
-        outputs = ", ".join(str(b) for b in r.output_bits)
-        rows.append(
-            '{"key": %s, "mode": %s, "data": %s, "n_bits": %d, '
-            '"cut_bits": [%s], "output_bits": [%s]}'
-            % (_key_json(r.key), json.dumps(r.mode), data, r.n_bits, cut_bits, outputs)
-        )
-    return "[%s]" % ", ".join(rows)
-
-
-def results_from_json(text: str):
-    rows = json.loads(text)
-    out = []
-    for row in rows:
-        key = VariantKey(
-            row["key"]["side"],
-            tuple((int(c), lab) for c, lab in row["key"]["assignment"].items()),
-        )
-        if row["mode"] == "exact":
-            probs, counts = np.array(row["data"], dtype=float), None
-        else:
-            probs, counts = None, Counts(row["data"]["shots"], dict(row["data"]["counts"]))
-        out.append(VariantResult(key, row["mode"], probs, counts, row["n_bits"],
-                                 tuple((c, p) for c, p in row["cut_bits"]),
-                                 tuple(row["output_bits"])))
-    return out

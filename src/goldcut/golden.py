@@ -129,7 +129,7 @@ def detect_statistical(results, obs, alpha: float = DEFAULT_ALPHA,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     for r in results:
-        if r.mode != "shots":
+        if r.shots == 0:
             raise ValueError("detect_statistical needs shot-mode results")
     tensor = build_tensor(results, obs, "upstream")
     shots_by_setting = {

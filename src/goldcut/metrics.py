@@ -24,9 +24,9 @@ def _as_dict(dist):
 def weighted_distance(p, q) -> float:
     """Sum of (p(x) - q(x))^2 / q(x) over the support of the truth q.
 
-    q is the ground truth; outcomes with q(x) = 0 are excluded from the sum
-    (see stray_mass for the mass p puts there). Both inputs may be mappings
-    or plain probability vectors and must each sum to 1 within 1e-9.
+    q is the ground truth; outcomes with q(x) = 0 are excluded from the sum.
+    Both inputs may be mappings or plain probability vectors and must each
+    sum to 1 within 1e-9.
     """
     pd, qd = _as_dict(p), _as_dict(q)
     support = [x for x, v in qd.items() if v > 0.0]
@@ -37,12 +37,6 @@ def weighted_distance(p, q) -> float:
         if abs(total - 1.0) > 1e-9:
             raise ValueError("%s sums to %.12g, expected 1" % (name, total))
     return float(sum((pd.get(x, 0.0) - qd[x]) ** 2 / qd[x] for x in support))
-
-
-def stray_mass(p, q) -> float:
-    """Total probability p assigns to outcomes outside the support of q."""
-    pd, qd = _as_dict(p), _as_dict(q)
-    return float(sum(v for x, v in pd.items() if qd.get(x, 0.0) <= 0.0))
 
 
 @dataclass

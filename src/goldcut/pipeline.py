@@ -97,11 +97,7 @@ def uncut_sampled_distribution(circuit: Circuit, shots: int, seed: int,
     """Empirical distribution of the uncut circuit at the same shot budget."""
     state = simulate(uncut(circuit))
     rng = stream(seed, trial, SIDE_UNCUT)
-    counts = sample(state, range(circuit.n_qubits), shots, rng)
-    vec = np.zeros(2 ** circuit.n_qubits)
-    for bits, c in counts.counts.items():
-        vec[int(bits, 2)] = c
-    return vec / shots
+    return sample(state, range(circuit.n_qubits), shots, rng) / shots
 
 
 @dataclass

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .circuits import PauliOp, _fmt
+from .circuits import PauliOp
 from .errors import ArityMismatch, GoldcutError, MissingVariant, WrongSide
 from .fragmenter import MEASURED_BASES, PREP_LABELS
 
@@ -126,10 +126,10 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     for r in results:
         if r.key.side != side:
             raise WrongSide("expected %s results, got %s" % (side, r.key.side))
-    modes = {r.mode for r in results}
-    if len(modes) != 1:
+    exact = {r.shots == 0 for r in results}
+    if len(exact) != 1:
         raise ValueError("mixed exact and shot results")
-    source = "exact" if modes == {"exact"} else "shots"
+    source = "exact" if exact == {True} else "shots"
     neglected = _normalize_neglected(neglected)
 
     cut_ids = tuple(sorted(cid for cid, _ in results[0].key.assignment))
@@ -152,7 +152,7 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     index = {lab: i for i, lab in enumerate(labels)}
     table = {}
     for r in results:
-        data = r.probabilities().reshape((2,) * n).transpose(order).reshape(per_label ** k, -1)
+        data = r.probs.reshape((2,) * n).transpose(order).reshape(per_label ** k, -1)
         if not dist:
             data = data @ weights
         table[tuple(index[r.key.label(cid)] for cid in cut_ids)] = (
@@ -294,19 +294,3 @@ def term_count(k_regular: int, k_golden: int):
         raise ValueError("cut counts must be non-negative")
     tuples = 4 ** k_regular * 3 ** k_golden
     return tuples, tuples * 4 ** (k_regular + k_golden)
-
-
-def reconstruction_to_json(rec: Reconstruction) -> str:
-    neglect = ", ".join(
-        '[%d, "%s"]' % (cid, p.value)
-        for cid, p in sorted(rec.neglected, key=lambda t: (t[0], t[1].value))
-    )
-    if rec.mode == "expectation":
-        head = '"value": %s, "raw": %s' % (_fmt(rec.value), _fmt(rec.raw))
-    else:
-        head = '"distribution": [%s], "raw": [%s]' % (
-            ", ".join(_fmt(v) for v in rec.value),
-            ", ".join(_fmt(v) for v in rec.raw),
-        )
-    return ('{%s, "terms_evaluated": %d, "neglected": [%s], "shots_used": %d}'
-            % (head, rec.terms_evaluated, neglect, rec.shots_used))

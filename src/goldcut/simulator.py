@@ -1,16 +1,17 @@
 """Exact statevector simulation, observables, sampling, and basis helpers.
 
-Everything here is an infinite-shot oracle except sample(), which draws
-multinomial counts from the exact Born distribution. Bitstrings follow the
-package-wide convention: qubit 0 is the most significant (leftmost) bit.
+Everything here is an infinite-shot oracle except sample(), which returns
+the per-outcome counts of a multinomial draw from the exact Born
+distribution. Outcome indices follow the package-wide bitstring convention:
+qubit 0 is the most significant (leftmost) bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _INV_SQRT2, Circuit, PauliOp, gate_matrix, h, sdg
+from .circuits import Circuit, PauliOp, gate_matrix, h, sdg
 from .errors import (
     GoldcutError,
     IdentityBasisRequested,
@@ -67,27 +68,6 @@ class ObservableSpec:
     @classmethod
     def distribution(cls, qubits) -> "ObservableSpec":
         return cls("distribution", tuple(qubits))
-
-
-@dataclass
-class Counts:
-    """Finite-shot measurement record; values sum to shots."""
-
-    shots: int
-    counts: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        items = ", ".join(
-            '"%s": %d' % (bits, self.counts[bits]) for bits in sorted(self.counts)
-        )
-        return '{"shots": %d, "counts": {%s}}' % (self.shots, items)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Counts":
-        import json
-
-        data = json.loads(text)
-        return cls(data["shots"], dict(data["counts"]))
 
 
 def _check_support(n_qubits: int, qubits) -> None:
@@ -179,51 +159,19 @@ def exact_expectation(state: StateVector, obs: ObservableSpec) -> float:
     return float(value.real)
 
 
-def bitstring(index: int, width: int) -> str:
-    return format(index, "0%db" % width) if width else ""
-
-
-def sample(state: StateVector, qubits, shots: int, seed) -> Counts:
+def sample(state: StateVector, qubits, shots: int, seed) -> np.ndarray:
     """Multinomial sampling of the exact distribution; deterministic in seed.
 
-    seed may be an integer or an already-split numpy Generator.
+    Returns the integer count per outcome, indexed like exact_distribution
+    and summing to shots. seed may be an integer or an already-split numpy
+    Generator.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    qubits = tuple(qubits)
     rng = seed if isinstance(seed, np.random.Generator) else stream(int(seed))
     p = exact_distribution(state, qubits)
     p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    draws = rng.multinomial(shots, p)
-    width = len(qubits)
-    counts = {bitstring(i, width): int(c) for i, c in enumerate(draws) if c}
-    return Counts(shots, counts)
-
-
-_EIGENSTATES = {
-    (PauliOp.Z, 1): np.array([1.0, 0.0], dtype=complex),
-    (PauliOp.Z, -1): np.array([0.0, 1.0], dtype=complex),
-    (PauliOp.X, 1): np.array([_INV_SQRT2, _INV_SQRT2], dtype=complex),
-    (PauliOp.X, -1): np.array([_INV_SQRT2, -_INV_SQRT2], dtype=complex),
-    (PauliOp.Y, 1): np.array([_INV_SQRT2, _INV_SQRT2 * 1j], dtype=complex),
-    (PauliOp.Y, -1): np.array([_INV_SQRT2, -_INV_SQRT2 * 1j], dtype=complex),
-    (PauliOp.I, 0): np.array([1.0, 0.0], dtype=complex),
-    (PauliOp.I, 1): np.array([0.0, 1.0], dtype=complex),
-}
-
-
-def eigenstate(p: PauliOp, sign: int) -> np.ndarray:
-    """Eigenvector of a Pauli operator.
-
-    For X, Y, Z the second argument is the eigenvalue sign (+1 or -1). The
-    identity has both eigenvalues +1, so for I the argument is the
-    eigenstate index: 0 for |0>, 1 for |1>.
-    """
-    key = (p, int(sign))
-    if key not in _EIGENSTATES:
-        raise ValueError("no eigenstate for (%s, %r)" % (p.value, sign))
-    return _EIGENSTATES[key].copy()
+    return rng.multinomial(shots, p / p.sum())
 
 
 def basis_rotation(p: PauliOp, qubit: int = 0) -> list:

@@ -99,10 +99,3 @@ def stitch(f1, f2, n_parent):
             gates.append(g.__class__(g.kind, tuple(frag.parent_qubits[q] for q in g.qubits),
                                      g.params, g.matrix))
     return Circuit(n_parent, tuple(gates), ())
-
-
-def counts_to_vector(counts, width):
-    vec = np.zeros(2 ** width)
-    for bits, c in counts.counts.items():
-        vec[int(bits, 2) if bits else 0] = c
-    return vec / counts.shots

@@ -32,25 +32,6 @@ class TestPauliOp:
         assert np.array_equal(PauliOp.Y.matrix, [[0, -1j], [1j, 0]])
         assert np.array_equal(PauliOp.Z.matrix, [[1, 0], [0, -1]])
 
-    @pytest.mark.parametrize("p", list(PauliOp))
-    def test_eigenpairs_reconstruct_exactly(self, p):
-        pairs = p.eigenpairs()
-        assert len(pairs) == 2
-        total = sum(val * proj for val, proj in pairs)
-        # bitwise equality: the projectors are dyadic rationals
-        assert np.array_equal(total, p.matrix)
-        for val, proj in pairs:
-            assert abs(np.trace(proj) - 1.0) < 1e-15
-            assert np.linalg.matrix_rank(proj) == 1
-            if p is PauliOp.I:
-                assert val == 1.0
-            else:
-                assert val in (1.0, -1.0)
-
-    def test_identity_eigenvalues_both_positive(self):
-        vals = [val for val, _ in PauliOp.I.eigenpairs()]
-        assert vals == [1.0, 1.0]
-
 
 class TestGates:
     @pytest.mark.parametrize("gate", [
@@ -66,6 +47,16 @@ class TestGates:
     def test_cnot_flips_target_when_control_set(self):
         u = gate_matrix(cnot(0, 1))
         assert np.array_equal(u @ [0, 0, 1, 0], [0, 0, 0, 1])
+
+    @pytest.mark.parametrize("wire", [0.7, 1.0, True, np.float64(1.0), np.bool_(True)])
+    def test_non_integer_wire_rejected(self, wire):
+        # int() would store 0.7 as qubit 0 and True as qubit 1
+        with pytest.raises(ValueError):
+            Gate("h", (wire,))
+
+    def test_numpy_integer_wire_accepted(self):
+        g = cnot(np.int64(0), np.int32(1))
+        assert g.qubits == (0, 1) and all(type(q) is int for q in g.qubits)
 
 
 class TestValidate:
@@ -107,6 +98,27 @@ class TestValidate:
         g = Gate("unitary", (0,), (), ((float("nan"), 0.0), (0.0, 1.0)))
         report = validate(Circuit(1, (g,), ()))
         assert any("non-unitary" in v for v in report.violations)
+
+    @pytest.mark.parametrize("field", ["qubit", "after_gate", "cut_id"])
+    @pytest.mark.parametrize("value", [1.5, 1.0, True])
+    def test_non_integer_cut_field(self, field, value):
+        cut = dict(qubit=1, after_gate=1, cut_id=1)
+        cut[field] = value
+        circ = Circuit(3, (h(0), cnot(0, 1), cnot(1, 2)), (CutPoint(**cut),))
+        report = validate(circ)
+        assert any("%s is not an integer" % field in v for v in report.violations)
+        with pytest.raises(ValueError, match="not an integer"):
+            bipartition(circ)
+
+    @pytest.mark.parametrize("n", [3.0, True, np.float64(3.0)])
+    def test_non_integer_width(self, n):
+        report = validate(Circuit(n, (h(0),), ()))
+        assert any("n_qubits must be an integer" in v for v in report.violations)
+
+    def test_numpy_integer_fields_accepted(self):
+        circ = Circuit(np.int64(3), (h(0), cnot(0, 1), cnot(1, 2)),
+                       (CutPoint(np.int64(1), np.int32(1), np.int64(1)),))
+        assert validate(circ).ok
 
 
 def fig1_circuit():

@@ -7,7 +7,12 @@ import pytest
 
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
 from goldcut.errors import WrongSide
-from goldcut.fragmenter import downstream_variants, run_fragment, upstream_variants
+from goldcut.fragmenter import (
+    VariantResult,
+    downstream_variants,
+    run_fragment,
+    upstream_variants,
+)
 from goldcut.golden import (
     DEFAULT_ALPHA,
     DEFAULT_TAU,
@@ -149,6 +154,18 @@ class TestStatisticalDetection:
         sampled = run_fragment(f1, upstream_variants(f1), shots=100, seed=0)
         with pytest.raises(ValueError):
             detect_statistical(sampled, obs, alpha=1.5)
+
+    @pytest.mark.parametrize("exact_at", [(0, 1, 2), (1,)])
+    def test_rejects_zero_shot_results(self, exact_at):
+        # shots == 0 marks exact data, even with sampled frequencies in probs
+        obs = ObservableSpec.pauli_string([], [])
+        f1, _ = bipartition(fig1())
+        results = run_fragment(f1, upstream_variants(f1), shots=100, seed=0)
+        for i in exact_at:
+            r = results[i]
+            results[i] = VariantResult(r.key, r.probs, 0, r.n_bits, r.cut_bits, r.output_bits)
+        with pytest.raises(ValueError, match="shot-mode"):
+            detect_statistical(results, obs)
 
     def test_flag_rate_on_a_true_zero(self):
         # Z is golden here; with 1e4 shots the radius is about 1.9 sigma,

@@ -10,7 +10,6 @@ from goldcut.metrics import (
     CostLedger,
     closed_form_counts,
     cost_report,
-    stray_mass,
     weighted_distance,
 )
 
@@ -63,15 +62,6 @@ class TestWeightedDistance:
             weighted_distance({0: 1.0}, {})
         with pytest.raises(EmptySupport):
             weighted_distance(np.array([1.0, 0.0]), np.zeros(2))
-
-
-class TestStrayMass:
-    def test_mass_outside_truth_support(self):
-        assert abs(stray_mass({0: 0.9, 1: 0.1}, {0: 0.9, 2: 0.1}) - 0.1) < 1e-12
-
-    def test_zero_when_supports_match(self):
-        q = {0: 0.5, 1: 0.5}
-        assert stray_mass({0: 0.25, 1: 0.75}, q) == 0.0
 
 
 class TestCostLedger:

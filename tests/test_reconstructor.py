@@ -1,6 +1,5 @@
 """Signed tensor assembly and contraction against independent oracles."""
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from goldcut.errors import (
     ArityMismatch,
     GoldcutError,
     MissingVariant,
-    ShotStarvation,
     WrongSide,
 )
 from goldcut.fragmenter import (
@@ -36,11 +34,9 @@ from goldcut.reconstructor import (
     combine_tensors,
     contract_distribution,
     contract_expectation,
-    reconstruction_to_json,
     term_count,
 )
 from goldcut.simulator import (
-    Counts,
     ObservableSpec,
     exact_distribution,
     exact_expectation,
@@ -129,7 +125,7 @@ class TestProjectorBound:
         f1, _ = bipartition(fig1())
         results = run_fragment(f1, upstream_variants(f1))
         build_tensor(results, obs, "upstream")
-        inflated = [VariantResult(r.key, "exact", 10.0 * r.probs, None, r.n_bits,
+        inflated = [VariantResult(r.key, 10.0 * r.probs, 0, r.n_bits,
                                   r.cut_bits, r.output_bits) for r in results]
         with pytest.raises(GoldcutError):
             build_tensor(inflated, obs, "upstream")
@@ -153,7 +149,7 @@ def ref_data(result, cut_ids, obs):
     cut_pos = [pos[cid] for cid in cut_ids]
     outputs = [q for q in range(n) if q not in cut_pos]
     data = {}
-    for i, prob in enumerate(result.probabilities()):
+    for i, prob in enumerate(result.probs):
         bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
         b = tuple(bits[q] for q in cut_pos)
         if obs.kind == "distribution":
@@ -249,7 +245,7 @@ class TestReferenceDefinition:
     def test_repeated_key_last_result_counts(self):
         f1, _ = bipartition(fig1())
         results = run_fragment(f1, upstream_variants(f1))
-        doubled = [VariantResult(r.key, "exact", 0.5 * r.probs, None, r.n_bits,
+        doubled = [VariantResult(r.key, 0.5 * r.probs, 0, r.n_bits,
                                  r.cut_bits, r.output_bits) for r in results]
         twice = build_tensor(results + doubled, DIST, "upstream")
         once = build_tensor(results, DIST, "upstream")
@@ -375,16 +371,14 @@ class TestFailureModes:
         with pytest.raises(MissingVariant):
             build_tensor(results, IDENTITY_OBS, "downstream")
 
-    def test_zero_shot_variants_starve(self):
+    def test_mixed_exact_and_shot_results(self):
+        # shots == 0 marks exact data; one such result among sampled ones
         f1, _ = bipartition(fig1())
-        sampled = run_fragment(f1, upstream_variants(f1), shots=10, seed=0)
-        starved = [
-            VariantResult(r.key, "shots", None, Counts(0, {}), r.n_bits,
-                          r.cut_bits, r.output_bits)
-            for r in sampled
-        ]
-        with pytest.raises(ShotStarvation):
-            build_tensor(starved, IDENTITY_OBS, "upstream")
+        mixed = run_fragment(f1, upstream_variants(f1), shots=10, seed=0)
+        r = mixed[1]
+        mixed[1] = VariantResult(r.key, r.probs, 0, r.n_bits, r.cut_bits, r.output_bits)
+        with pytest.raises(ValueError, match="mixed exact and shot"):
+            build_tensor(mixed, IDENTITY_OBS, "upstream")
 
     def test_wrong_side_results(self):
         f1, _ = bipartition(fig1())
@@ -433,27 +427,3 @@ class TestFiniteShots:
             obs_b, "downstream")
         rec = contract_expectation(a, b)
         assert abs(rec.value - 1.0) < 0.05
-
-
-class TestSerialization:
-    def test_expectation_json(self):
-        obs = ObservableSpec.pauli_string([PauliOp.Z], [0])
-        _, _, a, b = exact_tensors(pass_through(), IDENTITY_OBS, obs)
-        rec = contract_expectation(a, b)
-        doc = json.loads(reconstruction_to_json(rec))
-        assert set(doc) == {"value", "raw", "terms_evaluated", "neglected", "shots_used"}
-        assert doc["value"] == rec.value
-        assert doc["terms_evaluated"] == 4
-        assert doc["neglected"] == []
-
-    def test_distribution_json(self):
-        circ = golden_ansatz(3, 1, 0)
-        neglected = frozenset({(1, PauliOp.Y)})
-        _, _, a, b = exact_tensors(circ, DIST, DIST, neglected)
-        rec = contract_distribution(a, b, neglected)
-        doc = json.loads(reconstruction_to_json(rec))
-        assert set(doc) == {"distribution", "raw", "terms_evaluated", "neglected",
-                            "shots_used"}
-        assert doc["neglected"] == [[1, "Y"]]
-        assert len(doc["distribution"]) == len(np.asarray(rec.value))
-        assert abs(sum(doc["distribution"]) - 1.0) < 1e-9

@@ -10,18 +10,17 @@ from goldcut.errors import (
     SupportMismatch,
     TooWide,
 )
+from goldcut.fragmenter import PREP_LABELS, prep_state
 from goldcut.simulator import (
-    Counts,
     ObservableSpec,
     basis_rotation,
-    eigenstate,
     exact_distribution,
     exact_expectation,
     sample,
     simulate,
 )
 
-from conftest import counts_to_vector, embed_unitary, ref_distribution, ref_state
+from conftest import embed_unitary, ref_distribution, ref_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -168,19 +167,21 @@ class TestExactDistribution:
 
 class TestSample:
     def test_deterministic_outcome(self):
-        counts = sample(simulate(Circuit(1, (), ())), (0,), 100, 1)
-        assert counts.counts == {"0": 100} and counts.shots == 100
+        draws = sample(simulate(Circuit(1, (), ())), (0,), 100, 1)
+        assert np.array_equal(draws, [100, 0])
+        assert np.issubdtype(draws.dtype, np.integer)
 
     def test_same_seed_identical(self):
         sv = simulate(bell_circuit())
         a = sample(sv, (0, 1), 1000, 7)
         b = sample(sv, (0, 1), 1000, 7)
-        assert a.counts == b.counts
+        assert np.array_equal(a, b)
 
     def test_bell_frequencies(self):
-        counts = sample(simulate(bell_circuit()), (0, 1), 10 ** 5, 13)
-        assert abs(counts.counts["00"] / 10 ** 5 - 0.5) < 0.01
-        assert "01" not in counts.counts
+        draws = sample(simulate(bell_circuit()), (0, 1), 10 ** 5, 13)
+        assert draws.sum() == 10 ** 5
+        assert abs(draws[0] / 10 ** 5 - 0.5) < 0.01
+        assert draws[1] == 0 and draws[2] == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_total_variation_bound(self, seed):
@@ -188,44 +189,46 @@ class TestSample:
         circ = random_circuit(n, 2, seed + 40)
         sv = simulate(circ)
         p = exact_distribution(sv, range(n))
-        emp = counts_to_vector(sample(sv, range(n), 10 ** 5, seed), n)
+        emp = sample(sv, range(n), 10 ** 5, seed) / 10 ** 5
         assert 0.5 * np.abs(emp - p).sum() < 0.02
 
-    def test_counts_json_round_trip(self):
-        counts = sample(simulate(bell_circuit()), (0, 1), 500, 3)
-        back = Counts.from_json(counts.to_json())
-        assert back.shots == counts.shots and back.counts == counts.counts
+
+# The one eigenstate table is the preparation gates the simulator runs
+# (fragmenter.prep_state); SIDE_MAPS assumes the signs checked here: the
+# "p" label is the +1 eigenstate of its Pauli and "m" the -1 eigenstate.
+PAULI_LABELS = [PauliOp.X, PauliOp.Y, PauliOp.Z]
 
 
 class TestEigenstates:
     def test_table_examples(self):
-        assert np.array_equal(eigenstate(PauliOp.Z, 1), [1, 0])
-        assert np.allclose(eigenstate(PauliOp.X, -1), [INV_SQRT2, -INV_SQRT2])
-        assert np.allclose(eigenstate(PauliOp.Y, 1), [INV_SQRT2, INV_SQRT2 * 1j])
+        for p in PAULI_LABELS:
+            plus, minus = prep_state(p.value + "p"), prep_state(p.value + "m")
+            assert np.max(np.abs(p.matrix @ plus - plus)) < 1e-15
+            assert np.max(np.abs(p.matrix @ minus + minus)) < 1e-15
+        assert np.allclose(prep_state("Xm"), [INV_SQRT2, -INV_SQRT2])
+        assert np.allclose(prep_state("Yp"), [INV_SQRT2, INV_SQRT2 * 1j])
 
     def test_identity_uses_index(self):
-        assert np.array_equal(eigenstate(PauliOp.I, 0), [1, 0])
-        assert np.array_equal(eigenstate(PauliOp.I, 1), [0, 1])
+        # the identity row reads the Z preparations as |0> and |1>
+        assert np.array_equal(prep_state("Zp"), [1, 0])
+        assert np.array_equal(prep_state("Zm"), [0, 1])
 
     def test_six_distinct_states(self):
-        states = [eigenstate(p, s) for p in (PauliOp.X, PauliOp.Y, PauliOp.Z)
-                  for s in (1, -1)]
+        states = [prep_state(label) for label in PREP_LABELS]
+        assert len(states) == 6
         for i, a in enumerate(states):
             for b in states[i + 1:]:
                 assert abs(abs(np.vdot(a, b)) - 1.0) > 1e-6
 
-    @pytest.mark.parametrize("p", [PauliOp.X, PauliOp.Y, PauliOp.Z])
+    @pytest.mark.parametrize("p", PAULI_LABELS)
     def test_completeness(self, p):
-        # the dyadic projector form reconstructs bitwise; the eigenvector
-        # outer-product form is exact to a couple of ulp because of 1/sqrt(2)
-        total = sum(val * proj for val, proj in p.eigenpairs())
-        assert np.array_equal(total, p.matrix)
-        outer = sum(s * np.outer(eigenstate(p, s), eigenstate(p, s).conj())
-                    for s in (1, -1))
+        # exact to a couple of ulp because of 1/sqrt(2)
+        outer = sum(sign * np.outer(prep_state(p.value + s), prep_state(p.value + s).conj())
+                    for s, sign in (("p", 1), ("m", -1)))
         assert np.max(np.abs(outer - p.matrix)) < 5e-16
 
     def test_identity_projectors_sum_to_identity(self):
-        total = sum(val * proj for val, proj in PauliOp.I.eigenpairs())
+        total = sum(np.outer(prep_state(s), prep_state(s).conj()) for s in ("Zp", "Zm"))
         assert np.array_equal(total, np.eye(2))
 
 
@@ -247,7 +250,7 @@ class TestBasisRotation:
     @pytest.mark.parametrize("p", [PauliOp.X, PauliOp.Y, PauliOp.Z])
     def test_plus_eigenstate_reads_bit_zero(self, p):
         circ = Circuit(1, tuple(basis_rotation(p, 0)), ())
-        sv = simulate(circ, [eigenstate(p, 1)])
+        sv = simulate(circ, [prep_state(p.value + "p")])
         assert abs(abs(sv.amplitudes[0]) - 1.0) < 1e-12
 
     def test_identity_refused(self):

@@ -1,10 +1,13 @@
-"""Source-level guards over the package modules."""
+"""Source-level guards over the package modules and the benchmark's use of them."""
 import ast
+import importlib
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import goldcut
 
 PACKAGE = Path(goldcut.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_no_assert_statements():
@@ -16,3 +19,50 @@ def test_no_assert_statements():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "assert statements in goldcut: %s" % ", ".join(found)
+
+
+def _perfbench_trees():
+    paths = sorted(PERFBENCH.glob("*.py"))
+    assert paths, "no benchmark sources under %s" % PERFBENCH
+    return [(p, ast.parse(p.read_text(encoding="utf-8"), str(p))) for p in paths]
+
+
+def _resolves(module_name, attr):
+    return hasattr(importlib.import_module(module_name), attr)
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark imports goldcut names by module path; a deleted or
+    # renamed name would only show up when the benchmark runs
+    missing = []
+    for path, tree in _perfbench_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "goldcut"):
+                missing += ["%s:%d %s.%s" % (path.name, node.lineno, node.module, a.name)
+                            for a in node.names if not _resolves(node.module, a.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "goldcut" and not hasattr(goldcut, node.attr)):
+                missing.append("%s:%d goldcut.%s" % (path.name, node.lineno, node.attr))
+    assert not missing, "benchmark names goldcut lacks: %s" % ", ".join(missing)
+
+
+def test_tracer_targets_resolve():
+    # the tracer skips a target goldcut no longer has and drops its per-layer
+    # metrics without failing, so a lost metric must be caught here
+    (tree,) = [t for p, t in _perfbench_trees() if p.name == "tracer.py"]
+    (targets,) = [node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    missing = []
+    for row in targets.elts:
+        module_name, attr = (ast.literal_eval(e) for e in row.elts[:2])
+        module = importlib.import_module(module_name)
+        found = [a for a in vars(module) if fnmatchcase(a, attr)]
+        if not any(callable(getattr(module, a)) for a in found):
+            missing.append("%s.%s" % (module_name, attr))
+    assert targets.elts and not missing, "tracer targets goldcut lacks: %s" % missing
+
+
+def test_public_names_resolve():
+    missing = [name for name in goldcut.__all__ if not hasattr(goldcut, name)]
+    assert not missing, "goldcut.__all__ names goldcut lacks: %s" % missing
