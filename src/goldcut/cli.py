@@ -26,7 +26,7 @@ from .pipeline import (
     reconstruct,
     uncut_sampled_distribution,
 )
-from .reconstructor import FragmentTensor, contract_expectation, term_count
+from .reconstructor import MAX_CUTS, FragmentTensor, contract_expectation, term_count
 from .seeding import stream
 from .simulator import ObservableSpec
 from . import circuits
@@ -140,8 +140,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.cuts < 1:
-        raise ValueError("no cuts: --cuts must be at least 1")
+    if not 1 <= args.cuts <= MAX_CUTS:
+        raise ValueError("--cuts must be in 1..%d" % MAX_CUTS)
     columns = ("K", "K_g", "tuples_pruned", "tuples_baseline",
                "eigen_terms_pruned", "eigen_terms_baseline",
                "upstream_pruned", "upstream_baseline",

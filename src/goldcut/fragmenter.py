@@ -7,15 +7,19 @@ eigenstates. Neglecting a basis P at a cut removes the upstream P setting
 is assembled from it) and removes the two P eigenstate preparations
 downstream (|0> and |1> are always kept for the same reason).
 
-The variant circuits describe what a device would run, one circuit per
-variant. Variants of one fragment differ only in single-qubit gates on the
-cut wires, so run_fragment simulates each distinct fragment body once:
-upstream, it applies each variant's readout rotations to a copy of the
-body's final state; downstream, it simulates the body on the 2^K
-computational inputs of the cut wires and forms each preparation as the
-matching linear combination of those 2^K output states. Each variant's
-result is one probability vector over its local qubits: the exact Born
-probabilities, or the frequencies of a multinomial draw of so many shots.
+A variant is its VariantKey: a label per cut plus the readout rotations
+that a Pauli observable puts on the fragment's outputs. On a device it is
+the fragment with the preparations of its labels prepended (downstream),
+and the readout rotations, then the basis rotations of its settings
+(upstream), appended. run_fragment builds no circuit per variant: it
+groups the keys by readout and simulates each group's body (the fragment
+plus its readout rotations) once. Upstream, it applies each key's basis
+rotations to a copy of the body's final state; downstream, it simulates
+the body on the 2^K computational inputs of the cut wires and forms each
+preparation as the matching linear combination of those 2^K output
+states. Each variant's result is one probability vector over its local
+qubits: the exact Born probabilities, or the frequencies of a multinomial
+draw of so many shots.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Fragment, PauliOp, h, s, x
+from .circuits import Circuit, Fragment, PauliOp, _as_int, h, s, x
 from .errors import AllBasesNeglected, SupportMismatch
 from .seeding import stream
 from .simulator import (
@@ -40,6 +44,9 @@ MEASURED_BASES = (PauliOp.X, PauliOp.Y, PauliOp.Z)
 
 PREP_LABELS = ("Zp", "Zm", "Xp", "Xm", "Yp", "Ym")
 
+# Per side: the labels a key may give a cut, in the order of their data.
+SIDE_LABELS = {"upstream": tuple(p.value for p in MEASURED_BASES), "downstream": PREP_LABELS}
+
 _PREP_GATES = {
     "Zp": (),
     "Zm": (x,),
@@ -49,33 +56,33 @@ _PREP_GATES = {
     "Ym": (x, h, s),
 }
 
-def prep_gates(label: str, qubit: int) -> list:
-    """Gates that build the labeled eigenstate from |0> on the given wire."""
-    return [factory(qubit) for factory in _PREP_GATES[label]]
-
 
 def prep_state(label: str) -> np.ndarray:
-    """The eigenstate vector a prep-gate sequence produces, bit for bit."""
+    """The eigenstate vector the labeled prep gates produce from |0>."""
     zero = StateVector(np.array([1.0, 0.0], dtype=complex))
-    return apply_gates(zero, prep_gates(label, 0)).amplitudes
+    return apply_gates(zero, [factory(0) for factory in _PREP_GATES[label]]).amplitudes
 
 
 @dataclass(frozen=True)
 class VariantKey:
-    """Per-cut assignment identifying one executable variant.
+    """The whole description of one executable variant.
 
     assignment maps cut_id to a basis label ("X", "Y", "Z") on the upstream
     side or a preparation label ("Zp" .. "Ym") downstream, as a tuple of
-    (cut_id, label) pairs sorted by cut_id.
+    (cut_id, label) pairs sorted by cut_id. readout lists the (local output
+    qubit, "X" | "Y") pairs that a Pauli observable rotates to a Z readout,
+    in the observable's order.
     """
 
     side: str
     assignment: tuple
+    readout: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "assignment", tuple(sorted((int(c), str(l)) for c, l in self.assignment))
-        )
+        object.__setattr__(self, "assignment", tuple(sorted(
+            (_as_int(c, "cut id"), str(l)) for c, l in self.assignment)))
+        object.__setattr__(self, "readout", tuple(
+            (_as_int(q, "readout qubit"), str(p)) for q, p in self.readout))
 
     def label(self, cut_id: int) -> str:
         for cid, lab in self.assignment:
@@ -103,6 +110,11 @@ class VariantResult:
     output_bits: tuple
 
 
+def _cuts(fragment: Fragment, side: str) -> tuple:
+    return (fragment.upstream_cut_qubits if side == "upstream"
+            else fragment.downstream_cut_qubits)
+
+
 def _neglected_by_cut(cut_ids, neglected):
     table = {cid: set() for cid in cut_ids}
     for cid, p in neglected:
@@ -117,111 +129,52 @@ def _neglected_by_cut(cut_ids, neglected):
     return table
 
 
-def _obs_rotations(fragment: Fragment, obs) -> list:
-    if obs is None or obs.kind != "pauli":
-        return []
-    extra = []
-    outputs = set(fragment.output_qubits)
-    for q, p in zip(obs.qubits, obs.paulis):
-        if q not in outputs:
-            raise SupportMismatch("observable qubit %d is not a fragment output" % q)
-        if p in (PauliOp.X, PauliOp.Y):
-            extra.extend(basis_rotation(p, q))
-    return extra
-
-
-def upstream_variants(f1: Fragment, neglected=frozenset(), obs=None):
-    """All (VariantKey, Circuit) measurement settings for an upstream fragment.
-
-    Each circuit is the fragment followed by readout rotations: basis
-    rotations on the cut wires and, when obs is a Pauli string, rotations
-    that map its X/Y factors on output wires to Z readouts. Every local
-    qubit is then measured in the computational basis.
-    """
-    if not f1.upstream_cut_qubits:
-        raise ValueError("fragment has no upstream cut qubits")
-    cut_ids = [cid for cid, _ in f1.upstream_cut_qubits]
-    dropped = _neglected_by_cut(cut_ids, neglected)
-    allowed = [
-        [p for p in MEASURED_BASES if p is PauliOp.Z or p not in dropped[cid]]
-        for cid in cut_ids
-    ]
-    body = tuple(f1.circuit.gates) + tuple(_obs_rotations(f1, obs))
-    table = _cut_gate_table(f1)
-    out = []
-    for combo in itertools.product(*allowed):
-        key = VariantKey("upstream", tuple((cid, p.value) for cid, p in zip(cut_ids, combo)))
-        gates = body + _cut_gates(table, key)
-        out.append((key, Circuit(f1.circuit.n_qubits, gates, ())))
-    return out
-
-
-def downstream_variants(f2: Fragment, neglected=frozenset(), obs=None):
-    """All (VariantKey, Circuit) eigenstate preparations for a downstream fragment.
-
-    Each circuit prepends preparation gates on the cut wires, then runs the
-    fragment, then any Pauli readout rotations for obs. Neglecting a non-Z
-    basis drops its two preparations (6 per cut becomes 4).
-    """
-    if not f2.downstream_cut_qubits:
-        raise ValueError("fragment has no downstream cut qubits")
-    cut_ids = [cid for cid, _ in f2.downstream_cut_qubits]
-    dropped = _neglected_by_cut(cut_ids, neglected)
-    allowed = [
-        [lab for lab in PREP_LABELS
-         if lab.startswith("Z") or PauliOp(lab[0]) not in dropped[cid]]
-        for cid in cut_ids
-    ]
-    body = tuple(f2.circuit.gates) + tuple(_obs_rotations(f2, obs))
-    table = _cut_gate_table(f2)
-    out = []
-    for combo in itertools.product(*allowed):
-        key = VariantKey("downstream", tuple(zip(cut_ids, combo)))
-        gates = _cut_gates(table, key) + body
-        out.append((key, Circuit(f2.circuit.n_qubits, gates, ())))
-    return out
-
-
-def _cut_gate_table(fragment: Fragment) -> dict:
-    """Gates per (cut_id, label) that set a variant apart from its fragment
-    body: readout rotations after the body upstream, preparations before it
-    downstream."""
-    if fragment.side == "upstream":
-        return {(cid, p.value): tuple(basis_rotation(p, q))
-                for cid, q in fragment.upstream_cut_qubits for p in MEASURED_BASES}
-    return {(cid, lab): tuple(prep_gates(lab, q))
-            for cid, q in fragment.downstream_cut_qubits for lab in PREP_LABELS}
-
-
-def _cut_gates(table: dict, key: VariantKey) -> tuple:
-    return tuple(g for pair in key.assignment for g in table[pair])
-
-
-def _body(fragment: Fragment, table: dict, key: VariantKey, circuit: Circuit) -> tuple:
-    """The variant's gates without its cut gates; ValueError when the
-    circuit does not carry the cut gates its key names."""
-    cuts = (fragment.upstream_cut_qubits if fragment.side == "upstream"
-            else fragment.downstream_cut_qubits)
+def _variants(fragment: Fragment, side: str, neglected, obs) -> list:
+    cuts = _cuts(fragment, side)
+    if not cuts:
+        raise ValueError("fragment has no %s cut qubits" % side)
     cut_ids = [cid for cid, _ in cuts]
-    if [cid for cid, _ in key.assignment] != cut_ids:
-        raise ValueError("variant %r does not match the fragment's cuts %s" % (key, cut_ids))
-    own = _cut_gates(table, key)
-    gates = circuit.gates
-    if fragment.side == "upstream":
-        body, tail = gates[:len(gates) - len(own)], gates[len(gates) - len(own):]
-    else:
-        tail, body = gates[:len(own)], gates[len(own):]
-    if tail != own:
-        raise ValueError("variant %r does not carry the cut gates of its key" % (key,))
-    return body
+    dropped = _neglected_by_cut(cut_ids, neglected)
+    readout = []
+    if obs is not None and obs.kind == "pauli":
+        for q, p in zip(obs.qubits, obs.paulis):
+            if q not in fragment.output_qubits:
+                raise SupportMismatch("observable qubit %d is not a fragment output" % q)
+            if p in (PauliOp.X, PauliOp.Y):
+                readout.append((q, p.value))
+    allowed = [[lab for lab in SIDE_LABELS[side]
+                if lab[0] == "Z" or PauliOp(lab[0]) not in dropped[cid]]
+               for cid in cut_ids]
+    return [VariantKey(side, tuple(zip(cut_ids, combo)), tuple(readout))
+            for combo in itertools.product(*allowed)]
+
+
+def upstream_variants(f1: Fragment, neglected=frozenset(), obs=None) -> list:
+    """VariantKeys of every measurement setting kept for an upstream fragment.
+
+    Each key measures every cut wire in its setting's basis and, when obs is
+    a Pauli string, reads its X/Y factors on output wires out in Z.
+    """
+    return _variants(f1, "upstream", neglected, obs)
+
+
+def downstream_variants(f2: Fragment, neglected=frozenset(), obs=None) -> list:
+    """VariantKeys of every eigenstate preparation kept for a downstream fragment.
+
+    Neglecting a non-Z basis drops its two preparations (6 per cut becomes
+    4); readout is as for upstream_variants.
+    """
+    return _variants(f2, "downstream", neglected, obs)
 
 
 def _upstream_states(fragment: Fragment, body: Circuit, keys):
-    """Final state per key: the body runs once, each key adds its rotations."""
-    table = _cut_gate_table(fragment)
+    """Final state per key: the body runs once, each key adds the basis
+    rotations of its settings on the cut wires, in cut_id order."""
+    wires = dict(fragment.upstream_cut_qubits)
     state = simulate(body)
     for key in keys:
-        yield apply_gates(state, _cut_gates(table, key))
+        yield apply_gates(state, [g for cid, lab in key.assignment
+                                  for g in basis_rotation(PauliOp(lab), wires[cid])])
 
 
 _ONE = np.array([0.0, 1.0], dtype=complex)
@@ -256,41 +209,40 @@ def _downstream_states(fragment: Fragment, body: Circuit, keys):
             yield StateVector(amplitudes)
 
 
-def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=(),
-                 ledger=None):
-    """Execute every variant; exact or sampled probability vectors.
+def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=()):
+    """Execute every VariantKey; exact or sampled probability vectors.
 
-    Variants are grouped by fragment body, and each distinct body is
-    simulated once (2^K times downstream, once per computational input on
-    the cut wires); see the module docstring. Any list of variants of this
-    fragment works, in any order. shots None stores exact probability
-    vectors (result shots 0); otherwise each variant stores its draw divided
-    by shots, sampled with its own RNG stream derived from (seed,
-    *seed_path, index), index being its position in variants, so results
-    are deterministic and independent of execution order. A ledger object
-    with a record(side, variants, shots_each) method picks up the execution
-    counts when provided.
+    Keys are grouped by readout, and each group's body is simulated once
+    (2^K times downstream, once per computational input on the cut wires);
+    see the module docstring. Any list of keys of this fragment works, in
+    any order; a key of another side, with other cut ids, an unknown label
+    or a readout qubit that is not an output raises ValueError. shots None
+    stores exact probability vectors (result shots 0); otherwise each
+    variant stores its draw divided by shots, sampled with its own RNG
+    stream derived from (seed, *seed_path, index), index being its position
+    in variants, so results are deterministic and independent of execution
+    order.
     """
     side = fragment.side
     n = fragment.circuit.n_qubits
     everything = tuple(range(n))
-    # Bodies are compared with ==, which short-cuts on the shared Gate
-    # objects of one enumeration, instead of hashing every gate per variant.
-    table = _cut_gate_table(fragment)
-    groups = []
-    for i, (key, circ) in enumerate(variants):
-        body = _body(fragment, table, key, circ)
-        for known, indices in groups:
-            if known == body:
-                indices.append(i)
-                break
-        else:
-            groups.append((body, [i]))
+    cut_ids = tuple(cid for cid, _ in _cuts(fragment, side))
+    groups = {}
+    for i, key in enumerate(variants):
+        if (key.side != side or tuple(cid for cid, _ in key.assignment) != cut_ids
+                or any(lab not in SIDE_LABELS[side] for _, lab in key.assignment)
+                or any(q not in fragment.output_qubits or p not in ("X", "Y")
+                       for q, p in key.readout)):
+            raise ValueError("variant %r does not fit the %s fragment with cuts %s"
+                             % (key, side, cut_ids))
+        groups.setdefault(key.readout, []).append(i)
     states = _upstream_states if side == "upstream" else _downstream_states
     results = [None] * len(variants)
-    for body, indices in groups:
-        keys = [variants[i][0] for i in indices]
-        for i, key, sv in zip(indices, keys, states(fragment, Circuit(n, body, ()), keys)):
+    for readout, indices in groups.items():
+        rotations = [g for q, p in readout for g in basis_rotation(PauliOp(p), q)]
+        body = Circuit(n, tuple(fragment.circuit.gates) + tuple(rotations), ())
+        keys = [variants[i] for i in indices]
+        for i, key, sv in zip(indices, keys, states(fragment, body, keys)):
             if shots is None:
                 probs, used = exact_distribution(sv, everything), 0
             else:
@@ -298,6 +250,4 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=(),
                 probs, used = draws / shots, shots
             results[i] = VariantResult(key, probs, used, n, fragment.upstream_cut_qubits,
                                        fragment.output_qubits)
-    if ledger is not None:
-        ledger.record(side, len(results), 0 if shots is None else shots)
     return results

@@ -155,12 +155,10 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     obs1, obs2 = split_observable(f1, f2, obs)
     k = circuit.n_cuts
 
-    ledger = CostLedger()
     up_results = None
     if prune == "statistical":
-        variants = upstream_variants(f1, obs=obs1)
-        up_results = run_fragment(f1, variants, shots=shots, seed=seed,
-                                  seed_path=(trial, SIDE_UPSTREAM), ledger=ledger)
+        up_results = run_fragment(f1, upstream_variants(f1, obs=obs1), shots=shots, seed=seed,
+                                  seed_path=(trial, SIDE_UPSTREAM))
         report = detect_statistical(up_results, obs1, alpha=alpha, tau=tau)
     else:
         # Every other mode reports exact detection on the full upstream
@@ -177,14 +175,16 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
         variants = upstream_variants(f1, neglected, obs=obs1)
         if shots is None:
             by_key = {r.key: r for r in oracle}
-            up_results = [by_key[key] for key, _ in variants]
-            ledger.record("upstream", len(up_results), 0)
+            up_results = [by_key[key] for key in variants]
         else:
             up_results = run_fragment(f1, variants, shots=shots, seed=seed,
-                                      seed_path=(trial, SIDE_UPSTREAM), ledger=ledger)
-    down_variants = downstream_variants(f2, neglected, obs=obs2)
-    down_results = run_fragment(f2, down_variants, shots=shots, seed=seed,
-                                seed_path=(trial, SIDE_DOWNSTREAM), ledger=ledger)
+                                      seed_path=(trial, SIDE_UPSTREAM))
+    down_results = run_fragment(f2, downstream_variants(f2, neglected, obs=obs2), shots=shots,
+                                seed=seed, seed_path=(trial, SIDE_DOWNSTREAM))
+    used = 0 if shots is None else shots
+    ledger = CostLedger()
+    ledger.record("upstream", len(up_results), used)
+    ledger.record("downstream", len(down_results), used)
 
     a = build_tensor(up_results, obs1, "upstream", neglected)
     b = build_tensor(down_results, obs2, "downstream", neglected)
@@ -196,8 +196,8 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     ledger.basis_tuples = rec.terms_evaluated
 
     baseline = CostLedger()
-    baseline.record("upstream", 3 ** k, 0 if shots is None else shots)
-    baseline.record("downstream", 6 ** k, 0 if shots is None else shots)
+    baseline.record("upstream", 3 ** k, used)
+    baseline.record("downstream", 6 ** k, used)
     baseline.basis_tuples = 4 ** k
 
     expectation = None

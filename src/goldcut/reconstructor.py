@@ -20,9 +20,9 @@ from functools import reduce
 
 import numpy as np
 
-from .circuits import PauliOp
+from .circuits import PauliOp, _as_int
 from .errors import ArityMismatch, GoldcutError, MissingVariant, WrongSide
-from .fragmenter import MEASURED_BASES, PREP_LABELS
+from .fragmenter import SIDE_LABELS
 
 BASES = (PauliOp.I, PauliOp.X, PauliOp.Y, PauliOp.Z)
 _BASE_INDEX = {p: i for i, p in enumerate(BASES)}
@@ -32,13 +32,13 @@ MAX_CUTS = 8
 # per outcome bit of the cut wire), and the 4x6 map from a cut's columns,
 # label-major as in the module docstring, to the basis rows I, X, Y, Z.
 SIDE_MAPS = {
-    "upstream": (tuple(p.value for p in MEASURED_BASES), 2, np.array([
+    "upstream": (SIDE_LABELS["upstream"], 2, np.array([
         [0, 0, 0, 0, 1, 1],
         [1, -1, 0, 0, 0, 0],
         [0, 0, 1, -1, 0, 0],
         [0, 0, 0, 0, 1, -1],
     ], dtype=float)),
-    "downstream": (PREP_LABELS, 1, np.array([
+    "downstream": (SIDE_LABELS["downstream"], 1, np.array([
         [1, 1, 0, 0, 0, 0],
         [0, 0, 1, -1, 0, 0],
         [0, 0, 0, 0, 1, -1],
@@ -50,7 +50,7 @@ SIDE_MAPS = {
 def _normalize_neglected(neglected):
     out = set()
     for cid, p in neglected or ():
-        out.add((int(cid), p if isinstance(p, PauliOp) else PauliOp(p)))
+        out.add((_as_int(cid, "neglected cut id"), p if isinstance(p, PauliOp) else PauliOp(p)))
     return frozenset(out)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, PauliOp, gate_matrix, h, sdg
+from .circuits import Circuit, PauliOp, _as_int, gate_matrix, h, sdg
 from .errors import (
     GoldcutError,
     IdentityBasisRequested,
@@ -49,7 +49,8 @@ class ObservableSpec:
     bits: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits",
+                           tuple(_as_int(q, "observable qubit") for q in self.qubits))
         object.__setattr__(self, "paulis", tuple(self.paulis))
         if self.kind == "pauli" and len(self.paulis) != len(self.qubits):
             raise SupportMismatch("need one Pauli per support qubit")
@@ -163,10 +164,10 @@ def sample(state: StateVector, qubits, shots: int, seed) -> np.ndarray:
     """Multinomial sampling of the exact distribution; deterministic in seed.
 
     Returns the integer count per outcome, indexed like exact_distribution
-    and summing to shots. seed may be an integer or an already-split numpy
-    Generator.
+    and summing to shots. shots must be a Python or numpy integer; seed may
+    be an integer or an already-split numpy Generator.
     """
-    if shots < 1:
+    if _as_int(shots, "shots") < 1:
         raise ValueError("shots must be at least 1")
     rng = seed if isinstance(seed, np.random.Generator) else stream(int(seed))
     p = exact_distribution(state, qubits)

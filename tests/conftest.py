@@ -5,11 +5,18 @@ path: it embeds every gate into a full 2^n x 2^n matrix by explicit index
 arithmetic, so the two implementations can cross-check each other. The
 random cut-circuit builder makes parents that are bipartite by
 construction (an upstream block, K shared wires, a downstream block), with
-entangling chains so each side is one connected component.
+entangling chains so each side is one connected component. Hypothesis runs
+derandomized, so property tests draw the same examples on every run.
 """
 import numpy as np
+from hypothesis import settings
 
-from goldcut.circuits import Circuit, CutPoint, cnot, gate_matrix, random_circuit
+from goldcut.circuits import Circuit, CutPoint, PauliOp, cnot, gate_matrix, random_circuit
+from goldcut.fragmenter import _PREP_GATES
+from goldcut.simulator import basis_rotation
+
+settings.register_profile("goldcut", derandomize=True, deadline=None, max_examples=25)
+settings.load_profile("goldcut")
 
 
 def embed_unitary(u, qubits, n):
@@ -99,3 +106,24 @@ def stitch(f1, f2, n_parent):
             gates.append(g.__class__(g.kind, tuple(frag.parent_qubits[q] for q in g.qubits),
                                      g.params, g.matrix))
     return Circuit(n_parent, tuple(gates), ())
+
+
+def variant_circuit(fragment, key):
+    """The device circuit of one variant, built gate by gate from its key.
+
+    Upstream: the fragment, the readout rotations, then the basis rotations
+    of each cut's setting. Downstream: the preparation gates of each cut's
+    label, the fragment, then the readout rotations.
+    """
+    readout = tuple(g for q, p in key.readout for g in basis_rotation(PauliOp(p), q))
+    if key.side == "upstream":
+        wires = dict(fragment.upstream_cut_qubits)
+        cut = tuple(g for cid, lab in key.assignment
+                    for g in basis_rotation(PauliOp(lab), wires[cid]))
+        gates = tuple(fragment.circuit.gates) + readout + cut
+    else:
+        wires = dict(fragment.downstream_cut_qubits)
+        cut = tuple(make(wires[cid]) for cid, lab in key.assignment
+                    for make in _PREP_GATES[lab])
+        gates = cut + tuple(fragment.circuit.gates) + readout
+    return Circuit(fragment.circuit.n_qubits, gates, ())

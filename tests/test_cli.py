@@ -142,6 +142,11 @@ class TestBench:
     def test_zero_cuts_is_config_error(self):
         assert main(["bench", "--cuts", "0"]) == 2
 
+    def test_cuts_above_the_tensor_cap_is_config_error(self, capsys):
+        # checked before any 4^K tensor is allocated
+        assert main(["bench", "--cuts", "9"]) == 2
+        assert "1..8" in capsys.readouterr().err
+
     def test_count_mismatch_is_validation_error(self, monkeypatch):
         # the tuple check is a real error, so it also holds under python -O
         def off_by_one(k_regular, k_golden):

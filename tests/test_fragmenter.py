@@ -1,9 +1,10 @@
 """Variant enumeration and fragment execution."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import goldcut.fragmenter as fragmenter
-from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
+from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, h
 from goldcut.errors import AllBasesNeglected
 from goldcut.fragmenter import (
     PREP_LABELS,
@@ -13,11 +14,10 @@ from goldcut.fragmenter import (
     run_fragment,
     upstream_variants,
 )
-from goldcut.metrics import CostLedger
 from goldcut.seeding import stream
 from goldcut.simulator import ObservableSpec, exact_distribution, exact_expectation, sample, simulate
 
-from conftest import make_cut_circuit
+from conftest import make_cut_circuit, variant_circuit
 
 
 def bell_fragments():
@@ -45,7 +45,7 @@ class TestVariantCounts:
         # removes a tensor entry but not an execution
         f1, _ = bell_fragments()
         variants = upstream_variants(f1, {(1, PauliOp.Z)})
-        labels = {key.label(1) for key, _ in variants}
+        labels = {key.label(1) for key in variants}
         assert labels == {"X", "Y", "Z"}
 
     def test_downstream_unpruned(self):
@@ -56,13 +56,13 @@ class TestVariantCounts:
         _, f2 = bell_fragments()
         variants = downstream_variants(f2, {(1, PauliOp.Y)})
         assert len(variants) == 4
-        labels = {key.label(1) for key, _ in variants}
+        labels = {key.label(1) for key in variants}
         assert labels == {"Zp", "Zm", "Xp", "Xm"}
 
     def test_downstream_two_neglected(self):
         _, f2 = bell_fragments()
         variants = downstream_variants(f2, {(1, PauliOp.Y), (1, PauliOp.X)})
-        assert {key.label(1) for key, _ in variants} == {"Zp", "Zm"}
+        assert {key.label(1) for key in variants} == {"Zp", "Zm"}
 
     def test_downstream_neglecting_z_keeps_six(self):
         _, f2 = bell_fragments()
@@ -97,6 +97,23 @@ class TestVariantKey:
         a = VariantKey("upstream", ((1, "Z"),))
         b = VariantKey("upstream", ((1, "Z"),))
         assert len({a, b}) == 1
+        assert VariantKey("upstream", ((1, "Z"),), ((0, "X"),)) != a
+
+    def test_readout_follows_the_observable(self):
+        f1, _ = bell_fragments()
+        obs = ObservableSpec.pauli_string("Y", [0])
+        assert {key.readout for key in upstream_variants(f1, obs=obs)} == {((0, "Y"),)}
+        z = ObservableSpec.pauli_string("Z", [0])
+        assert {key.readout for key in upstream_variants(f1, obs=z)} == {()}
+
+    @pytest.mark.parametrize("cut_id", [1.9, 1.0, True, np.float64(1.0)])
+    def test_non_integer_cut_id_rejected(self, cut_id):
+        # int() would turn 1.9 into cut 1
+        with pytest.raises(ValueError):
+            VariantKey("upstream", ((cut_id, "Z"),))
+
+    def test_numpy_integer_cut_id_accepted(self):
+        assert VariantKey("upstream", ((np.int64(1), "Z"),)).assignment == ((1, "Z"),)
 
 
 class TestRealization:
@@ -118,12 +135,8 @@ class TestRealization:
     @pytest.mark.parametrize("label", PREP_LABELS)
     def test_preparation_matches_initial_state_bitwise(self, label):
         _, f2 = bell_fragments()
-        variants = [
-            (key, circ) for key, circ in downstream_variants(f2)
-            if key.label(1) == label
-        ]
+        variants = [key for key in downstream_variants(f2) if key.label(1) == label]
         assert len(variants) == 1
-        _, circ = variants[0]
         got = run_fragment(f2, variants)[0].probs
         init = [None] * f2.circuit.n_qubits
         init[dict(f2.downstream_cut_qubits)[1]] = prep_state(label)
@@ -155,18 +168,6 @@ class TestRunFragment:
         variants = upstream_variants(f1)
         results = run_fragment(f1, variants, shots=1000, seed=5)
         assert not np.array_equal(results[0].probs, results[2].probs)
-
-    def test_ledger_counts_shots(self):
-        circ = golden_ansatz(5, 1, 7)
-        _, f2 = bipartition(circ)
-        ledger = CostLedger()
-        run_fragment(f2, downstream_variants(f2, {(1, PauliOp.Y)}),
-                     shots=1000, seed=0, ledger=ledger)
-        assert ledger.downstream_variants == 4
-        assert ledger.shots_total == 4000
-        baseline = CostLedger()
-        run_fragment(f2, downstream_variants(f2), shots=1000, seed=0, ledger=baseline)
-        assert baseline.shots_total == 6000
 
     def test_cut_bits_recorded(self):
         f1, _ = bell_fragments()
@@ -205,7 +206,7 @@ def variant_lists(frag, k):
 
 class TestRunOnce:
     """run_fragment simulates bodies once; every variant must still equal a
-    simulation of its own circuit."""
+    simulation of its own circuit (conftest.variant_circuit)."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("side", [0, 1])
@@ -223,8 +224,9 @@ class TestRunOnce:
         results = run_fragment(frag, variants)
         assert len(calls) == bodies * (1 if frag.side == "upstream" else 2 ** k)
         assert len(results) == len(variants)
-        for (key, circ), r in zip(variants, results):
+        for key, r in zip(variants, results):
             assert r.key == key
+            circ = variant_circuit(frag, key)
             want = exact_distribution(simulate(circ), range(circ.n_qubits))
             assert np.max(np.abs(r.probs - want)) <= 1e-12
 
@@ -234,7 +236,8 @@ class TestRunOnce:
         frag = multicut_fragments(2)[0]
         variants, _ = variant_lists(frag, 2)["mixed"]
         results = run_fragment(frag, variants, shots=500, seed=7, seed_path=(3, 1))
-        for i, ((key, circ), r) in enumerate(zip(variants, results)):
+        for i, (key, r) in enumerate(zip(variants, results)):
+            circ = variant_circuit(frag, key)
             want = sample(simulate(circ), range(circ.n_qubits), 500, stream(7, 3, 1, i))
             assert r.key == key and r.shots == 500
             assert np.array_equal(r.probs, want / 500)
@@ -254,11 +257,56 @@ class TestRunOnce:
             assert np.array_equal(r.probs, draws / 500)
 
     @pytest.mark.parametrize("side", [0, 1])
-    def test_circuit_without_its_cut_gates_rejected(self, side):
-        frag = bell_fragments()[side]
+    def test_foreign_key_rejected(self, side):
+        frag, other = multicut_fragments(2)[side], multicut_fragments(2)[1 - side]
         enum = upstream_variants if frag.side == "upstream" else downstream_variants
-        # an X key carries a rotation or preparation that the Z circuit lacks
-        (key, _), = [v for v in enum(frag) if v[0].label(1) in ("X", "Xp")]
-        (_, wrong), = [v for v in enum(frag) if v[0].label(1) in ("Z", "Zp")]
-        with pytest.raises(ValueError):
-            run_fragment(frag, [(key, wrong)])
+        other_enum = downstream_variants if frag.side == "upstream" else upstream_variants
+        key = enum(frag)[0]
+        wrong_label = "Zp" if frag.side == "upstream" else "Z"
+        not_output = min(set(range(frag.circuit.n_qubits + 1)) - set(frag.output_qubits))
+        output = frag.output_qubits[0]
+        foreign = {
+            "side": other_enum(other)[0],
+            "too few cuts": VariantKey(frag.side, key.assignment[:1]),
+            "unknown cut": VariantKey(frag.side, key.assignment + ((3, key.label(1)),)),
+            "unknown label": VariantKey(frag.side, ((1, wrong_label), (2, key.label(2)))),
+            "readout qubit": VariantKey(frag.side, key.assignment, ((not_output, "X"),)),
+            "readout label": VariantKey(frag.side, key.assignment, ((output, "Z"),)),
+        }
+        assert run_fragment(frag, [key])[0].key == key
+        for what, bad in foreign.items():
+            with pytest.raises(ValueError, match="does not fit"):
+                run_fragment(frag, [key, bad])
+                pytest.fail("accepted a key with a foreign %s" % what)
+
+
+@st.composite
+def fragment_and_keys(draw):
+    """A random fragment with K <= 3 cuts and a random subset, in random
+    order, of its keys under one or two random Pauli readouts."""
+    k = draw(st.integers(1, 3))
+    circ = make_cut_circuit(draw(st.integers(k, 4)), draw(st.integers(k, 4)), k,
+                            draw(st.integers(1, 2)), draw(st.integers(0, 10 ** 6)))
+    frag = bipartition(circ)[draw(st.integers(0, 1))]
+    enum = upstream_variants if frag.side == "upstream" else downstream_variants
+    keys = []
+    for _ in range(draw(st.integers(1, 2))):
+        qubits = draw(st.permutations(frag.output_qubits))
+        labels = draw(st.lists(st.sampled_from("IXYZ"), min_size=len(qubits),
+                               max_size=len(qubits)))
+        keys += enum(frag, obs=ObservableSpec.pauli_string(labels, qubits))
+    picks = draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=len(keys),
+                          unique=True))
+    return frag, [keys[i] for i in picks]
+
+
+class TestKeyProperty:
+    @given(fragment_and_keys())
+    def test_any_keys_match_their_own_circuits(self, case):
+        frag, keys = case
+        results = run_fragment(frag, keys)
+        for key, r in zip(keys, results):
+            circ = variant_circuit(frag, key)
+            want = exact_distribution(simulate(circ), range(circ.n_qubits))
+            assert r.key == key
+            assert np.max(np.abs(r.probs - want)) <= 1e-12

@@ -1,6 +1,7 @@
 """End-to-end reconstruction pipeline over whole circuits."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import goldcut.pipeline as pipeline
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
@@ -125,6 +126,21 @@ class TestPruneModes:
         assert run.cost.basis_tuples_contracted == 3
         assert run.cost.baseline_tuples == 4
 
+    def test_ledger_counts_shots(self):
+        # reconstruct counts each side's executions itself, in every mode
+        circ = golden_ansatz(5, 1, 7)
+        known = reconstruct(circ, shots=1000, prune="known", neglect=[(1, "Y")])
+        assert (known.cost.variants_executed, known.cost.shots_total) == (2 + 4, 6000)
+        off = reconstruct(circ, shots=1000)
+        assert (off.cost.variants_executed, off.cost.shots_total) == (9, 9000)
+        assert (off.cost.baseline_variants, off.cost.baseline_shots) == (9, 9000)
+
+    @pytest.mark.parametrize("cut_id", [1.6, True])
+    def test_non_integer_neglected_cut_rejected(self, cut_id):
+        # int() would prune cut 1
+        with pytest.raises(ValueError):
+            reconstruct(golden_ansatz(3, 1, 0), prune="known", neglect=[(cut_id, "Y")])
+
     def test_off_mode_still_reports_golden(self):
         run = reconstruct(golden_ansatz(3, 1, 0), prune="off")
         assert run.golden is not None
@@ -148,6 +164,11 @@ class TestPruneModes:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             reconstruct(fig1(), prune="bogus")
+
+    @pytest.mark.parametrize("shots", [10.5, 10.0, True])
+    def test_non_integer_shots_rejected(self, shots):
+        with pytest.raises(ValueError):
+            reconstruct(golden_ansatz(3, 1, 0), shots=shots)
 
 
 class TestOracleReuse:
@@ -207,3 +228,17 @@ class TestRejections:
         bridged = Circuit(2, (cnot(0, 1), cnot(0, 1)), (CutPoint(1, 0, 1),))
         with pytest.raises(NotBipartite):
             reconstruct(bridged)
+
+
+class TestReconstructProperty:
+    @given(k=st.integers(1, 3), extra_up=st.integers(0, 2), extra_down=st.integers(0, 2),
+           depth=st.integers(1, 2), seed=st.integers(0, 10 ** 6))
+    def test_exact_matches_uncut_and_golden_pruning_changes_nothing(
+            self, k, extra_up, extra_down, depth, seed):
+        circ = make_cut_circuit(k + extra_up, k + extra_down, k, depth, seed)
+        off = reconstruct(circ)
+        truth = ground_truth_distribution(circ)
+        assert np.max(np.abs(off.raw_distribution - truth)) <= 1e-10
+        # off mode reports detect_exact on the full upstream oracle
+        known = reconstruct(circ, prune="known", neglect=off.golden.golden_pairs())
+        assert np.max(np.abs(known.raw_distribution - off.raw_distribution)) <= 1e-12

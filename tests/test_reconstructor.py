@@ -211,7 +211,7 @@ class TestReferenceDefinition:
                 for choice in itertools.product((None,) + MEASURED_BASES, repeat=k):
                     neglected = frozenset((cid, p) for cid, p in zip(range(1, k + 1), choice)
                                           if p is not None)
-                    kept = [by_key[key] for key, _ in enumerate_variants(frag, neglected, obs)]
+                    kept = [by_key[key] for key in enumerate_variants(frag, neglected, obs)]
                     got = build_tensor(kept, obs, side, neglected)
                     for combo, entry in want.items():
                         # a neglected basis leaves its entries at zero

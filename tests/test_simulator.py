@@ -125,6 +125,12 @@ class TestExactExpectation:
         with pytest.raises(SupportMismatch):
             exact_expectation(sv, ObservableSpec.pauli_string("Z", (3,)))
 
+    @pytest.mark.parametrize("qubit", [0.7, 1.0, True])
+    def test_non_integer_observable_qubit_rejected(self, qubit):
+        # int() would read 0.7 as qubit 0
+        with pytest.raises(ValueError):
+            ObservableSpec.pauli_string("Z", [qubit])
+
     def test_nan_state_raises(self):
         # a NaN angle leaves no real expectation; the residue check raises
         # an error, which python -O keeps, instead of returning NaN
@@ -191,6 +197,16 @@ class TestSample:
         p = exact_distribution(sv, range(n))
         emp = sample(sv, range(n), 10 ** 5, seed) / 10 ** 5
         assert 0.5 * np.abs(emp - p).sum() < 0.02
+
+    @pytest.mark.parametrize("shots", [10.5, 10.0, True, np.float64(10.0), 0])
+    def test_non_integer_or_zero_shots_rejected(self, shots):
+        # a float count would draw int(shots) and be divided by shots
+        with pytest.raises(ValueError):
+            sample(simulate(bell_circuit()), (0, 1), shots, 7)
+
+    def test_numpy_integer_shots_accepted(self):
+        sv = simulate(bell_circuit())
+        assert np.array_equal(sample(sv, (0, 1), np.int64(100), 7), sample(sv, (0, 1), 100, 7))
 
 
 # The one eigenstate table is the preparation gates the simulator runs
