@@ -466,8 +466,10 @@ def _certify_golden_y(circuit: Circuit, eps: float) -> bool:
 
 
 def _fmt(value: float) -> str:
-    """Format a float with 17 significant digits (exact round trip)."""
-    return format(float(value), ".17g")
+    """Format a float with 17 significant digits (exact round trip; -0.0
+    keeps its point, since JSON reads "-0" as the integer 0)."""
+    text = format(float(value), ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def _gate_json(g: Gate) -> str:

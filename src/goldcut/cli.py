@@ -1,18 +1,17 @@
 """Command-line experiment harness.
 
 Subcommands: generate (golden-ansatz circuits), run (cut-versus-uncut
-accuracy and cost trials), bench (term and variant count sweeps with an
-informational contraction timing), detect (golden-point reports). All
-randomness is derived from --seed; identical invocations produce
-byte-identical output files. Exit codes: 0 ok, 2 configuration error,
-3 circuit validation error.
+accuracy and cost trials), bench (closed-form variant, basis-tuple and
+eigen-term counts per number of golden cuts), detect (golden-point
+reports). All randomness is derived from --seed; identical invocations
+produce byte-identical output files. Exit codes: 0 ok, 2 configuration
+error, 3 circuit validation error.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-import time
 
 from .circuits import PauliOp, _fmt, bipartition, golden_ansatz, save, validate
 from .errors import GoldcutError
@@ -26,8 +25,7 @@ from .pipeline import (
     reconstruct,
     uncut_sampled_distribution,
 )
-from .reconstructor import MAX_CUTS, FragmentTensor, contract_expectation, term_count
-from .seeding import stream
+from .reconstructor import MAX_CUTS, term_count
 from .simulator import ObservableSpec
 from . import circuits
 
@@ -145,46 +143,27 @@ def cmd_bench(args) -> int:
     columns = ("K", "K_g", "tuples_pruned", "tuples_baseline",
                "eigen_terms_pruned", "eigen_terms_baseline",
                "upstream_pruned", "upstream_baseline",
-               "downstream_pruned", "downstream_baseline",
-               "contract_seconds")
+               "downstream_pruned", "downstream_baseline")
     k = args.cuts
-    rng = stream(args.seed)
+    _, eigen_base = term_count(k, 0)
     rows = []
     for k_g in range(k + 1):
-        k_r = k - k_g
-        pruned, baseline = closed_form_counts(k_r, k_g)
-        tuples, eigen = term_count(k_r, k_g)
-        _, eigen_base = term_count(k, 0)
-        neglected = frozenset((cid, PauliOp.Y) for cid in range(1, k_g + 1))
-        a = _random_tensor("upstream", k, rng, neglected)
-        b = _random_tensor("downstream", k, rng, neglected)
-        t0 = time.perf_counter()
-        rec = contract_expectation(a, b, neglected)
-        seconds = time.perf_counter() - t0
-        if rec.terms_evaluated != tuples:
-            raise GoldcutError("contracted %d basis tuples where term_count gives %d"
-                               % (rec.terms_evaluated, tuples))
+        pruned, baseline = closed_form_counts(k - k_g, k_g)
+        _, eigen = term_count(k - k_g, k_g)
         rows.append({
             "K": k, "K_g": k_g,
-            "tuples_pruned": tuples, "tuples_baseline": baseline.basis_tuples,
+            "tuples_pruned": pruned.basis_tuples, "tuples_baseline": baseline.basis_tuples,
             "eigen_terms_pruned": eigen, "eigen_terms_baseline": eigen_base,
             "upstream_pruned": pruned.upstream_variants,
             "upstream_baseline": baseline.upstream_variants,
             "downstream_pruned": pruned.downstream_variants,
             "downstream_baseline": baseline.downstream_variants,
-            "contract_seconds": seconds,
         })
     if args.format == "csv":
         _emit(_csv(columns, rows), args.out)
     else:
-        _emit(json.dumps({"note": "contract_seconds is machine-dependent",
-                          "rows": rows}, indent=2) + "\n", args.out)
+        _emit(json.dumps({"rows": rows}, indent=2) + "\n", args.out)
     return 0
-
-
-def _random_tensor(side, k, rng, neglected):
-    return FragmentTensor(side, tuple(range(1, k + 1)), "expectation",
-                          rng.standard_normal((4,) * k), "exact", frozenset(neglected))
 
 
 def cmd_detect(args) -> int:
@@ -234,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="term and variant count sweep over K_g")
     p.add_argument("--cuts", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)

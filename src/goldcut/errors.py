@@ -33,10 +33,6 @@ class AnsatzNotGolden(GoldcutError):
     """Golden-ansatz generation failed its self-certification after retries."""
 
 
-class AllBasesNeglected(GoldcutError):
-    """Every basis at some cut was neglected; nothing is left to reconstruct from."""
-
-
 class MissingVariant(GoldcutError):
     """A variant result required by the declared neglected set is absent."""
 

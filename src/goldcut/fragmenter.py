@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Fragment, PauliOp, _as_int, h, s, x
-from .errors import AllBasesNeglected, SupportMismatch
+from .errors import SupportMismatch
 from .seeding import stream
 from .simulator import (
     StateVector,
@@ -115,17 +115,21 @@ def _cuts(fragment: Fragment, side: str) -> tuple:
             else fragment.downstream_cut_qubits)
 
 
+def _normalize_neglected(neglected):
+    out = set()
+    for cid, p in neglected or ():
+        out.add((_as_int(cid, "neglected cut id"), p if isinstance(p, PauliOp) else PauliOp(p)))
+    return frozenset(out)
+
+
 def _neglected_by_cut(cut_ids, neglected):
     table = {cid: set() for cid in cut_ids}
-    for cid, p in neglected:
+    for cid, p in _normalize_neglected(neglected):
         if cid not in table:
             raise ValueError("neglected pair references unknown cut %r" % cid)
         if p is PauliOp.I:
             raise ValueError("the identity basis cannot be neglected")
         table[cid].add(p)
-    for cid, dropped in table.items():
-        if dropped >= {PauliOp.X, PauliOp.Y, PauliOp.Z}:
-            raise AllBasesNeglected("every basis neglected at cut %d" % cid)
     return table
 
 

@@ -5,7 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import PauliOp
 from .errors import EmptySupport
+from .fragmenter import _neglected_by_cut
 
 CSV_COLUMNS = (
     "trial", "seed", "n_qubits", "K", "K_g", "shots_per_variant",
@@ -41,25 +43,20 @@ def weighted_distance(p, q) -> float:
 
 @dataclass
 class CostLedger:
-    """Order-free accumulator of executed variants and shots."""
+    """Executed variants per side, shots per variant, and basis tuples."""
 
     upstream_variants: int = 0
     downstream_variants: int = 0
-    shots_total: int = 0
     basis_tuples: int = 0
-
-    def record(self, side: str, variants: int, shots_each: int) -> None:
-        if side == "upstream":
-            self.upstream_variants += variants
-        elif side == "downstream":
-            self.downstream_variants += variants
-        else:
-            raise ValueError("unknown side %r" % side)
-        self.shots_total += variants * shots_each
+    shots_each: int = 0
 
     @property
     def variants_executed(self) -> int:
         return self.upstream_variants + self.downstream_variants
+
+    @property
+    def shots_total(self) -> int:
+        return self.variants_executed * self.shots_each
 
 
 def _savings(pruned: int, baseline: int) -> float:
@@ -97,22 +94,36 @@ def cost_report(pruned: CostLedger, baseline: CostLedger) -> CostReport:
     )
 
 
+def cut_counts(cut_ids, neglected=frozenset(), shots_each: int = 0) -> CostLedger:
+    """The paper's cost units for cuts that neglect these (cut_id, basis) pairs.
+
+    At cut c, let g_c be the number of non-Z bases dropped and d_c the set
+    of all bases dropped. A run executes prod(3 - g_c) upstream settings
+    (the Z setting always runs, since the identity is read from it) and
+    prod(6 - 2 g_c) downstream preparations, each at shots_each shots, and
+    contracts prod(4 - |d_c|) basis tuples. neglected is checked as the
+    variant enumerators check it; dropping X, Y and Z at a cut leaves its
+    identity term alone.
+    """
+    upstream = downstream = tuples = 1
+    for dropped in _neglected_by_cut(cut_ids, neglected).values():
+        g = len(dropped - {PauliOp.Z})
+        upstream *= 3 - g
+        downstream *= 6 - 2 * g
+        tuples *= 4 - len(dropped)
+    return CostLedger(upstream, downstream, tuples, shots_each)
+
+
 def closed_form_counts(k_regular: int, k_golden: int):
     """Exact integer counts for K = k_regular + k_golden cuts where each
-    golden cut neglects one non-Z basis.
+    golden cut neglects one non-Z basis (cut_counts with Y dropped at the
+    last k_golden cuts).
 
     Returns (pruned, baseline) CostLedgers with variant and tuple counts
     filled in; shots are left at zero for the caller to scale.
     """
-    k = k_regular + k_golden
-    pruned = CostLedger(
-        upstream_variants=3 ** k_regular * 2 ** k_golden,
-        downstream_variants=6 ** k_regular * 4 ** k_golden,
-        basis_tuples=4 ** k_regular * 3 ** k_golden,
-    )
-    baseline = CostLedger(
-        upstream_variants=3 ** k,
-        downstream_variants=6 ** k,
-        basis_tuples=4 ** k,
-    )
-    return pruned, baseline
+    if k_regular < 0 or k_golden < 0:
+        raise ValueError("cut counts must be non-negative")
+    cut_ids = range(1, k_regular + k_golden + 1)
+    golden = {(cid, PauliOp.Y) for cid in cut_ids[k_regular:]}
+    return cut_counts(cut_ids, golden), cut_counts(cut_ids)

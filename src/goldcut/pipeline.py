@@ -14,12 +14,11 @@ import numpy as np
 
 from .circuits import Circuit, Fragment, bipartition, uncut
 from .errors import SupportMismatch
-from .fragmenter import downstream_variants, run_fragment, upstream_variants
+from .fragmenter import _normalize_neglected, downstream_variants, run_fragment, upstream_variants
 from .golden import ORACLE_EPS, GoldenReport, detect_exact, detect_statistical
-from .metrics import CostLedger, CostReport, cost_report
+from .metrics import CostReport, cost_report, cut_counts
 from .reconstructor import (
     Reconstruction,
-    _normalize_neglected,
     build_tensor,
     contract_distribution,
     contract_expectation,
@@ -153,17 +152,16 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     if obs is None:
         obs = ObservableSpec.distribution(range(circuit.n_qubits))
     obs1, obs2 = split_observable(f1, f2, obs)
-    k = circuit.n_cuts
 
-    up_results = None
     if prune == "statistical":
         up_results = run_fragment(f1, upstream_variants(f1, obs=obs1), shots=shots, seed=seed,
                                   seed_path=(trial, SIDE_UPSTREAM))
         report = detect_statistical(up_results, obs1, alpha=alpha, tau=tau)
     else:
         # Every other mode reports exact detection on the full upstream
-        # oracle; without shots those results also feed the reconstruction.
-        oracle, report = exact_upstream_report(f1, obs1, eps)
+        # oracle; without shots those results also feed the reconstruction,
+        # whose tensor reads only the settings that stay.
+        up_results, report = exact_upstream_report(f1, obs1, eps)
     if prune == "off":
         neglected = frozenset()
     elif prune == "known":
@@ -171,20 +169,17 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     else:
         neglected = report.golden_pairs()
 
-    if up_results is None:
-        variants = upstream_variants(f1, neglected, obs=obs1)
-        if shots is None:
-            by_key = {r.key: r for r in oracle}
-            up_results = [by_key[key] for key in variants]
-        else:
-            up_results = run_fragment(f1, variants, shots=shots, seed=seed,
-                                      seed_path=(trial, SIDE_UPSTREAM))
+    cut_ids = [cid for cid, _ in f1.upstream_cut_qubits]
+    used = 0 if shots is None else shots
+    ledger = cut_counts(cut_ids, neglected, used)
+    baseline = cut_counts(cut_ids, shots_each=used)
+    if prune == "statistical":
+        ledger.upstream_variants = baseline.upstream_variants  # all ran for detection
+    elif shots is not None:
+        up_results = run_fragment(f1, upstream_variants(f1, neglected, obs=obs1), shots=shots,
+                                  seed=seed, seed_path=(trial, SIDE_UPSTREAM))
     down_results = run_fragment(f2, downstream_variants(f2, neglected, obs=obs2), shots=shots,
                                 seed=seed, seed_path=(trial, SIDE_DOWNSTREAM))
-    used = 0 if shots is None else shots
-    ledger = CostLedger()
-    ledger.record("upstream", len(up_results), used)
-    ledger.record("downstream", len(down_results), used)
 
     a = build_tensor(up_results, obs1, "upstream", neglected)
     b = build_tensor(down_results, obs2, "downstream", neglected)
@@ -193,12 +188,6 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     else:
         rec = contract_expectation(a, b, neglected)
     rec.shots_used = ledger.shots_total
-    ledger.basis_tuples = rec.terms_evaluated
-
-    baseline = CostLedger()
-    baseline.record("upstream", 3 ** k, used)
-    baseline.record("downstream", 6 ** k, used)
-    baseline.basis_tuples = 4 ** k
 
     expectation = None
     distribution = None

@@ -20,9 +20,10 @@ from functools import reduce
 
 import numpy as np
 
-from .circuits import PauliOp, _as_int
+from .circuits import PauliOp
 from .errors import ArityMismatch, GoldcutError, MissingVariant, WrongSide
-from .fragmenter import SIDE_LABELS
+from .fragmenter import SIDE_LABELS, _normalize_neglected
+from .metrics import closed_form_counts
 
 BASES = (PauliOp.I, PauliOp.X, PauliOp.Y, PauliOp.Z)
 _BASE_INDEX = {p: i for i, p in enumerate(BASES)}
@@ -45,13 +46,6 @@ SIDE_MAPS = {
         [1, -1, 0, 0, 0, 0],
     ], dtype=float)),
 }
-
-
-def _normalize_neglected(neglected):
-    out = set()
-    for cid, p in neglected or ():
-        out.add((_as_int(cid, "neglected cut id"), p if isinstance(p, PauliOp) else PauliOp(p)))
-    return frozenset(out)
 
 
 @dataclass
@@ -287,10 +281,9 @@ def contract_distribution(a: FragmentTensor, b: FragmentTensor,
 def term_count(k_regular: int, k_golden: int):
     """(basis tuples, eigen-terms) for a contraction with the given cut mix.
 
-    Each golden cut keeps 3 of 4 basis entries; every tuple expands into 4
-    signed eigenvalue terms per cut (2 upstream outcomes x 2 preparations).
+    Each golden cut keeps 3 of 4 basis entries (metrics.closed_form_counts);
+    every tuple expands into 4 signed eigenvalue terms per cut (2 upstream
+    outcomes x 2 preparations).
     """
-    if k_regular < 0 or k_golden < 0:
-        raise ValueError("cut counts must be non-negative")
-    tuples = 4 ** k_regular * 3 ** k_golden
+    tuples = closed_form_counts(k_regular, k_golden)[0].basis_tuples
     return tuples, tuples * 4 ** (k_regular + k_golden)

@@ -56,6 +56,8 @@ class ObservableSpec:
             raise SupportMismatch("need one Pauli per support qubit")
         if self.kind == "projector" and len(self.bits) != len(self.qubits):
             raise SupportMismatch("projector bitstring length must match support")
+        if self.kind == "projector" and not set(self.bits) <= {"0", "1"}:
+            raise ValueError("projector bits must be '0' or '1', got %r" % (self.bits,))
 
     @classmethod
     def pauli_string(cls, labels, qubits) -> "ObservableSpec":
@@ -90,6 +92,8 @@ def simulate(circuit: Circuit, initial=None) -> StateVector:
         raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
     if circuit.cuts:
         raise ValueError("simulate takes plain circuits; bipartition cut circuits first")
+    if initial is not None and len(initial) != n:
+        raise InvalidInitial("initial has %d entries for %d qubits" % (len(initial), n))
 
     zero = np.array([1.0, 0.0], dtype=complex)
     psi = np.array([1.0], dtype=complex)

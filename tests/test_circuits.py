@@ -1,6 +1,9 @@
 """Circuit representation, validation, bipartition, and generators."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from goldcut.circuits import (
     Circuit,
@@ -15,8 +18,10 @@ from goldcut.circuits import (
     h,
     random_circuit,
     rx,
+    rz,
     to_json,
     uncut,
+    unitary,
     validate,
 )
 from goldcut.errors import CyclicCut, NotBipartite
@@ -258,6 +263,38 @@ class TestSerialization:
         circ = golden_ansatz(3, 2, 11)
         text = to_json(circ)
         assert to_json(from_json(text)) == text
+
+    @given(st.data())
+    def test_generated_circuits_round_trip(self, data):
+        # generator circuits plus opaque 1-3 qubit unitaries come back gate
+        # for gate, and a second dump is byte-identical to the first
+        seed = data.draw(st.integers(0, 10 ** 6))
+        depth = data.draw(st.integers(1, 3))
+        if data.draw(st.booleans()):
+            circ = random_circuit(data.draw(st.integers(1, 5)), depth, seed)
+        else:
+            k = data.draw(st.integers(1, 3))
+            circ = make_cut_circuit(data.draw(st.integers(k, 4)), data.draw(st.integers(k, 4)),
+                                    k, depth, seed)
+        rng = np.random.default_rng(seed)
+        opaque = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            arity = data.draw(st.integers(1, min(3, circ.n_qubits)))
+            qubits = data.draw(st.permutations(range(circ.n_qubits)))[:arity]
+            z = rng.standard_normal((2 ** arity, 2 ** arity, 2)) @ (1.0, 1.0j)
+            opaque.append(unitary(np.linalg.qr(z)[0], *qubits))
+        circ = Circuit(circ.n_qubits, circ.gates + tuple(opaque), circ.cuts)
+        text = to_json(circ)
+        back = from_json(text)
+        assert back.gates == circ.gates and back == circ
+        assert to_json(back) == text
+
+    def test_negative_zero_round_trips(self):
+        circ = Circuit(1, (rz(-0.0, 0), unitary([[1.0, -0.0], [-0.0, 1.0]], 0)), ())
+        text = to_json(circ)
+        assert '"params": [-0.0]' in text and "[-0.0, 0]" in text
+        assert to_json(from_json(text)) == text
+        assert math.copysign(1.0, from_json(text).gates[0].params[0]) == -1.0
 
     def test_key_order(self):
         text = to_json(Circuit(1, (h(0),), ()))

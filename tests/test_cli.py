@@ -3,11 +3,9 @@ import json
 
 import pytest
 
-from goldcut import cli
-from goldcut.circuits import Circuit, CutPoint, cnot, h, load, save
+from goldcut.circuits import Circuit, CutPoint, PauliOp, cnot, h, load, save
 from goldcut.cli import main
-from goldcut.metrics import CSV_COLUMNS
-from goldcut.reconstructor import term_count
+from goldcut.metrics import CSV_COLUMNS, cut_counts
 
 
 def ansatz_path(tmp_path, name="circ.json", seed=0):
@@ -131,30 +129,35 @@ class TestBench:
         assert by_kg["1"]["upstream_pruned"] == "2"
         assert by_kg["1"]["downstream_pruned"] == "4"
         assert by_kg["1"]["downstream_baseline"] == "6"
-        assert float(by_kg["1"]["contract_seconds"]) >= 0.0
+        assert "contract_seconds" not in header
 
-    def test_json_flags_timing_as_informational(self, tmp_path, capsys):
-        assert main(["bench", "--cuts", "2", "--format", "json"]) == 0
+    def test_json_rows_follow_the_count_formula(self, capsys):
+        # the table is the count formula with Y dropped at the last K_g cuts
+        assert main(["bench", "--cuts", "3", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert "machine-dependent" in doc["note"]
-        assert len(doc["rows"]) == 3
+        assert list(doc) == ["rows"] and len(doc["rows"]) == 4
+        for row in doc["rows"]:
+            golden = {(cid, PauliOp.Y) for cid in range(4 - row["K_g"], 4)}
+            counts, full = cut_counts((1, 2, 3), golden), cut_counts((1, 2, 3))
+            assert (row["upstream_pruned"], row["downstream_pruned"], row["tuples_pruned"]) == (
+                counts.upstream_variants, counts.downstream_variants, counts.basis_tuples)
+            assert (row["upstream_baseline"], row["downstream_baseline"],
+                    row["tuples_baseline"]) == (27, 216, 64) == (
+                full.upstream_variants, full.downstream_variants, full.basis_tuples)
+            assert row["eigen_terms_pruned"] == counts.basis_tuples * 4 ** 3
+
+    def test_seed_option_removed(self):
+        # the table is closed-form, so bench draws nothing
+        with pytest.raises(SystemExit):
+            main(["bench", "--cuts", "1", "--seed", "3"])
 
     def test_zero_cuts_is_config_error(self):
         assert main(["bench", "--cuts", "0"]) == 2
 
     def test_cuts_above_the_tensor_cap_is_config_error(self, capsys):
-        # checked before any 4^K tensor is allocated
+        # contraction is capped at MAX_CUTS, so the table stops there too
         assert main(["bench", "--cuts", "9"]) == 2
         assert "1..8" in capsys.readouterr().err
-
-    def test_count_mismatch_is_validation_error(self, monkeypatch):
-        # the tuple check is a real error, so it also holds under python -O
-        def off_by_one(k_regular, k_golden):
-            tuples, terms = term_count(k_regular, k_golden)
-            return tuples + 1, terms
-
-        monkeypatch.setattr(cli, "term_count", off_by_one)
-        assert main(["bench", "--cuts", "2"]) == 3
 
 
 class TestDetect:

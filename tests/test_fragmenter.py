@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 import goldcut.fragmenter as fragmenter
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, h
-from goldcut.errors import AllBasesNeglected
 from goldcut.fragmenter import (
     PREP_LABELS,
     VariantKey,
@@ -68,13 +67,22 @@ class TestVariantCounts:
         _, f2 = bell_fragments()
         assert len(downstream_variants(f2, {(1, PauliOp.Z)})) == 6
 
-    def test_all_bases_neglected(self):
+    def test_identity_only_cut_keeps_z_data(self):
+        # the identity term is read from the Z setting and the Zp/Zm
+        # preparations, so dropping X, Y and Z keeps exactly those
         f1, f2 = bell_fragments()
         dropped = {(1, PauliOp.X), (1, PauliOp.Y), (1, PauliOp.Z)}
-        with pytest.raises(AllBasesNeglected):
-            upstream_variants(f1, dropped)
-        with pytest.raises(AllBasesNeglected):
-            downstream_variants(f2, dropped)
+        assert {key.label(1) for key in upstream_variants(f1, dropped)} == {"Z"}
+        assert {key.label(1) for key in downstream_variants(f2, dropped)} == {"Zp", "Zm"}
+
+    def test_neglected_pairs_read_like_reconstruct(self):
+        # a basis label counts as its PauliOp, and a cut id must be an integer
+        f1, f2 = bell_fragments()
+        assert len(upstream_variants(f1, {(1, "Y")})) == 2
+        assert len(downstream_variants(f2, {(1, "Y")})) == 4
+        for cid in (1.0, True):
+            with pytest.raises(ValueError):
+                upstream_variants(f1, {(cid, PauliOp.Y)})
 
     def test_unknown_cut_rejected(self):
         f1, _ = bell_fragments()

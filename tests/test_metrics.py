@@ -1,17 +1,25 @@
 """Weighted distance and cost accounting."""
+import importlib.util
+import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from goldcut.circuits import PauliOp, bipartition
 from goldcut.errors import EmptySupport
+from goldcut.fragmenter import downstream_variants, upstream_variants
 from goldcut.metrics import (
     CSV_COLUMNS,
-    CostLedger,
     closed_form_counts,
     cost_report,
+    cut_counts,
     weighted_distance,
 )
+from goldcut.reconstructor import FragmentTensor, contract_expectation
+
+from conftest import make_cut_circuit
 
 
 class TestWeightedDistance:
@@ -64,17 +72,73 @@ class TestWeightedDistance:
             weighted_distance(np.array([1.0, 0.0]), np.zeros(2))
 
 
-class TestCostLedger:
-    def test_record_accumulates(self):
-        ledger = CostLedger()
-        ledger.record("upstream", 3, 100)
-        ledger.record("downstream", 6, 100)
-        assert ledger.variants_executed == 9
-        assert ledger.shots_total == 900
+def _load_checks():
+    # the benchmark's own count check, loaded from its file (read-only)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def test_unknown_side(self):
-        with pytest.raises(ValueError):
-            CostLedger().record("sideways", 1, 1)
+
+implied_counts = _load_checks().implied_counts
+
+SUBSETS = [frozenset(c) for r in range(4)
+           for c in itertools.combinations((PauliOp.X, PauliOp.Y, PauliOp.Z), r)]
+
+
+def per_cut_subsets(k):
+    """Every assignment of a subset of {X, Y, Z} to each of the cuts 1..k."""
+    for combo in itertools.product(SUBSETS, repeat=k):
+        yield frozenset((cid, p) for cid, dropped in enumerate(combo, 1) for p in dropped)
+
+
+class TestCutCounts:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_formula_matches_the_enumerators(self, k):
+        f1, f2 = bipartition(make_cut_circuit(4, 4, k, 1, k))
+        for neglected in per_cut_subsets(k):
+            counts = cut_counts(range(1, k + 1), neglected)
+            assert counts.upstream_variants == len(upstream_variants(f1, neglected))
+            assert counts.downstream_variants == len(downstream_variants(f2, neglected))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_formula_matches_contraction_and_benchmark(self, k):
+        cut_ids = tuple(range(1, k + 1))
+        full = cut_counts(cut_ids)
+        for neglected in per_cut_subsets(k):
+            counts = cut_counts(cut_ids, neglected)
+            a, b = (FragmentTensor(side, cut_ids, "expectation", np.zeros((4,) * k),
+                                   "exact", neglected)
+                    for side in ("upstream", "downstream"))
+            assert contract_expectation(a, b, neglected).terms_evaluated == counts.basis_tuples
+            for prune in ("off", "known", "exact", "statistical"):
+                up = full if prune == "statistical" else counts
+                assert implied_counts(cut_ids, neglected, prune) == (
+                    up.upstream_variants + counts.downstream_variants, counts.basis_tuples)
+
+    def test_enumerators_at_four_cuts(self):
+        # every multiset of per-cut subsets; the counts are products, so
+        # the per-cut order is covered by the full sweeps at k <= 3
+        f1, f2 = bipartition(make_cut_circuit(4, 4, 4, 1, 4))
+        for combo in itertools.combinations_with_replacement(SUBSETS, 4):
+            neglected = frozenset((cid, p) for cid, dropped in enumerate(combo, 1)
+                                  for p in dropped)
+            counts = cut_counts(range(1, 5), neglected)
+            assert counts.upstream_variants == len(upstream_variants(f1, neglected))
+            assert counts.downstream_variants == len(downstream_variants(f2, neglected))
+
+    def test_identity_only_cut(self):
+        counts = cut_counts((1, 2), {(1, PauliOp.X), (1, PauliOp.Y), (1, PauliOp.Z)}, 10)
+        assert (counts.upstream_variants, counts.downstream_variants) == (1 * 3, 2 * 6)
+        assert counts.basis_tuples == 1 * 4
+        assert counts.shots_total == 15 * 10
+
+    def test_reads_neglected_pairs_as_the_enumerators_do(self):
+        assert cut_counts((1,), {(1, "Z")}) == cut_counts((1,), {(1, PauliOp.Z)})
+        for bad in ({(2, PauliOp.Y)}, {(1, PauliOp.I)}, {(1.0, PauliOp.Y)}):
+            with pytest.raises(ValueError):
+                cut_counts((1,), bad)
 
 
 class TestCostReport:
@@ -114,6 +178,11 @@ class TestCostReport:
                 assert down == Fraction(2, 3) ** k_g
                 assert up == Fraction(2, 3) ** k_g
                 assert tup == Fraction(3, 4) ** k_g
+
+    def test_negative_cut_counts_rejected(self):
+        for bad in ((-1, 0), (0, -2)):
+            with pytest.raises(ValueError):
+                closed_form_counts(*bad)
 
     def test_savings_stay_in_unit_interval(self):
         for k_r in range(3):

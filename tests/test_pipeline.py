@@ -7,6 +7,7 @@ import goldcut.pipeline as pipeline
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
 from goldcut.errors import NotBipartite
 from goldcut.fragmenter import run_fragment
+from goldcut.metrics import cut_counts
 from goldcut.pipeline import (
     ground_truth_distribution,
     ground_truth_expectation,
@@ -171,11 +172,67 @@ class TestPruneModes:
             reconstruct(golden_ansatz(3, 1, 0), shots=shots)
 
 
+class TestExecutedCounts:
+    # K = 3 with bases dropped at two and at three cuts, the last set with
+    # an identity-only cut
+    NEGLECTED = [
+        {(1, PauliOp.X), (2, PauliOp.Y), (2, PauliOp.Z)},
+        {(1, PauliOp.Y), (2, PauliOp.X), (2, PauliOp.Y),
+         (3, PauliOp.X), (3, PauliOp.Y), (3, PauliOp.Z)},
+    ]
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    @pytest.mark.parametrize("neglect", NEGLECTED)
+    def test_cost_equals_formula_and_execution(self, neglect, shots, monkeypatch):
+        runs = []
+
+        def recording(fragment, variants, **kwargs):
+            results = run_fragment(fragment, variants, **kwargs)
+            runs.append((fragment.side, results))
+            return results
+
+        monkeypatch.setattr(pipeline, "run_fragment", recording)
+        run = reconstruct(make_cut_circuit(4, 4, 3, 1, 5), shots=shots, seed=2,
+                          prune="known", neglect=neglect)
+        each = shots or 0
+        counts = cut_counts((1, 2, 3), neglect, each)
+        full = cut_counts((1, 2, 3), shots_each=each)
+        assert (run.cost.variants_executed, run.cost.shots_total,
+                run.cost.basis_tuples_contracted) == (
+            counts.variants_executed, counts.shots_total, counts.basis_tuples)
+        assert (run.cost.baseline_variants, run.cost.baseline_shots,
+                run.cost.baseline_tuples) == (
+            full.variants_executed, full.shots_total, full.basis_tuples)
+        assert run.cost.shots_total == run.cost.variants_executed * each
+        assert run.reconstruction.terms_evaluated == counts.basis_tuples
+        # what actually ran: the exact oracle's full upstream set feeds
+        # detection, so only the downstream run is pruned without shots
+        ran = dict(runs)  # the last run of each side
+        assert len(ran["downstream"]) == counts.downstream_variants
+        assert sum(r.shots for rs in ran.values() for r in rs) == run.cost.shots_total
+        if shots is not None:
+            assert len(ran["upstream"]) == counts.upstream_variants
+
+    def test_identity_only_cut_reconstructs(self):
+        # exact detection flags X, Y and Z at the cut; the identity term
+        # alone carries the value
+        circ = golden_ansatz(9, 2, 3)
+        obs = ObservableSpec.pauli_string("XYZXYZXYZ", range(9))
+        run = reconstruct(circ, obs, prune="exact")
+        assert run.neglected == {(1, PauliOp.X), (1, PauliOp.Y), (1, PauliOp.Z)}
+        assert abs(run.expectation - ground_truth_expectation(circ, obs)) < 1e-12
+        assert (run.cost.variants_executed, run.cost.basis_tuples_contracted) == (3, 1)
+        stat = reconstruct(circ, obs, shots=10_000, seed=0, prune="statistical")
+        assert stat.neglected == run.neglected
+        assert stat.cost.variants_executed == 3 + 2
+
+
 class TestOracleReuse:
     @pytest.mark.parametrize("prune", ["off", "known", "exact"])
     def test_exact_mode_runs_the_upstream_oracle_once(self, prune, monkeypatch):
-        # the full upstream set feeds the golden report and, filtered by
-        # the pruned keys, the reconstruction; the ledger counts the pruned set
+        # the full upstream set feeds the golden report and the
+        # reconstruction, whose tensor reads only the kept settings; the
+        # ledger counts the pruned set
         # (golden_ansatz certifies through the same pipeline helper, so the
         # circuit is built before run_fragment is counted)
         circ = golden_ansatz(3, 1, 0)

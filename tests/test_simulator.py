@@ -77,6 +77,12 @@ class TestSimulate:
         with pytest.raises(InvalidInitial):
             simulate(Circuit(1, (), ()), [np.array([1.0, 1.0])])
 
+    @pytest.mark.parametrize("initial", [[None], [None, None, None]])
+    def test_initial_length_must_match_width(self, initial):
+        # one entry per qubit, so no wire is left unset or silently dropped
+        with pytest.raises(InvalidInitial):
+            simulate(Circuit(2, (), ()), initial)
+
 
 class TestExactExpectation:
     def test_z_on_zero_state(self):
@@ -119,6 +125,12 @@ class TestExactExpectation:
         p = exact_distribution(sv, (0, 1, 2))
         obs = ObservableSpec.projector("101", (0, 1, 2))
         assert abs(exact_expectation(sv, obs) - p[0b101]) < 1e-15
+
+    @pytest.mark.parametrize("bits", ["2", "x", "1 ", "+1"])
+    def test_projector_bits_must_be_binary(self, bits):
+        # any other character selects no outcome, so the projector would read 0
+        with pytest.raises(ValueError):
+            ObservableSpec.projector(bits, tuple(range(len(bits))))
 
     def test_support_mismatch(self):
         sv = simulate(Circuit(1, (), ()))
