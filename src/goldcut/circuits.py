@@ -422,47 +422,40 @@ def golden_ansatz(n_qubits: int, depth: int, seed: int) -> Circuit:
     downstream block mixes rx, ry and rz layers with CNOT chains. One cut
     sits on the middle wire between the two blocks.
 
-    The construction is certified before returning: the Y basis must be
-    reported golden by exact detection at eps = 1e-8, and generation is
-    retried with fresh angles (bounded) if certification ever fails.
+    The construction is certified before returning: AnsatzNotGolden is
+    raised unless exact detection at GENERATION_EPS reports the Y basis
+    golden.
     """
+    from .golden import GENERATION_EPS
+    from .pipeline import upstream_report
+
     if n_qubits not in (3, 5, 7, 9):
         raise ValueError("odd width required: n_qubits must be one of 3, 5, 7, 9")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     mid = n_qubits // 2
-    for attempt in range(32):
-        rng = stream(seed, attempt)
-        gates = []
-        for _ in range(depth):
-            for q in range(mid + 1):
-                gates.append(ry(rng.uniform(0.0, 6.28), q))
-            for q in range(mid):
-                gates.append(cnot(q, q + 1))
-                if rng.random() < 0.5:
-                    gates.append(cz(q, q + 1))
-        cut_after = len(gates) - 1
-        kinds = ("rx", "ry", "rz")
-        for _ in range(depth):
-            for q in range(mid, n_qubits):
-                kind = kinds[rng.integers(len(kinds))]
-                gates.append(Gate(kind, (q,), (rng.uniform(0.0, 6.28),)))
-            for q in range(mid, n_qubits - 1):
-                gates.append(cnot(q, q + 1))
-        circuit = Circuit(n_qubits, tuple(gates), (CutPoint(mid, cut_after, 1),))
-        if _certify_golden_y(circuit, 1e-8):
-            return circuit
-    raise AnsatzNotGolden(
-        "ansatz failed Y-golden certification after 32 attempts; template is wrong"
-    )
-
-
-def _certify_golden_y(circuit: Circuit, eps: float) -> bool:
-    from .pipeline import exact_upstream_report
-
-    f1, _ = bipartition(circuit)
-    _, report = exact_upstream_report(f1, eps=eps)
-    return report.entry(1, "Y").golden
+    rng = stream(seed, 0)
+    gates = []
+    for _ in range(depth):
+        for q in range(mid + 1):
+            gates.append(ry(rng.uniform(0.0, 6.28), q))
+        for q in range(mid):
+            gates.append(cnot(q, q + 1))
+            if rng.random() < 0.5:
+                gates.append(cz(q, q + 1))
+    cut_after = len(gates) - 1
+    kinds = ("rx", "ry", "rz")
+    for _ in range(depth):
+        for q in range(mid, n_qubits):
+            kind = kinds[rng.integers(len(kinds))]
+            gates.append(Gate(kind, (q,), (rng.uniform(0.0, 6.28),)))
+        for q in range(mid, n_qubits - 1):
+            gates.append(cnot(q, q + 1))
+    circuit = Circuit(n_qubits, tuple(gates), (CutPoint(mid, cut_after, 1),))
+    _, report = upstream_report(bipartition(circuit)[0], eps=GENERATION_EPS)
+    if not report.entry(1, "Y").golden:
+        raise AnsatzNotGolden("ansatz failed Y-golden certification; template is wrong")
+    return circuit
 
 
 def _fmt(value: float) -> str:

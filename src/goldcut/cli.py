@@ -15,18 +15,16 @@ import sys
 
 from .circuits import PauliOp, _fmt, bipartition, golden_ansatz, save, validate
 from .errors import GoldcutError
-from .fragmenter import run_fragment, upstream_variants
-from .golden import GENERATION_EPS, detect_statistical
+from .golden import DEFAULT_ALPHA, DEFAULT_TAU, GENERATION_EPS
 from .metrics import CSV_COLUMNS, closed_form_counts, weighted_distance
 from .pipeline import (
-    SIDE_UPSTREAM,
-    exact_upstream_report,
+    PRUNE_MODES,
     ground_truth_distribution,
     reconstruct,
     uncut_sampled_distribution,
+    upstream_report,
 )
 from .reconstructor import MAX_CUTS, term_count
-from .simulator import ObservableSpec
 from . import circuits
 
 
@@ -84,7 +82,7 @@ def cmd_generate(args) -> int:
     circ = golden_ansatz(args.qubits, args.depth, args.seed)
     save(circ, args.out)
     f1, _ = bipartition(circ)
-    _, report = exact_upstream_report(f1, eps=GENERATION_EPS)
+    _, report = upstream_report(f1, eps=GENERATION_EPS)
     flagged = [e for e in report.entries if e.golden]
     if flagged:
         for e in flagged:
@@ -171,13 +169,8 @@ def cmd_detect(args) -> int:
     if not circ.cuts:
         raise GoldcutError("circuit has no cuts; nothing to detect")
     f1, _ = bipartition(circ)
-    if args.shots is None:
-        _, report = exact_upstream_report(f1, eps=args.eps)
-    else:
-        obs = ObservableSpec.distribution(f1.output_qubits)
-        results = run_fragment(f1, upstream_variants(f1, obs=obs), shots=args.shots,
-                               seed=args.seed, seed_path=(0, SIDE_UPSTREAM))
-        report = detect_statistical(results, obs, alpha=args.alpha, tau=args.tau)
+    _, report = upstream_report(f1, shots=args.shots, seed=args.seed, eps=args.eps,
+                                alpha=args.alpha, tau=args.tau)
     _emit(report.to_json() + "\n", args.out)
     return 0
 
@@ -201,12 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--shots", type=int, default=10000, help="shots per executed variant")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prune", choices=("off", "known", "exact", "statistical"),
-                   default="off")
+    p.add_argument("--prune", choices=PRUNE_MODES, default="off")
     p.add_argument("--neglect", action="append", metavar="CUT:BASIS",
                    help="basis to neglect with --prune known, e.g. 1:Y")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--tau", type=float, default=0.02)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_run)
@@ -222,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=None,
                    help="omit for exact detection, set for the statistical test")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--tau", type=float, default=0.02)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p.add_argument("--eps", type=float, default=GENERATION_EPS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)

@@ -16,9 +16,8 @@ import numpy as np
 
 from .circuits import PauliOp, _fmt
 from .errors import WrongSide
+from .fragmenter import MEASURED_BASES
 from .reconstructor import _BASE_INDEX, FragmentTensor, build_tensor
-
-DETECT_BASES = (PauliOp.X, PauliOp.Y, PauliOp.Z)
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_TAU = 0.02
@@ -88,7 +87,7 @@ def _basis_magnitudes(tensor: FragmentTensor):
         mags = mags.max(axis=flat_axes)
     out = {}
     for axis, cid in enumerate(tensor.cut_ids):
-        for p in DETECT_BASES:
+        for p in MEASURED_BASES:
             sl = [slice(None)] * k
             sl[axis] = _BASE_INDEX[p]
             out[(cid, p)] = float(mags[tuple(sl)].max())

@@ -15,7 +15,14 @@ import numpy as np
 from .circuits import Circuit, Fragment, bipartition, uncut
 from .errors import SupportMismatch
 from .fragmenter import _normalize_neglected, downstream_variants, run_fragment, upstream_variants
-from .golden import ORACLE_EPS, GoldenReport, detect_exact, detect_statistical
+from .golden import (
+    DEFAULT_ALPHA,
+    DEFAULT_TAU,
+    ORACLE_EPS,
+    GoldenReport,
+    detect_exact,
+    detect_statistical,
+)
 from .metrics import CostReport, cost_report, cut_counts
 from .reconstructor import (
     Reconstruction,
@@ -113,24 +120,30 @@ class RunResult:
     k_golden: int
 
 
-def exact_upstream_report(f1: Fragment, obs: ObservableSpec = None,
-                          eps: float = ORACLE_EPS):
-    """Run every upstream setting on the exact oracle and detect golden bases.
+def upstream_report(f1: Fragment, obs: ObservableSpec = None, shots: int = None,
+                    seed: int = 0, trial: int = 0, eps: float = ORACLE_EPS,
+                    alpha: float = DEFAULT_ALPHA, tau: float = DEFAULT_TAU):
+    """Run every upstream setting and detect golden bases.
 
-    obs None reads the full distribution over the fragment's outputs.
+    obs None reads the full distribution over the fragment's outputs. The
+    settings run through run_fragment on seed path (trial, SIDE_UPSTREAM).
     Returns (results, report): the results in upstream_variants order, and
-    detect_exact at eps on the tensor built from them.
+    with shots None detect_exact at eps on the tensor built from them,
+    otherwise detect_statistical at alpha and tau.
     """
     if obs is None:
         obs = ObservableSpec.distribution(f1.output_qubits)
-    results = run_fragment(f1, upstream_variants(f1, obs=obs))
-    return results, detect_exact(build_tensor(results, obs, "upstream"), eps)
+    results = run_fragment(f1, upstream_variants(f1, obs=obs), shots=shots, seed=seed,
+                           seed_path=(trial, SIDE_UPSTREAM))
+    if shots is None:
+        return results, detect_exact(build_tensor(results, obs, "upstream"), eps)
+    return results, detect_statistical(results, obs, alpha=alpha, tau=tau)
 
 
 def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
                 seed: int = 0, trial: int = 0, prune: str = "off",
-                neglect=(), alpha: float = 0.05, tau: float = 0.02,
-                eps: float = ORACLE_EPS) -> RunResult:
+                neglect=(), alpha: float = DEFAULT_ALPHA,
+                tau: float = DEFAULT_TAU) -> RunResult:
     """Cut, execute, optionally prune, and reconstruct one circuit.
 
     obs None reconstructs the full bitstring distribution. shots None runs
@@ -138,9 +151,10 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     with shots drawn from its own seeded stream. Pruning modes:
 
     * "off": no neglected bases.
-    * "known": neglect exactly the pairs passed in neglect.
-    * "exact": neglect what exact detection (at eps) flags; the detection
-      itself uses the simulator oracle, not the shot data.
+    * "known": neglect exactly the pairs passed in neglect, which every
+      other mode rejects.
+    * "exact": neglect what exact detection (at ORACLE_EPS) flags; the
+      detection itself uses the simulator oracle, not the shot data.
     * "statistical": run every upstream setting at the shot budget, neglect
       what the Hoeffding test flags, and prune only the downstream side.
     """
@@ -148,20 +162,18 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
         raise ValueError("unknown prune mode %r" % prune)
     if prune == "statistical" and shots is None:
         raise ValueError("statistical pruning needs a shot budget")
+    if neglect and prune != "known":
+        raise ValueError("neglect is read only with prune='known', not %r" % prune)
     f1, f2 = bipartition(circuit)
     if obs is None:
         obs = ObservableSpec.distribution(range(circuit.n_qubits))
     obs1, obs2 = split_observable(f1, f2, obs)
 
-    if prune == "statistical":
-        up_results = run_fragment(f1, upstream_variants(f1, obs=obs1), shots=shots, seed=seed,
-                                  seed_path=(trial, SIDE_UPSTREAM))
-        report = detect_statistical(up_results, obs1, alpha=alpha, tau=tau)
-    else:
-        # Every other mode reports exact detection on the full upstream
-        # oracle; without shots those results also feed the reconstruction,
-        # whose tensor reads only the settings that stay.
-        up_results, report = exact_upstream_report(f1, obs1, eps)
+    # Every mode but statistical reports exact detection on the full
+    # upstream oracle; without shots those results also feed the
+    # reconstruction, whose tensor reads only the settings that stay.
+    up_results, report = upstream_report(f1, obs1, shots if prune == "statistical" else None,
+                                         seed, trial, alpha=alpha, tau=tau)
     if prune == "off":
         neglected = frozenset()
     elif prune == "known":
@@ -184,9 +196,9 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     a = build_tensor(up_results, obs1, "upstream", neglected)
     b = build_tensor(down_results, obs2, "downstream", neglected)
     if obs.kind == "distribution":
-        rec = contract_distribution(a, b, neglected)
+        rec = contract_distribution(a, b)
     else:
-        rec = contract_expectation(a, b, neglected)
+        rec = contract_expectation(a, b)
     rec.shots_used = ledger.shots_total
 
     expectation = None

@@ -235,21 +235,19 @@ def _allowed_mask(cut_ids, neglected):
     return mask
 
 
-def _check_pair(a: FragmentTensor, b: FragmentTensor, neglected):
+def _check_pair(a: FragmentTensor, b: FragmentTensor):
     if a.side != "upstream" or b.side != "downstream":
         raise WrongSide("contract takes (upstream, downstream) tensors")
     if a.cut_ids != b.cut_ids:
         raise ArityMismatch("cut interfaces differ: %s vs %s" % (a.cut_ids, b.cut_ids))
-    neglected = _normalize_neglected(neglected)
-    if a.neglected != neglected or b.neglected != neglected:
-        raise ArityMismatch("tensors were built with a different neglected set")
-    return neglected
+    if a.neglected != b.neglected:
+        raise ArityMismatch("tensors were built with different neglected sets")
+    return a.neglected
 
 
-def contract_expectation(a: FragmentTensor, b: FragmentTensor,
-                         neglected=frozenset()) -> Reconstruction:
-    """(1/2^K) * sum of A[M]*B[M] over tuples avoiding neglected bases."""
-    neglected = _check_pair(a, b, neglected)
+def contract_expectation(a: FragmentTensor, b: FragmentTensor) -> Reconstruction:
+    """(1/2^K) * sum of A[M]*B[M] over tuples avoiding the tensors' neglected bases."""
+    neglected = _check_pair(a, b)
     if a.mode != "expectation" or b.mode != "expectation":
         raise ArityMismatch("contract_expectation needs expectation-mode tensors")
     mask = _allowed_mask(a.cut_ids, neglected)
@@ -257,14 +255,13 @@ def contract_expectation(a: FragmentTensor, b: FragmentTensor,
     return Reconstruction("expectation", value, value, int(mask.sum()), neglected)
 
 
-def contract_distribution(a: FragmentTensor, b: FragmentTensor,
-                          neglected=frozenset()) -> Reconstruction:
+def contract_distribution(a: FragmentTensor, b: FragmentTensor) -> Reconstruction:
     """Per-bitstring contraction; value clamps negatives and renormalizes.
 
     The result covers concatenated bitstrings, upstream output bits first.
     raw keeps the unclamped quasi-distribution for diagnostics.
     """
-    neglected = _check_pair(a, b, neglected)
+    neglected = _check_pair(a, b)
     if a.mode != "distribution" or b.mode != "distribution":
         raise ArityMismatch("contract_distribution needs distribution-mode tensors")
     k = a.n_cuts

@@ -49,9 +49,13 @@ class ObservableSpec:
     bits: str = ""
 
     def __post_init__(self):
+        if self.kind not in ("pauli", "projector", "distribution"):
+            raise ValueError("unknown observable kind %r" % (self.kind,))
         object.__setattr__(self, "qubits",
                            tuple(_as_int(q, "observable qubit") for q in self.qubits))
         object.__setattr__(self, "paulis", tuple(self.paulis))
+        if len(set(self.qubits)) != len(self.qubits):
+            raise SupportMismatch("repeated qubit in support")
         if self.kind == "pauli" and len(self.paulis) != len(self.qubits):
             raise SupportMismatch("need one Pauli per support qubit")
         if self.kind == "projector" and len(self.bits) != len(self.qubits):

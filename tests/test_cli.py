@@ -6,6 +6,7 @@ import pytest
 from goldcut.circuits import Circuit, CutPoint, PauliOp, cnot, h, load, save
 from goldcut.cli import main
 from goldcut.metrics import CSV_COLUMNS, cut_counts
+from goldcut.pipeline import reconstruct
 
 
 def ansatz_path(tmp_path, name="circ.json", seed=0):
@@ -92,6 +93,12 @@ class TestRun:
     def test_known_without_neglect_is_config_error(self, tmp_path):
         circ = ansatz_path(tmp_path)
         assert main(["run", "--circuit", str(circ), "--prune", "known"]) == 2
+
+    @pytest.mark.parametrize("prune", ["off", "exact", "statistical"])
+    def test_neglect_without_known_is_config_error(self, tmp_path, prune):
+        circ = ansatz_path(tmp_path)
+        assert main(["run", "--circuit", str(circ), "--trials", "1", "--shots", "100",
+                     "--prune", prune, "--neglect", "1:Y"]) == 2
 
     def test_bad_neglect_spelling_is_config_error(self, tmp_path):
         circ = ansatz_path(tmp_path)
@@ -186,6 +193,23 @@ class TestDetect:
         path = tmp_path / "uncut.json"
         save(Circuit(2, (h(0),), ()), str(path))
         assert main(["detect", "--circuit", str(path)]) == 3
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_reports_equal_those_reconstruct_prunes_with(self, tmp_path, seed):
+        # detect and reconstruct share one upstream pass and seed path
+        path = tmp_path / "c.json"
+        assert main(["generate", "--qubits", "5", "--depth", "2", "--seed", "7",
+                     "--out", str(path)]) == 0
+        circ = load(str(path))
+        shots = tmp_path / "shots.json"
+        exact = tmp_path / "exact.json"
+        assert main(["detect", "--circuit", str(path), "--shots", "10000",
+                     "--seed", str(seed), "--out", str(shots)]) == 0
+        assert main(["detect", "--circuit", str(path), "--eps", "1e-12",
+                     "--out", str(exact)]) == 0
+        run = reconstruct(circ, shots=10000, seed=seed, prune="statistical")
+        assert shots.read_text() == run.golden.to_json() + "\n"
+        assert exact.read_text() == reconstruct(circ, prune="exact").golden.to_json() + "\n"
 
 
 def fig1_doc():

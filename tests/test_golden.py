@@ -108,7 +108,7 @@ class TestPruningChangesNonGolden:
         cut_b = build_tensor(
             run_fragment(f2, downstream_variants(f2, dropped, obs=obs_b)),
             obs_b, "downstream", dropped)
-        pruned = contract_expectation(cut_a, cut_b, dropped)
+        pruned = contract_expectation(cut_a, cut_b)
         assert abs(pruned.value - 1.0) > 0.5
 
 

@@ -111,7 +111,7 @@ class TestCutCounts:
             a, b = (FragmentTensor(side, cut_ids, "expectation", np.zeros((4,) * k),
                                    "exact", neglected)
                     for side in ("upstream", "downstream"))
-            assert contract_expectation(a, b, neglected).terms_evaluated == counts.basis_tuples
+            assert contract_expectation(a, b).terms_evaluated == counts.basis_tuples
             for prune in ("off", "known", "exact", "statistical"):
                 up = full if prune == "statistical" else counts
                 assert implied_counts(cut_ids, neglected, prune) == (

@@ -142,6 +142,17 @@ class TestPruneModes:
         with pytest.raises(ValueError):
             reconstruct(golden_ansatz(3, 1, 0), prune="known", neglect=[(cut_id, "Y")])
 
+    @pytest.mark.parametrize("prune, shots, pair", [
+        ("off", None, (1, "Y")),
+        ("exact", None, (1, "X")),
+        ("statistical", 1000, (1, "Y")),
+    ])
+    def test_neglect_outside_known_mode_rejected(self, prune, shots, pair):
+        # before, "off" neglected nothing and "exact" neglected what it
+        # detected, each without a word about the ignored pairs
+        with pytest.raises(ValueError):
+            reconstruct(golden_ansatz(3, 1, 0), shots=shots, prune=prune, neglect=[pair])
+
     def test_off_mode_still_reports_golden(self):
         run = reconstruct(golden_ansatz(3, 1, 0), prune="off")
         assert run.golden is not None

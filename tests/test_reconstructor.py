@@ -323,7 +323,7 @@ class TestGoldenPruning:
         _, _, a_full, b_full = exact_tensors(circ, DIST, DIST)
         _, _, a_cut, b_cut = exact_tensors(circ, DIST, DIST, neglected)
         full = contract_distribution(a_full, b_full)
-        pruned = contract_distribution(a_cut, b_cut, neglected)
+        pruned = contract_distribution(a_cut, b_cut)
         assert np.max(np.abs(np.asarray(full.raw) - np.asarray(pruned.raw))) < 1e-12
         assert full.terms_evaluated == 4
         assert pruned.terms_evaluated == 3
@@ -405,7 +405,7 @@ class TestFailureModes:
         _, _, a, _ = exact_tensors(circ, DIST, DIST, neglected)
         _, _, _, b = exact_tensors(circ, DIST, DIST)
         with pytest.raises(ArityMismatch):
-            contract_distribution(a, b, neglected)
+            contract_distribution(a, b)
 
     def test_contract_mode_mismatch(self):
         _, _, a, b = exact_tensors(fig1(), IDENTITY_OBS, IDENTITY_OBS)

@@ -132,6 +132,24 @@ class TestExactExpectation:
         with pytest.raises(ValueError):
             ObservableSpec.projector(bits, tuple(range(len(bits))))
 
+    @pytest.mark.parametrize("kind", ["Pauli", "expectation", ""])
+    def test_unknown_kind_rejected(self, kind):
+        # reconstruct would read an unknown kind as an empty projector, 1.0
+        with pytest.raises(ValueError):
+            ObservableSpec(kind, (0, 1))
+
+    @pytest.mark.parametrize("make", [
+        lambda: ObservableSpec.pauli_string("ZZ", [3, 3]),
+        lambda: ObservableSpec.pauli_string("XZ", [0, 0]),
+        lambda: ObservableSpec.projector("01", [2, 2]),
+        lambda: ObservableSpec.distribution([1, 0, 1]),
+    ])
+    def test_repeated_qubit_rejected(self, make):
+        # before the check, reconstruct returned 1.0 or 0.0 for these, or
+        # failed with a TypeError while splitting the observable
+        with pytest.raises(SupportMismatch):
+            make()
+
     def test_support_mismatch(self):
         sv = simulate(Circuit(1, (), ()))
         with pytest.raises(SupportMismatch):
