@@ -51,6 +51,7 @@ from .reconstructor import (
     build_tensor,
     contract_distribution,
     contract_expectation,
+    operator_tensor,
     term_count,
 )
 from .simulator import (
@@ -77,7 +78,7 @@ __all__ = [
     "CostReport", "cost_report", "weighted_distance",
     "reconstruct",
     "FragmentTensor", "Reconstruction", "build_tensor",
-    "contract_distribution", "contract_expectation", "term_count",
+    "contract_distribution", "contract_expectation", "operator_tensor", "term_count",
     "ObservableSpec", "StateVector", "basis_rotation", "exact_distribution",
     "exact_expectation", "sample", "simulate",
     "__version__",

@@ -14,12 +14,13 @@ and the readout rotations, then the basis rotations of its settings
 (upstream), appended. run_fragment builds no circuit per variant: it
 groups the keys by readout and simulates each group's body (the fragment
 plus its readout rotations) once. Upstream, it applies each key's basis
-rotations to a copy of the body's final state; downstream, it simulates
-the body on the 2^K computational inputs of the cut wires and forms each
-preparation as the matching linear combination of those 2^K output
-states. Each variant's result is one probability vector over its local
-qubits: the exact Born probabilities, or the frequencies of a multinomial
-draw of so many shots.
+rotations to a copy of the body's final state; downstream, it runs the
+body on the 2^K computational inputs of the cut wires in one batched pass
+and forms each preparation as the matching linear combination of those
+2^K output states. Each variant's result is one probability vector over
+its local qubits: the exact Born probabilities, or the frequencies of a
+multinomial draw of so many shots. Exact tensors need no variants:
+cut_amplitudes gives the fragment's cut operator from the same one pass.
 """
 from __future__ import annotations
 
@@ -29,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Fragment, PauliOp, _as_int, h, s, x
-from .errors import SupportMismatch
+from .errors import SupportMismatch, TooWide
 from .seeding import stream
 from .simulator import (
+    MAX_QUBITS,
     StateVector,
     apply_gates,
     basis_rotation,
@@ -61,6 +63,9 @@ def prep_state(label: str) -> np.ndarray:
     """The eigenstate vector the labeled prep gates produce from |0>."""
     zero = StateVector(np.array([1.0, 0.0], dtype=complex))
     return apply_gates(zero, [factory(0) for factory in _PREP_GATES[label]]).amplitudes
+
+
+_PREP_AMPS = np.array([prep_state(lab) for lab in PREP_LABELS])
 
 
 @dataclass(frozen=True)
@@ -111,8 +116,11 @@ class VariantResult:
 
 
 def _cuts(fragment: Fragment, side: str) -> tuple:
-    return (fragment.upstream_cut_qubits if side == "upstream"
+    cuts = (fragment.upstream_cut_qubits if side == "upstream"
             else fragment.downstream_cut_qubits)
+    if not cuts:
+        raise ValueError("fragment has no %s cut qubits" % side)
+    return cuts
 
 
 def _normalize_neglected(neglected):
@@ -133,12 +141,8 @@ def _neglected_by_cut(cut_ids, neglected):
     return table
 
 
-def _variants(fragment: Fragment, side: str, neglected, obs) -> list:
-    cuts = _cuts(fragment, side)
-    if not cuts:
-        raise ValueError("fragment has no %s cut qubits" % side)
-    cut_ids = [cid for cid, _ in cuts]
-    dropped = _neglected_by_cut(cut_ids, neglected)
+def _readout(fragment: Fragment, obs) -> tuple:
+    """The (output qubit, "X" | "Y") pairs a Pauli obs rotates to a Z readout."""
     readout = []
     if obs is not None and obs.kind == "pauli":
         for q, p in zip(obs.qubits, obs.paulis):
@@ -146,10 +150,23 @@ def _variants(fragment: Fragment, side: str, neglected, obs) -> list:
                 raise SupportMismatch("observable qubit %d is not a fragment output" % q)
             if p in (PauliOp.X, PauliOp.Y):
                 readout.append((q, p.value))
+    return tuple(readout)
+
+
+def _body(fragment: Fragment, readout) -> Circuit:
+    """The fragment followed by the rotations of a readout."""
+    rotations = [g for q, p in readout for g in basis_rotation(PauliOp(p), q)]
+    return Circuit(fragment.circuit.n_qubits, tuple(fragment.circuit.gates) + tuple(rotations), ())
+
+
+def _variants(fragment: Fragment, side: str, neglected, obs) -> list:
+    cut_ids = [cid for cid, _ in _cuts(fragment, side)]
+    dropped = _neglected_by_cut(cut_ids, neglected)
+    readout = _readout(fragment, obs)
     allowed = [[lab for lab in SIDE_LABELS[side]
                 if lab[0] == "Z" or PauliOp(lab[0]) not in dropped[cid]]
                for cid in cut_ids]
-    return [VariantKey(side, tuple(zip(cut_ids, combo)), tuple(readout))
+    return [VariantKey(side, tuple(zip(cut_ids, combo)), readout)
             for combo in itertools.product(*allowed)]
 
 
@@ -181,7 +198,45 @@ def _upstream_states(fragment: Fragment, body: Circuit, keys):
                                   for g in basis_rotation(PauliOp(lab), wires[cid])])
 
 
-_ONE = np.array([0.0, 1.0], dtype=complex)
+def _cut_columns(fragment: Fragment, body: Circuit) -> np.ndarray:
+    """Row b: the body run on |b> at the cut wires (cut_id order, the first
+    cut most significant) and |0> elsewhere. One pass runs all 2^K inputs:
+    K reference axes after the body's own hold sum_b |b>|b>."""
+    n = body.n_qubits
+    if n > MAX_QUBITS:
+        raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
+    wires = [q for _, q in fragment.downstream_cut_qubits]
+    k = len(wires)
+    inputs = np.arange(2 ** k)
+    rows = sum(((inputs >> (k - 1 - j)) & 1) << (n - 1 - q) for j, q in enumerate(wires))
+    psi = np.zeros((2 ** n, 2 ** k), dtype=complex)
+    psi[rows, inputs] = 1.0
+    out = apply_gates(StateVector(psi.reshape(-1)), body.gates).amplitudes
+    return out.reshape(2 ** n, 2 ** k).T
+
+
+def cut_amplitudes(fragment: Fragment, obs=None) -> np.ndarray:
+    """The cut operator as amplitudes psi[b, x] from one pass of the body
+    (the fragment plus obs's readout rotations).
+
+    b is the cut bits (cut_id order, the first cut most significant) and x
+    the other local qubits in order. Upstream psi is the final state, so
+    psi[b, x] conj(psi[b', x]) is the cut wires' density matrix with output
+    x; downstream row b is the output on input |b> (_cut_columns), so that
+    product is output x's response to |b><b'|. A fragment without cut
+    qubits raises ValueError.
+    """
+    side = fragment.side
+    wires = [q for _, q in _cuts(fragment, side)]
+    body = _body(fragment, _readout(fragment, obs))
+    if side == "downstream":
+        return _cut_columns(fragment, body)
+    n = body.n_qubits
+    order = wires + [q for q in range(n) if q not in wires]
+    psi = simulate(body).amplitudes.reshape((2,) * n).transpose(order)
+    return psi.reshape(2 ** len(wires), -1)
+
+
 # Downstream states formed per matrix product; 64 states of 10 wires take
 # 1 MiB, where all 6^4 of them would take 21 MiB.
 _CHUNK = 64
@@ -195,19 +250,11 @@ def _downstream_states(fragment: Fragment, body: Circuit, keys):
     are formed for all keys at once; states are formed a chunk at a time so
     that at most _CHUNK of them are held.
     """
-    cuts = fragment.downstream_cut_qubits
-    columns = []
-    for bits in itertools.product((0, 1), repeat=len(cuts)):
-        initial = [None] * body.n_qubits
-        for (_, q), b in zip(cuts, bits):
-            initial[q] = _ONE if b else None
-        columns.append(simulate(body, initial).amplitudes)
-    columns = np.array(columns)
-    amps = np.array([prep_state(lab) for lab in PREP_LABELS])
+    columns = _cut_columns(fragment, body)
     which = np.array([[PREP_LABELS.index(lab) for _, lab in key.assignment] for key in keys])
     rows = np.ones((len(keys), 1), dtype=complex)
-    for j in range(len(cuts)):
-        rows = (rows[:, :, None] * amps[which[:, j]][:, None, :]).reshape(len(keys), -1)
+    for j in range(which.shape[1]):
+        rows = (rows[:, :, None] * _PREP_AMPS[which[:, j]][:, None, :]).reshape(len(keys), -1)
     for start in range(0, len(keys), _CHUNK):
         for amplitudes in rows[start:start + _CHUNK] @ columns:
             yield StateVector(amplitudes)
@@ -217,7 +264,7 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     """Execute every VariantKey; exact or sampled probability vectors.
 
     Keys are grouped by readout, and each group's body is simulated once
-    (2^K times downstream, once per computational input on the cut wires);
+    (downstream in one batched pass over the 2^K inputs of the cut wires);
     see the module docstring. Any list of keys of this fragment works, in
     any order; a key of another side, with other cut ids, an unknown label
     or a readout qubit that is not an output raises ValueError. shots None
@@ -243,8 +290,7 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     states = _upstream_states if side == "upstream" else _downstream_states
     results = [None] * len(variants)
     for readout, indices in groups.items():
-        rotations = [g for q, p in readout for g in basis_rotation(PauliOp(p), q)]
-        body = Circuit(n, tuple(fragment.circuit.gates) + tuple(rotations), ())
+        body = _body(fragment, readout)
         keys = [variants[i] for i in indices]
         for i, key, sv in zip(indices, keys, states(fragment, body, keys)):
             if shots is None:

@@ -2,9 +2,10 @@
 
 Observables and distributions at this level refer to parent-circuit qubits;
 the helpers here split them onto the two fragments and permute fragment
-results back into parent qubit order. RNG streams are split per
-(root seed, trial, side, variant) with side codes 0 = upstream,
-1 = downstream, 2 = uncut reference.
+results back into parent qubit order. Exact mode runs no variant: both
+tensors come from the fragments' cut operators (operator_tensor). RNG
+streams are split per (root seed, trial, side, variant) with side codes
+0 = upstream, 1 = downstream, 2 = uncut reference.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .reconstructor import (
     build_tensor,
     contract_distribution,
     contract_expectation,
+    operator_tensor,
 )
 from .seeding import stream
 from .simulator import ObservableSpec, exact_distribution, exact_expectation, sample, simulate
@@ -123,21 +125,24 @@ class RunResult:
 def upstream_report(f1: Fragment, obs: ObservableSpec = None, shots: int = None,
                     seed: int = 0, trial: int = 0, eps: float = ORACLE_EPS,
                     alpha: float = DEFAULT_ALPHA, tau: float = DEFAULT_TAU):
-    """Run every upstream setting and detect golden bases.
+    """Build the upstream tensor and detect golden bases.
 
-    obs None reads the full distribution over the fragment's outputs. The
-    settings run through run_fragment on seed path (trial, SIDE_UPSTREAM).
-    Returns (results, report): the results in upstream_variants order, and
-    with shots None detect_exact at eps on the tensor built from them,
-    otherwise detect_statistical at alpha and tau.
+    obs None reads the full distribution over the fragment's outputs.
+    Returns (tensor, report), nothing neglected in the tensor. With shots
+    None it is operator_tensor and the report detect_exact at eps;
+    otherwise every setting runs through run_fragment on seed path (trial,
+    SIDE_UPSTREAM) into build_tensor, and the report is detect_statistical
+    at alpha and tau.
     """
     if obs is None:
         obs = ObservableSpec.distribution(f1.output_qubits)
+    if shots is None:
+        tensor = operator_tensor(f1, obs)
+        return tensor, detect_exact(tensor, eps)
     results = run_fragment(f1, upstream_variants(f1, obs=obs), shots=shots, seed=seed,
                            seed_path=(trial, SIDE_UPSTREAM))
-    if shots is None:
-        return results, detect_exact(build_tensor(results, obs, "upstream"), eps)
-    return results, detect_statistical(results, obs, alpha=alpha, tau=tau)
+    return (build_tensor(results, obs, "upstream"),
+            detect_statistical(results, obs, alpha=alpha, tau=tau))
 
 
 def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
@@ -147,8 +152,9 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     """Cut, execute, optionally prune, and reconstruct one circuit.
 
     obs None reconstructs the full bitstring distribution. shots None runs
-    the infinite-shot oracle; otherwise every executed variant is sampled
-    with shots drawn from its own seeded stream. Pruning modes:
+    no variant (operator_tensor on both sides), though run.cost counts what
+    a device would run; otherwise every executed variant is sampled with
+    shots drawn from its own seeded stream. Pruning modes:
 
     * "off": no neglected bases.
     * "known": neglect exactly the pairs passed in neglect, which every
@@ -169,11 +175,10 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
         obs = ObservableSpec.distribution(range(circuit.n_qubits))
     obs1, obs2 = split_observable(f1, f2, obs)
 
-    # Every mode but statistical reports exact detection on the full
-    # upstream oracle; without shots those results also feed the
-    # reconstruction, whose tensor reads only the settings that stay.
-    up_results, report = upstream_report(f1, obs1, shots if prune == "statistical" else None,
-                                         seed, trial, alpha=alpha, tau=tau)
+    # Every mode but statistical reports exact detection; the reported
+    # tensor is the upstream tensor unless shots rerun the pruned set.
+    a, report = upstream_report(f1, obs1, shots if prune == "statistical" else None,
+                                seed, trial, alpha=alpha, tau=tau)
     if prune == "off":
         neglected = frozenset()
     elif prune == "known":
@@ -188,13 +193,16 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     if prune == "statistical":
         ledger.upstream_variants = baseline.upstream_variants  # all ran for detection
     elif shots is not None:
-        up_results = run_fragment(f1, upstream_variants(f1, neglected, obs=obs1), shots=shots,
-                                  seed=seed, seed_path=(trial, SIDE_UPSTREAM))
-    down_results = run_fragment(f2, downstream_variants(f2, neglected, obs=obs2), shots=shots,
-                                seed=seed, seed_path=(trial, SIDE_DOWNSTREAM))
-
-    a = build_tensor(up_results, obs1, "upstream", neglected)
-    b = build_tensor(down_results, obs2, "downstream", neglected)
+        a = build_tensor(run_fragment(f1, upstream_variants(f1, neglected, obs=obs1),
+                                      shots=shots, seed=seed, seed_path=(trial, SIDE_UPSTREAM)),
+                         obs1, "upstream", neglected)
+    if shots is None:
+        b = operator_tensor(f2, obs2)
+    else:
+        b = build_tensor(run_fragment(f2, downstream_variants(f2, neglected, obs=obs2),
+                                      shots=shots, seed=seed, seed_path=(trial, SIDE_DOWNSTREAM)),
+                         obs2, "downstream", neglected)
+    a, b = a.pruned(neglected), b.pruned(neglected)
     if obs.kind == "distribution":
         rec = contract_distribution(a, b)
     else:

@@ -1,28 +1,29 @@
 """Build signed fragment tensors and contract them into uncut results.
 
 The upstream tensor A and downstream tensor B are indexed by a Pauli basis
-tuple M with one entry per cut. Each cut contributes six data columns:
-upstream, the (setting, outcome bit) pairs X0 X1 Y0 Y1 Z0 Z1; downstream,
-the eigenstate preparations Zp Zm Xp Xm Yp Ym. One fixed 4x6 map per side
-(SIDE_MAPS) takes a cut's columns to its basis rows I, X, Y, Z: a Pauli row
-is the signed difference of its two columns, and the identity row adds the
-two Z columns with weight +1. A tensor is that map applied along every cut
-axis of the variant data (the wire-cut identity of Peng, Harrow, Ozols and
-Wu, PRL 125, 150504, 2020). Neglecting a basis zeroes its row, so pruning
-is a row mask. The uncut expectation is (1/2^K) * sum over allowed M of
-A[M] * B[M], and the uncut distribution applies the same contraction per
-output bitstring pair.
+tuple M with one entry per cut. A tensor is a fixed per-cut map applied
+along every cut axis of a fragment's data (the wire-cut identity of Peng,
+Harrow, Ozols and Wu, PRL 125, 150504, 2020). build_tensor reads variant
+results, exact or sampled: six data columns per cut, upstream the (setting,
+outcome bit) pairs X0 X1 Y0 Y1 Z0 Z1, downstream the preparations Zp Zm
+Xp Xm Yp Ym, which a 4x6 map per side (SIDE_MAPS) takes to the basis rows
+I, X, Y, Z. A Pauli row is the signed difference of its two columns, and
+the identity row adds the two Z columns. operator_tensor reads the exact
+cut operator instead: the four pairs (b, b') of computational bits per
+cut, 4^K data instead of 6^K variants, mapped by OPERATOR_MAPS. Neglecting
+a basis zeroes its row, so pruning is a row mask. The uncut expectation is (1/2^K) * sum over allowed M of A[M] * B[M], and the uncut
+distribution applies the same contraction per output bitstring pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
 
 from .circuits import PauliOp
 from .errors import ArityMismatch, GoldcutError, MissingVariant, WrongSide
-from .fragmenter import SIDE_LABELS, _normalize_neglected
+from .fragmenter import SIDE_LABELS, _cuts, _normalize_neglected, cut_amplitudes
 from .metrics import closed_form_counts
 
 BASES = (PauliOp.I, PauliOp.X, PauliOp.Y, PauliOp.Z)
@@ -45,6 +46,14 @@ SIDE_MAPS = {
         [0, 0, 0, 0, 1, -1],
         [1, -1, 0, 0, 0, 0],
     ], dtype=float)),
+}
+
+# Per side: the 4x4 map from a cut's pairs (b, b') of computational bits,
+# b' the faster index, to the basis rows I, X, Y, Z: upstream P[b', b], so a
+# row is tr(P rho); downstream P[b, b'], the response to P at the input.
+OPERATOR_MAPS = {
+    "upstream": np.array([p.matrix.T.reshape(-1) for p in BASES]),
+    "downstream": np.array([p.matrix.reshape(-1) for p in BASES]),
 }
 
 
@@ -76,6 +85,17 @@ class FragmentTensor:
                     for p in labels)
         return self.entries[idx]
 
+    def pruned(self, neglected) -> "FragmentTensor":
+        """This tensor with the rows of the neglected (cut_id, basis) pairs
+        zeroed and the neglected set recorded; itself when it already has
+        that set."""
+        neglected = _normalize_neglected(neglected)
+        if neglected == self.neglected:
+            return self
+        mask = _allowed_mask(self.cut_ids, neglected)
+        mask = mask.reshape(mask.shape + (1,) * (self.entries.ndim - self.n_cuts))
+        return replace(self, entries=np.where(mask, self.entries, 0.0), neglected=neglected)
+
 
 def _output_weights(obs, rest_locals):
     """Per-bitstring observable values over the non-cut bits, or None when
@@ -104,6 +124,23 @@ def _output_weights(obs, rest_locals):
     raise ValueError("unsupported observable kind %r" % obs.kind)
 
 
+def _check_cuts(k: int):
+    if k > MAX_CUTS:
+        raise GoldcutError("tensor capped at %d cuts, got %d" % (MAX_CUTS, k))
+
+
+def _tensor(side, cut_ids, obs, entries, source, neglected, out_bits) -> FragmentTensor:
+    """The FragmentTensor of built entries; an exact projector entry beyond
+    2^K raises GoldcutError."""
+    dist = obs.kind == "distribution"
+    if source == "exact" and obs.kind == "projector":
+        bound = 2.0 ** len(cut_ids)
+        if not np.all(np.abs(entries) <= bound + 1e-9):
+            raise GoldcutError("projector tensor entry exceeds the bound 2^K = %g" % bound)
+    return FragmentTensor(side, cut_ids, "distribution" if dist else "expectation",
+                          entries, source, neglected, out_bits if dist else ())
+
+
 def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     """Assemble the signed tensor for one side from its variant results.
 
@@ -128,8 +165,7 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
 
     cut_ids = tuple(sorted(cid for cid, _ in results[0].key.assignment))
     k = len(cut_ids)
-    if k > MAX_CUTS:
-        raise GoldcutError("tensor capped at %d cuts, got %d" % (MAX_CUTS, k))
+    _check_cuts(k)
     labels, per_label, side_map = SIDE_MAPS[side]
     measured = cut_ids if side == "upstream" else ()
     dist = obs.kind == "distribution"
@@ -182,16 +218,38 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
             block = np.matmul(m, block.reshape(4 ** j, 6, -1))
         for basis in np.flatnonzero(maps[0][:, col]):
             entries[basis] += maps[0][basis, col] * block.reshape(-1)
-    entries = entries.reshape((4,) * k + tail)
-    tensor = FragmentTensor(side, cut_ids, "distribution" if dist else "expectation",
-                            entries, source, neglected,
-                            out_bits if dist else ())
+    return _tensor(side, cut_ids, obs, entries.reshape((4,) * k + tail), source, neglected,
+                   out_bits)
 
-    if source == "exact" and not dist and obs.kind == "projector":
-        bound = 2.0 ** k + 1e-9
-        if not np.all(np.abs(tensor.entries) <= bound):
-            raise GoldcutError("projector tensor entry exceeds the bound 2^K = %g" % 2.0 ** k)
-    return tensor
+
+def operator_tensor(fragment, obs) -> FragmentTensor:
+    """The exact tensor of one fragment from its cut operator, nothing
+    neglected; equal to build_tensor over every variant's exact result.
+
+    psi[b, x] comes from one simulation (fragmenter.cut_amplitudes). The
+    data is psi[b, x] conj(psi[b', x]), with the observable's output weights
+    summed in first outside distribution mode, and each cut's (b, b') pair
+    is one axis for its OPERATOR_MAPS matrix.
+    """
+    side = fragment.side
+    cut_ids = tuple(cid for cid, _ in _cuts(fragment, side))
+    k = len(cut_ids)
+    _check_cuts(k)
+    psi = cut_amplitudes(fragment, obs)
+    measured = {q for _, q in fragment.upstream_cut_qubits}
+    out_bits = tuple(q for q in range(fragment.circuit.n_qubits) if q not in measured)
+    weights = _output_weights(obs, list(out_bits))
+    if weights is None:
+        data = psi[:, None, :] * psi[None, :, :].conj()
+    else:
+        data = (psi * weights) @ psi.conj().T
+    tail = data.shape[2:]
+    pairs = [a for j in range(k) for a in (j, k + j)] + list(range(2 * k, 2 * k + len(tail)))
+    data = data.reshape((2,) * (2 * k) + tail).transpose(pairs)
+    for j in range(k):
+        data = np.matmul(OPERATOR_MAPS[side], data.reshape(4 ** j, 4, -1))
+    return _tensor(side, cut_ids, obs, data.real.reshape((4,) * k + tail), "exact",
+                   frozenset(), out_bits)
 
 
 def combine_tensors(tensors, coeffs) -> FragmentTensor:

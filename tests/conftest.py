@@ -8,15 +8,49 @@ construction (an upstream block, K shared wires, a downstream block), with
 entangling chains so each side is one connected component. Hypothesis runs
 derandomized, so property tests draw the same examples on every run.
 """
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import settings
 
+import goldcut.fragmenter as fragmenter
 from goldcut.circuits import Circuit, CutPoint, PauliOp, cnot, gate_matrix, random_circuit
 from goldcut.fragmenter import _PREP_GATES
-from goldcut.simulator import basis_rotation
+from goldcut.simulator import apply_gates, basis_rotation, simulate
 
 settings.register_profile("goldcut", derandomize=True, deadline=None, max_examples=25)
 settings.load_profile("goldcut")
+
+
+def load_perfbench(name):
+    """A module of the benchmark, loaded read-only from its file once."""
+    key = "perfbench_" + name
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / ("%s.py" % name)
+        spec = importlib.util.spec_from_file_location(key, path)
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
+
+
+def count_execution(monkeypatch):
+    """Record the fragmenter's simulate calls as "simulate" and its
+    apply_gates calls by the width of the state they act on."""
+    calls = []
+
+    def counting_simulate(circuit, initial=None):
+        calls.append("simulate")
+        return simulate(circuit, initial)
+
+    def counting_apply_gates(state, gates):
+        calls.append(state.n_qubits)
+        return apply_gates(state, gates)
+
+    monkeypatch.setattr(fragmenter, "simulate", counting_simulate)
+    monkeypatch.setattr(fragmenter, "apply_gates", counting_apply_gates)
+    return calls
 
 
 def embed_unitary(u, qubits, n):

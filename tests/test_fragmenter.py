@@ -1,22 +1,33 @@
 """Variant enumeration and fragment execution."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import goldcut.fragmenter as fragmenter
-from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, h
+from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
 from goldcut.fragmenter import (
     PREP_LABELS,
     VariantKey,
+    cut_amplitudes,
     downstream_variants,
     prep_state,
     run_fragment,
     upstream_variants,
 )
 from goldcut.seeding import stream
-from goldcut.simulator import ObservableSpec, exact_distribution, exact_expectation, sample, simulate
+from goldcut.simulator import (
+    ObservableSpec,
+    basis_rotation,
+    exact_distribution,
+    exact_expectation,
+    sample,
+    simulate,
+)
 
-from conftest import make_cut_circuit, variant_circuit
+from conftest import count_execution, load_perfbench, make_cut_circuit, variant_circuit
+
+multicut_circuit = load_perfbench("workloads").multicut_circuit
 
 
 def bell_fragments():
@@ -222,15 +233,16 @@ class TestRunOnce:
     def test_exact_probabilities_match_own_circuit(self, k, side, name, monkeypatch):
         frag = multicut_fragments(k)[side]
         variants, bodies = variant_lists(frag, k)[name]
-        calls = []
-
-        def counting_simulate(circuit, initial=None):
-            calls.append(circuit)
-            return simulate(circuit, initial)
-
-        monkeypatch.setattr(fragmenter, "simulate", counting_simulate)
+        calls = count_execution(monkeypatch)
         results = run_fragment(frag, variants)
-        assert len(calls) == bodies * (1 if frag.side == "upstream" else 2 ** k)
+        n = frag.circuit.n_qubits
+        if frag.side == "upstream":
+            # one simulation per body; each key rotates a copy of its state
+            assert calls.count("simulate") == bodies
+            assert calls.count(n) == len(variants) and len(calls) == bodies + len(variants)
+        else:
+            # one batched pass per body over its wires plus K reference axes
+            assert calls == [n + k] * bodies
         assert len(results) == len(variants)
         for key, r in zip(variants, results):
             assert r.key == key
@@ -263,6 +275,29 @@ class TestRunOnce:
             draws = stream(7, 3, 1, i).multinomial(500, p / p.sum())
             assert r.key == e.key and r.shots == 500
             assert np.array_equal(r.probs, draws / 500)
+
+    @pytest.mark.parametrize("circ", [
+        *(make_cut_circuit(5, 4, k, 2, 40 + k) for k in (1, 2, 3, 4)),
+        *(multicut_circuit(k, 201) for k in (1, 2, 3, 4)),
+        golden_ansatz(3, 3, 201),
+    ])
+    def test_batched_columns_equal_per_input_simulations(self, circ):
+        # the one batched pass gives the same states as 2^K simulations of
+        # the body from the computational inputs, to rounding (a column
+        # may differ in the last ulp)
+        frag = bipartition(circ)[1]
+        obs = xy_observable(frag.output_qubits[:2])
+        body = Circuit(frag.circuit.n_qubits, tuple(frag.circuit.gates) + tuple(
+            g for q, p in zip(obs.qubits, obs.paulis) for g in basis_rotation(p, q)), ())
+        columns = cut_amplitudes(frag, obs)
+        wires = [q for _, q in frag.downstream_cut_qubits]
+        assert columns.shape == (2 ** len(wires), 2 ** body.n_qubits)
+        for b, bits in enumerate(itertools.product((0, 1), repeat=len(wires))):
+            initial = [None] * body.n_qubits
+            for q, bit in zip(wires, bits):
+                initial[q] = (0.0, 1.0) if bit else None
+            want = simulate(body, initial).amplitudes
+            assert np.max(np.abs(columns[b] - want)) <= 1e-15
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_foreign_key_rejected(self, side):

@@ -1,8 +1,6 @@
 """Weighted distance and cost accounting."""
-import importlib.util
 import itertools
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from goldcut.metrics import (
 )
 from goldcut.reconstructor import FragmentTensor, contract_expectation
 
-from conftest import make_cut_circuit
+from conftest import load_perfbench, make_cut_circuit
 
 
 class TestWeightedDistance:
@@ -72,16 +70,8 @@ class TestWeightedDistance:
             weighted_distance(np.array([1.0, 0.0]), np.zeros(2))
 
 
-def _load_checks():
-    # the benchmark's own count check, loaded from its file (read-only)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-implied_counts = _load_checks().implied_counts
+# the benchmark's own count check
+implied_counts = load_perfbench("checks").implied_counts
 
 SUBSETS = [frozenset(c) for r in range(4)
            for c in itertools.combinations((PauliOp.X, PauliOp.Y, PauliOp.Z), r)]

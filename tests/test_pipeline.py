@@ -8,6 +8,7 @@ from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, gold
 from goldcut.errors import NotBipartite
 from goldcut.fragmenter import run_fragment
 from goldcut.metrics import cut_counts
+from goldcut.reconstructor import contract_distribution
 from goldcut.pipeline import (
     ground_truth_distribution,
     ground_truth_expectation,
@@ -15,10 +16,11 @@ from goldcut.pipeline import (
     reconstruct,
     split_observable,
     uncut_sampled_distribution,
+    upstream_report,
 )
 from goldcut.simulator import ObservableSpec
 
-from conftest import make_cut_circuit
+from conftest import count_execution, make_cut_circuit
 
 
 def fig1():
@@ -202,9 +204,11 @@ class TestExecutedCounts:
             runs.append((fragment.side, results))
             return results
 
+        circ = make_cut_circuit(4, 4, 3, 1, 5)
+        f1, f2 = bipartition(circ)
         monkeypatch.setattr(pipeline, "run_fragment", recording)
-        run = reconstruct(make_cut_circuit(4, 4, 3, 1, 5), shots=shots, seed=2,
-                          prune="known", neglect=neglect)
+        calls = count_execution(monkeypatch)
+        run = reconstruct(circ, shots=shots, seed=2, prune="known", neglect=neglect)
         each = shots or 0
         counts = cut_counts((1, 2, 3), neglect, each)
         full = cut_counts((1, 2, 3), shots_each=each)
@@ -216,13 +220,17 @@ class TestExecutedCounts:
             full.variants_executed, full.shots_total, full.basis_tuples)
         assert run.cost.shots_total == run.cost.variants_executed * each
         assert run.reconstruction.terms_evaluated == counts.basis_tuples
-        # what actually ran: the exact oracle's full upstream set feeds
-        # detection, so only the downstream run is pruned without shots
-        ran = dict(runs)  # the last run of each side
+        # what actually ran: without shots no variant, only one simulation
+        # of the upstream body and one batched pass over the downstream one
+        if shots is None:
+            assert runs == []
+            assert calls == ["simulate", f2.circuit.n_qubits + 3]
+            return
+        ran = dict(runs)
+        assert sorted(ran) == ["downstream", "upstream"] and len(runs) == 2
+        assert len(ran["upstream"]) == counts.upstream_variants
         assert len(ran["downstream"]) == counts.downstream_variants
         assert sum(r.shots for rs in ran.values() for r in rs) == run.cost.shots_total
-        if shots is not None:
-            assert len(ran["upstream"]) == counts.upstream_variants
 
     def test_identity_only_cut_reconstructs(self):
         # exact detection flags X, Y and Z at the cut; the identity term
@@ -241,27 +249,56 @@ class TestExecutedCounts:
 class TestOracleReuse:
     @pytest.mark.parametrize("prune", ["off", "known", "exact"])
     def test_exact_mode_runs_the_upstream_oracle_once(self, prune, monkeypatch):
-        # the full upstream set feeds the golden report and the
-        # reconstruction, whose tensor reads only the kept settings; the
-        # ledger counts the pruned set
+        # the upstream cut operator, one simulation of the body, feeds the
+        # golden report and the reconstruction; the downstream one is one
+        # batched pass; no variant runs, and the ledger counts the pruned set
         # (golden_ansatz certifies through the same pipeline helper, so the
-        # circuit is built before run_fragment is counted)
+        # circuit is built before anything is counted)
         circ = golden_ansatz(3, 1, 0)
-        calls = []
+        _, f2 = bipartition(circ)
+        runs = []
 
         def counting(fragment, variants, **kwargs):
-            calls.append((fragment.side, len(variants)))
+            runs.append((fragment.side, len(variants)))
             return run_fragment(fragment, variants, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_fragment", counting)
+        calls = count_execution(monkeypatch)
         neglect = [(1, "Y")] if prune == "known" else ()
         run = reconstruct(circ, prune=prune, neglect=neglect)
         pruned = prune != "off"
-        assert calls == [("upstream", 3), ("downstream", 4 if pruned else 6)]
+        assert runs == []
+        assert calls == ["simulate", f2.circuit.n_qubits + 1]
         assert run.cost.variants_executed == (6 if pruned else 9)
         assert run.golden.entry(1, "Y").golden
         want = ground_truth_distribution(circ)
         assert np.max(np.abs(run.raw_distribution - want)) < 1e-10
+
+
+    @pytest.mark.parametrize("shots,prune", [(None, "exact"), (10_000, "statistical")])
+    def test_reconstruct_prunes_the_reported_tensor(self, shots, prune, monkeypatch):
+        # upstream_report's tensor is unmasked; reconstruct zeroes the rows it
+        # neglects and contracts that tensor, without a second upstream pass
+        circ = golden_ansatz(5, 2, 7)
+        f1, f2 = bipartition(circ)
+        obs1, _ = split_observable(f1, f2, ObservableSpec.distribution(range(5)))
+        tensor, report = upstream_report(f1, obs1, shots=shots, seed=3)
+        assert (tensor.side, tensor.neglected) == ("upstream", frozenset())
+        assert tensor.source == ("exact" if shots is None else "shots")
+        assert report.golden_pairs() == {(1, PauliOp.Y)}
+        contracted = []
+
+        def recording(a, b):
+            contracted.append(a)
+            return contract_distribution(a, b)
+
+        monkeypatch.setattr(pipeline, "contract_distribution", recording)
+        run = reconstruct(circ, shots=shots, seed=3, prune=prune)
+        (a,) = contracted
+        assert a.neglected == run.neglected == {(1, PauliOp.Y)}
+        assert np.array_equal(a.entries, tensor.pruned(run.neglected).entries)
+        assert not np.any(a.entries[2]) and np.array_equal(a.entries[[0, 1, 3]],
+                                                           tensor.entries[[0, 1, 3]])
 
 
 class TestDeterminism:

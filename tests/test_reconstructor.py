@@ -4,9 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
+import goldcut.reconstructor as reconstructor
 from goldcut.circuits import (
     Circuit,
     CutPoint,
+    Fragment,
     PauliOp,
     bipartition,
     cnot,
@@ -23,6 +25,7 @@ from goldcut.errors import (
 from goldcut.fragmenter import (
     MEASURED_BASES,
     VariantResult,
+    cut_amplitudes,
     downstream_variants,
     run_fragment,
     upstream_variants,
@@ -34,6 +37,7 @@ from goldcut.reconstructor import (
     combine_tensors,
     contract_distribution,
     contract_expectation,
+    operator_tensor,
     term_count,
 )
 from goldcut.simulator import (
@@ -43,7 +47,7 @@ from goldcut.simulator import (
     simulate,
 )
 
-from conftest import make_cut_circuit
+from conftest import load_perfbench, make_cut_circuit
 
 IDENTITY_OBS = ObservableSpec.pauli_string([], [])
 DIST = ObservableSpec.distribution(())
@@ -250,6 +254,67 @@ class TestReferenceDefinition:
         twice = build_tensor(results + doubled, DIST, "upstream")
         once = build_tensor(results, DIST, "upstream")
         assert np.allclose(twice.entries, 0.5 * once.entries, atol=1e-15)
+
+
+# Every subset of {X, Y, Z} that a cut may neglect, X+Y+Z (identity-only)
+# included.
+SUBSETS = [frozenset(c) for r in range(4) for c in itertools.combinations(MEASURED_BASES, r)]
+
+
+class TestOperatorTensor:
+    """Tensors straight from the cut operator equal build_tensor over the
+    exact results of every variant."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["make_cut_circuit", "multicut"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_equals_build_over_variants(self, k, family, side):
+        circ = (make_cut_circuit(k + 2, k + 2, k, 2, 60 + k) if family == "make_cut_circuit"
+                else load_perfbench("workloads").multicut_circuit(k, 201))
+        frag = bipartition(circ)[side]
+        enum = upstream_variants if frag.side == "upstream" else downstream_variants
+        outs = frag.output_qubits
+        rng = np.random.default_rng(k)
+        observables = (
+            ObservableSpec.distribution(outs),
+            ObservableSpec.pauli_string(["XYZI"[i % 4] for i in range(len(outs))], outs),
+            ObservableSpec.projector("".join(rng.choice(["0", "1"], len(outs))), outs),
+        )
+        for obs in observables:
+            full = operator_tensor(frag, obs)
+            by_key = {r.key: r for r in run_fragment(frag, enum(frag, obs=obs))}
+            # each subset at each cut, in a different mix across the cuts
+            for shift in range(len(SUBSETS)):
+                neglected = frozenset((cid, p) for cid in range(1, k + 1)
+                                      for p in SUBSETS[(shift + cid) % len(SUBSETS)])
+                want = build_tensor([by_key[key] for key in enum(frag, neglected, obs)], obs,
+                                    frag.side, neglected)
+                got = full.pruned(neglected)
+                assert ((got.side, got.cut_ids, got.mode, got.source, got.neglected,
+                         got.output_bits, got.entries.shape)
+                        == (want.side, want.cut_ids, want.mode, want.source, want.neglected,
+                            want.output_bits, want.entries.shape))
+                assert np.max(np.abs(got.entries - want.entries)) <= 1e-12
+
+    def test_cut_cap_raises(self):
+        for frag in bipartition(make_cut_circuit(9, 9, 9, 1, 0)):
+            with pytest.raises(GoldcutError, match="capped at 8 cuts"):
+                operator_tensor(frag, ObservableSpec.distribution(frag.output_qubits))
+
+    def test_projector_bound_raises(self, monkeypatch):
+        obs = ObservableSpec.projector("0", [0])
+        f1, _ = bipartition(fig1())
+        operator_tensor(f1, obs)
+        monkeypatch.setattr(reconstructor, "cut_amplitudes",
+                            lambda fragment, o: 10.0 * cut_amplitudes(fragment, o))
+        with pytest.raises(GoldcutError, match="bound"):
+            operator_tensor(f1, obs)
+
+    def test_fragment_without_cuts_raises(self):
+        f1, _ = bipartition(fig1())
+        bare = Fragment(f1.circuit, (), (), f1.output_qubits, f1.parent_qubits)
+        with pytest.raises(ValueError, match="no downstream cut qubits"):
+            operator_tensor(bare, DIST)
 
 
 class TestContractExpectation:
