@@ -141,6 +141,14 @@ def _neglected_by_cut(cut_ids, neglected):
     return table
 
 
+def _kept_labels(side: str, dropped) -> tuple:
+    """The labels a cut keeps when the bases in dropped are neglected: each
+    label goes with its basis, except that Z labels stay, since the
+    identity row is read from them."""
+    return tuple(lab for lab in SIDE_LABELS[side]
+                 if lab[0] == "Z" or PauliOp(lab[0]) not in dropped)
+
+
 def _readout(fragment: Fragment, obs) -> tuple:
     """The (output qubit, "X" | "Y") pairs a Pauli obs rotates to a Z readout."""
     readout = []
@@ -163,9 +171,7 @@ def _variants(fragment: Fragment, side: str, neglected, obs) -> list:
     cut_ids = [cid for cid, _ in _cuts(fragment, side)]
     dropped = _neglected_by_cut(cut_ids, neglected)
     readout = _readout(fragment, obs)
-    allowed = [[lab for lab in SIDE_LABELS[side]
-                if lab[0] == "Z" or PauliOp(lab[0]) not in dropped[cid]]
-               for cid in cut_ids]
+    allowed = [_kept_labels(side, dropped[cid]) for cid in cut_ids]
     return [VariantKey(side, tuple(zip(cut_ids, combo)), readout)
             for combo in itertools.product(*allowed)]
 

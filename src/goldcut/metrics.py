@@ -7,7 +7,7 @@ import numpy as np
 
 from .circuits import PauliOp
 from .errors import EmptySupport
-from .fragmenter import _neglected_by_cut
+from .fragmenter import _kept_labels, _neglected_by_cut
 
 CSV_COLUMNS = (
     "trial", "seed", "n_qubits", "K", "K_g", "shots_per_variant",
@@ -101,15 +101,14 @@ def cut_counts(cut_ids, neglected=frozenset(), shots_each: int = 0) -> CostLedge
     of all bases dropped. A run executes prod(3 - g_c) upstream settings
     (the Z setting always runs, since the identity is read from it) and
     prod(6 - 2 g_c) downstream preparations, each at shots_each shots, and
-    contracts prod(4 - |d_c|) basis tuples. neglected is checked as the
-    variant enumerators check it; dropping X, Y and Z at a cut leaves its
-    identity term alone.
+    contracts prod(4 - |d_c|) basis tuples. The labels counted and the
+    check of neglected are the variant enumerators' own; dropping X, Y and
+    Z at a cut leaves its identity term alone.
     """
     upstream = downstream = tuples = 1
     for dropped in _neglected_by_cut(cut_ids, neglected).values():
-        g = len(dropped - {PauliOp.Z})
-        upstream *= 3 - g
-        downstream *= 6 - 2 * g
+        upstream *= len(_kept_labels("upstream", dropped))
+        downstream *= len(_kept_labels("downstream", dropped))
         tuples *= 4 - len(dropped)
     return CostLedger(upstream, downstream, tuples, shots_each)
 

@@ -207,7 +207,6 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
         rec = contract_distribution(a, b)
     else:
         rec = contract_expectation(a, b)
-    rec.shots_used = ledger.shots_total
 
     expectation = None
     distribution = None

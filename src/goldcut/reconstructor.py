@@ -1,29 +1,33 @@
 """Build signed fragment tensors and contract them into uncut results.
 
 The upstream tensor A and downstream tensor B are indexed by a Pauli basis
-tuple M with one entry per cut. A tensor is a fixed per-cut map applied
-along every cut axis of a fragment's data (the wire-cut identity of Peng,
-Harrow, Ozols and Wu, PRL 125, 150504, 2020). build_tensor reads variant
-results, exact or sampled: six data columns per cut, upstream the (setting,
-outcome bit) pairs X0 X1 Y0 Y1 Z0 Z1, downstream the preparations Zp Zm
-Xp Xm Yp Ym, which a 4x6 map per side (SIDE_MAPS) takes to the basis rows
-I, X, Y, Z. A Pauli row is the signed difference of its two columns, and
-the identity row adds the two Z columns. operator_tensor reads the exact
-cut operator instead: the four pairs (b, b') of computational bits per
-cut, 4^K data instead of 6^K variants, mapped by OPERATOR_MAPS. Neglecting
-a basis zeroes its row, so pruning is a row mask. The uncut expectation is (1/2^K) * sum over allowed M of A[M] * B[M], and the uncut
+tuple M with one entry per cut. Every tensor is made the same way: data
+with one axis per cut, a fixed per-cut map applied along each of those
+axes by _map_cuts (the wire-cut identity of Peng, Harrow, Ozols and Wu,
+PRL 125, 150504, 2020), then FragmentTensor.pruned, the only code that
+zeroes the rows of neglected bases. build_tensor reads variant results,
+exact or sampled: six data columns per cut, upstream the (setting, outcome
+bit) pairs X0 X1 Y0 Y1 Z0 Z1, downstream the preparations Zp Zm Xp Xm Yp
+Ym, which a 4x6 map per side (SIDE_MAPS) takes to the basis rows I, X, Y,
+Z. A Pauli row is the signed difference of its two columns, and the
+identity row adds the two Z columns. operator_tensor reads the exact cut
+operator instead: the four pairs (b, b') of computational bits per cut,
+4^K data instead of 6^K variants, mapped by OPERATOR_MAPS. A neglected set
+is checked once, by fragmenter's rule, wherever it is read. The uncut
+expectation is (1/2^K) * sum over kept M of A[M] * B[M], and the uncut
 distribution applies the same contraction per output bitstring pair.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
 
 from .circuits import PauliOp
-from .errors import ArityMismatch, GoldcutError, MissingVariant, WrongSide
-from .fragmenter import SIDE_LABELS, _cuts, _normalize_neglected, cut_amplitudes
+from .errors import ArityMismatch, GoldcutError, MissingVariant, SupportMismatch, WrongSide
+from .fragmenter import SIDE_LABELS, _cuts, _kept_labels, _neglected_by_cut, cut_amplitudes
 from .metrics import closed_form_counts
 
 BASES = (PauliOp.I, PauliOp.X, PauliOp.Y, PauliOp.Z)
@@ -88,40 +92,35 @@ class FragmentTensor:
     def pruned(self, neglected) -> "FragmentTensor":
         """This tensor with the rows of the neglected (cut_id, basis) pairs
         zeroed and the neglected set recorded; itself when it already has
-        that set."""
-        neglected = _normalize_neglected(neglected)
+        that set. neglected is checked as the variant enumerators check it.
+        No other code zeroes rows."""
+        dropped = _neglected_by_cut(self.cut_ids, neglected)
+        neglected = frozenset((cid, p) for cid, ps in dropped.items() for p in ps)
         if neglected == self.neglected:
             return self
-        mask = _allowed_mask(self.cut_ids, neglected)
+        mask = _kept(self.cut_ids, dropped)
         mask = mask.reshape(mask.shape + (1,) * (self.entries.ndim - self.n_cuts))
         return replace(self, entries=np.where(mask, self.entries, 0.0), neglected=neglected)
 
 
-def _output_weights(obs, rest_locals):
-    """Per-bitstring observable values over the non-cut bits, or None when
-    the tensor is distribution mode."""
-    m = len(rest_locals)
-    size = 2 ** m
+def _output_weights(obs, out_bits):
+    """Per-bitstring observable values over the output bits, or None in
+    distribution mode; a qubit that is not an output raises SupportMismatch."""
+    for q in obs.qubits:
+        if q not in out_bits:
+            raise SupportMismatch("observable qubit %d is not a fragment output" % q)
     if obs.kind == "distribution":
         return None
-    idx = np.arange(size)
-    if obs.kind == "projector":
-        w = np.ones(size)
-        for q, bit in zip(obs.qubits, obs.bits):
-            pos = rest_locals.index(q)
-            have = (idx >> (m - 1 - pos)) & 1
-            w *= (have == int(bit)).astype(float)
-        return w
-    if obs.kind == "pauli":
-        w = np.ones(size)
-        for q, p in zip(obs.qubits, obs.paulis):
-            if p is PauliOp.I:
-                continue
-            pos = rest_locals.index(q)
-            have = (idx >> (m - 1 - pos)) & 1
+    m = len(out_bits)
+    idx = np.arange(2 ** m)
+    w = np.ones(2 ** m)
+    for q, f in zip(obs.qubits, obs.bits if obs.kind == "projector" else obs.paulis):
+        have = (idx >> (m - 1 - out_bits.index(q))) & 1
+        if obs.kind == "projector":
+            w *= have == int(f)
+        elif f is not PauliOp.I:
             w *= 1.0 - 2.0 * have
-        return w
-    raise ValueError("unsupported observable kind %r" % obs.kind)
+    return w
 
 
 def _check_cuts(k: int):
@@ -129,28 +128,36 @@ def _check_cuts(k: int):
         raise GoldcutError("tensor capped at %d cuts, got %d" % (MAX_CUTS, k))
 
 
-def _tensor(side, cut_ids, obs, entries, source, neglected, out_bits) -> FragmentTensor:
-    """The FragmentTensor of built entries; an exact projector entry beyond
-    2^K raises GoldcutError."""
+def _map_cuts(cut_map, data, k):
+    """cut_map applied along each of the first k axes of data, one axis of
+    columns per cut: 4 basis rows per cut, the other axes flattened."""
+    for j in range(k):
+        data = np.matmul(cut_map, data.reshape(4 ** j, cut_map.shape[1], -1))
+    return data.reshape(4 ** k, -1)
+
+
+def _tensor(side, cut_ids, obs, entries, source, out_bits) -> FragmentTensor:
+    """The FragmentTensor of mapped entries, nothing neglected; an exact
+    projector entry beyond 2^K raises GoldcutError."""
     dist = obs.kind == "distribution"
     if source == "exact" and obs.kind == "projector":
         bound = 2.0 ** len(cut_ids)
         if not np.all(np.abs(entries) <= bound + 1e-9):
             raise GoldcutError("projector tensor entry exceeds the bound 2^K = %g" % bound)
+    entries = entries.reshape((4,) * len(cut_ids) + ((-1,) if dist else ()))
     return FragmentTensor(side, cut_ids, "distribution" if dist else "expectation",
-                          entries, source, neglected, out_bits if dist else ())
+                          entries, source, frozenset(), out_bits if dist else ())
 
 
 def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     """Assemble the signed tensor for one side from its variant results.
 
-    Each result supplies data columns per cut (see SIDE_MAPS), and the
-    tensor is the side's 4x6 map applied along every cut axis. neglected
-    lists the (cut_id, basis) pairs being pruned; their rows of the map are
-    zeroed, so those entries stay zero (for a neglected Z as well, although
-    the Z-setting data still feeds the identity row). Only the variants a
-    kept basis reads must be present; for a repeated key the last result
-    counts.
+    Each result supplies data columns per cut (see SIDE_MAPS); the tensor is
+    the side's 4x6 map applied along every cut axis, then pruned of the
+    (cut_id, basis) pairs in neglected. The variants that
+    upstream_variants / downstream_variants keep for neglected must be
+    present; others may be, and feed only pruned rows. For a repeated key
+    the last result counts.
     """
     if not results:
         raise MissingVariant("no variant results")
@@ -161,11 +168,11 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     if len(exact) != 1:
         raise ValueError("mixed exact and shot results")
     source = "exact" if exact == {True} else "shots"
-    neglected = _normalize_neglected(neglected)
 
     cut_ids = tuple(sorted(cid for cid, _ in results[0].key.assignment))
     k = len(cut_ids)
     _check_cuts(k)
+    dropped = _neglected_by_cut(cut_ids, neglected)
     labels, per_label, side_map = SIDE_MAPS[side]
     measured = cut_ids if side == "upstream" else ()
     dist = obs.kind == "distribution"
@@ -176,50 +183,44 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     pos = dict(results[0].cut_bits)
     cut_axes = [pos[cid] for cid in measured]
     out_bits = tuple(q for q in range(n) if q not in cut_axes)
-    order = cut_axes + list(out_bits)
-    weights = _output_weights(obs, list(out_bits))
+    weights = _output_weights(obs, out_bits)
     tail = (2 ** len(out_bits),) if dist else ()
-    index = {lab: i for i, lab in enumerate(labels)}
-    table = {}
+    by_first = {}
     for r in results:
-        data = r.probs.reshape((2,) * n).transpose(order).reshape(per_label ** k, -1)
+        data = r.probs.reshape((2,) * n).transpose(cut_axes + list(out_bits))
+        data = data.reshape(per_label ** k, -1)
         if not dist:
             data = data @ weights
-        table[tuple(index[r.key.label(cid)] for cid in cut_ids)] = (
-            data.reshape((per_label,) * k + tail))
-
-    maps = [side_map * np.array([[(cid, p) not in neglected] for p in BASES])
-            for cid in cut_ids]
-    read = [m.reshape(4, len(labels), per_label).any(axis=(0, 2)) for m in maps]
-    need = reduce(np.multiply.outer, read[1:], read[0])
-    missing = set(zip(*np.nonzero(need))) - table.keys()
-    if missing:
-        raise MissingVariant("missing %s variant %s"
-                             % (side, tuple(labels[i] for i in min(missing))))
+        key = tuple(r.key.label(cid) for cid in cut_ids)
+        by_first.setdefault(key[0], {})[key[1:]] = data.reshape((per_label,) * k + tail)
+    for key in itertools.product(*(_kept_labels(side, dropped[cid]) for cid in cut_ids)):
+        if key[1:] not in by_first.get(key[0], ()):
+            raise MissingVariant("missing %s variant %s" % (side, key))
 
     # Mode products one column of the first cut at a time, so that only a
-    # 6^(K-1) block of data is held, never all 6^K columns at once. The
-    # block has label axes, then outcome-bit axes, for cuts 2..K; "pairs"
-    # puts each cut's two side by side, which orders its columns as the map.
-    by_first = [[] for _ in labels]
-    for key, data in table.items():
-        if need[key]:
-            by_first[key[0]].append((key[1:], data))
-    pairs = [a for j in range(k - 1) for a in (j, k - 1 + j)]
-    pairs += range(2 * k - 2, 2 * k - 2 + len(tail))
+    # 6^(K-1) block of data is held, never all 6^K columns at once.
     entries = np.zeros((4, 4 ** (k - 1) * int(np.prod(tail))))
-    for col in np.flatnonzero(maps[0].any(axis=0)):
+    shape = (len(labels), per_label) * (k - 1) + tail
+    for col in range(side_map.shape[1]):
         first, bit = divmod(col, per_label)
-        block = np.zeros((len(labels),) * (k - 1) + (per_label,) * (k - 1) + tail)
-        for rest, data in by_first[first]:
-            block[rest] = data[bit]
-        block = block.transpose(pairs)
-        for j, m in enumerate(maps[1:]):
-            block = np.matmul(m, block.reshape(4 ** j, 6, -1))
-        for basis in np.flatnonzero(maps[0][:, col]):
-            entries[basis] += maps[0][basis, col] * block.reshape(-1)
-    return _tensor(side, cut_ids, obs, entries.reshape((4,) * k + tail), source, neglected,
-                   out_bits)
+        if labels[first] in by_first:
+            block = _map_cuts(side_map, _block(by_first[labels[first]], bit, labels, shape),
+                              k - 1)
+            for basis in np.flatnonzero(side_map[:, col]):
+                entries[basis] += side_map[basis, col] * block.reshape(-1)
+            del block  # freed before the next block is mapped
+    return _tensor(side, cut_ids, obs, entries, source, out_bits).pruned(neglected)
+
+
+def _block(rows, bit, labels, shape):
+    """The data of cuts 2..K at one outcome bit of the first cut, from
+    {labels of cuts 2..K: data}: one axis per cut, split as (label, outcome
+    bit) so that its columns are ordered as the side's map. Passed straight
+    to _map_cuts, which then holds its only reference."""
+    block = np.zeros(shape)
+    for rest, data in rows.items():
+        block[tuple(x for lab in rest for x in (labels.index(lab), slice(None)))] = data[bit]
+    return block
 
 
 def operator_tensor(fragment, obs) -> FragmentTensor:
@@ -235,21 +236,18 @@ def operator_tensor(fragment, obs) -> FragmentTensor:
     cut_ids = tuple(cid for cid, _ in _cuts(fragment, side))
     k = len(cut_ids)
     _check_cuts(k)
-    psi = cut_amplitudes(fragment, obs)
     measured = {q for _, q in fragment.upstream_cut_qubits}
     out_bits = tuple(q for q in range(fragment.circuit.n_qubits) if q not in measured)
-    weights = _output_weights(obs, list(out_bits))
+    weights = _output_weights(obs, out_bits)
+    psi = cut_amplitudes(fragment, obs)
     if weights is None:
         data = psi[:, None, :] * psi[None, :, :].conj()
     else:
         data = (psi * weights) @ psi.conj().T
-    tail = data.shape[2:]
-    pairs = [a for j in range(k) for a in (j, k + j)] + list(range(2 * k, 2 * k + len(tail)))
-    data = data.reshape((2,) * (2 * k) + tail).transpose(pairs)
-    for j in range(k):
-        data = np.matmul(OPERATOR_MAPS[side], data.reshape(4 ** j, 4, -1))
-    return _tensor(side, cut_ids, obs, data.real.reshape((4,) * k + tail), "exact",
-                   frozenset(), out_bits)
+    pairs = [a for j in range(k) for a in (j, k + j)]
+    data = data.reshape((2,) * (2 * k) + (-1,)).transpose(pairs + [2 * k])
+    return _tensor(side, cut_ids, obs, _map_cuts(OPERATOR_MAPS[side], data, k).real,
+                   "exact", out_bits)
 
 
 def combine_tensors(tensors, coeffs) -> FragmentTensor:
@@ -279,38 +277,36 @@ class Reconstruction:
     raw: object
     terms_evaluated: int
     neglected: frozenset
-    shots_used: int = 0
 
 
-def _allowed_mask(cut_ids, neglected):
-    k = len(cut_ids)
-    mask = np.ones((4,) * k, dtype=bool)
-    for cid, p in neglected:
-        axis = cut_ids.index(cid)
-        idx = [slice(None)] * k
-        idx[axis] = _BASE_INDEX[p]
-        mask[tuple(idx)] = False
-    return mask
+def _kept(cut_ids, dropped):
+    """Boolean (4,)*K mask of the basis tuples that avoid every dropped
+    basis, dropped as _neglected_by_cut gives it."""
+    rows = [np.array([p not in dropped[cid] for p in BASES]) for cid in cut_ids]
+    return reduce(np.multiply.outer, rows[1:], rows[0])
 
 
-def _check_pair(a: FragmentTensor, b: FragmentTensor):
+def _kept_rows(a: FragmentTensor, b: FragmentTensor, mode: str):
+    """Both tensors' entries over the basis tuples that avoid their
+    neglected set, one row per tuple, after the checks the contractions
+    share."""
     if a.side != "upstream" or b.side != "downstream":
         raise WrongSide("contract takes (upstream, downstream) tensors")
     if a.cut_ids != b.cut_ids:
         raise ArityMismatch("cut interfaces differ: %s vs %s" % (a.cut_ids, b.cut_ids))
     if a.neglected != b.neglected:
         raise ArityMismatch("tensors were built with different neglected sets")
-    return a.neglected
+    if a.mode != mode or b.mode != mode:
+        raise ArityMismatch("contract_%s needs %s-mode tensors" % (mode, mode))
+    mask = _kept(a.cut_ids, _neglected_by_cut(a.cut_ids, a.neglected)).reshape(-1)
+    return a.entries.reshape(mask.size, -1)[mask], b.entries.reshape(mask.size, -1)[mask]
 
 
 def contract_expectation(a: FragmentTensor, b: FragmentTensor) -> Reconstruction:
     """(1/2^K) * sum of A[M]*B[M] over tuples avoiding the tensors' neglected bases."""
-    neglected = _check_pair(a, b)
-    if a.mode != "expectation" or b.mode != "expectation":
-        raise ArityMismatch("contract_expectation needs expectation-mode tensors")
-    mask = _allowed_mask(a.cut_ids, neglected)
-    value = float((a.entries * b.entries)[mask].sum() / 2 ** a.n_cuts)
-    return Reconstruction("expectation", value, value, int(mask.sum()), neglected)
+    av, bv = _kept_rows(a, b, "expectation")
+    value = float((av * bv).sum() / 2 ** a.n_cuts)
+    return Reconstruction("expectation", value, value, len(av), a.neglected)
 
 
 def contract_distribution(a: FragmentTensor, b: FragmentTensor) -> Reconstruction:
@@ -319,18 +315,12 @@ def contract_distribution(a: FragmentTensor, b: FragmentTensor) -> Reconstructio
     The result covers concatenated bitstrings, upstream output bits first.
     raw keeps the unclamped quasi-distribution for diagnostics.
     """
-    neglected = _check_pair(a, b)
-    if a.mode != "distribution" or b.mode != "distribution":
-        raise ArityMismatch("contract_distribution needs distribution-mode tensors")
-    k = a.n_cuts
-    mask = _allowed_mask(a.cut_ids, neglected).reshape(-1)
-    av = a.entries.reshape(4 ** k, -1)[mask]
-    bv = b.entries.reshape(4 ** k, -1)[mask]
-    raw = (av.T @ bv).reshape(-1) / 2 ** k
+    av, bv = _kept_rows(a, b, "distribution")
+    raw = (av.T @ bv).reshape(-1) / 2 ** a.n_cuts
     clamped = np.clip(raw, 0.0, None)
     total = clamped.sum()
     value = clamped / total if total > 0 else clamped
-    return Reconstruction("distribution", value, raw, int(mask.sum()), neglected)
+    return Reconstruction("distribution", value, raw, len(av), a.neglected)
 
 
 def term_count(k_regular: int, k_golden: int):

@@ -169,7 +169,7 @@ class TestPruneModes:
         # detection pays for every upstream setting, so only the
         # downstream side shrinks
         assert run.cost.variants_executed == 3 + 4
-        assert run.reconstruction.shots_used == 7 * 10000
+        assert run.cost.shots_total == 7 * 10000
 
     def test_statistical_needs_shots(self):
         with pytest.raises(ValueError):

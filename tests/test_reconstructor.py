@@ -20,6 +20,7 @@ from goldcut.errors import (
     ArityMismatch,
     GoldcutError,
     MissingVariant,
+    SupportMismatch,
     WrongSide,
 )
 from goldcut.fragmenter import (
@@ -287,14 +288,17 @@ class TestOperatorTensor:
             for shift in range(len(SUBSETS)):
                 neglected = frozenset((cid, p) for cid in range(1, k + 1)
                                       for p in SUBSETS[(shift + cid) % len(SUBSETS)])
-                want = build_tensor([by_key[key] for key in enum(frag, neglected, obs)], obs,
-                                    frag.side, neglected)
                 got = full.pruned(neglected)
-                assert ((got.side, got.cut_ids, got.mode, got.source, got.neglected,
-                         got.output_bits, got.entries.shape)
-                        == (want.side, want.cut_ids, want.mode, want.source, want.neglected,
-                            want.output_bits, want.entries.shape))
-                assert np.max(np.abs(got.entries - want.entries)) <= 1e-12
+                # the kept variants only, and every variant: the extra
+                # results feed only rows that pruning zeroes
+                for results in ([by_key[key] for key in enum(frag, neglected, obs)],
+                                list(by_key.values())):
+                    want = build_tensor(results, obs, frag.side, neglected)
+                    assert ((got.side, got.cut_ids, got.mode, got.source, got.neglected,
+                             got.output_bits, got.entries.shape)
+                            == (want.side, want.cut_ids, want.mode, want.source,
+                                want.neglected, want.output_bits, want.entries.shape))
+                    assert np.max(np.abs(got.entries - want.entries)) <= 1e-12
 
     def test_cut_cap_raises(self):
         for frag in bipartition(make_cut_circuit(9, 9, 9, 1, 0)):
@@ -315,6 +319,39 @@ class TestOperatorTensor:
         bare = Fragment(f1.circuit, (), (), f1.output_qubits, f1.parent_qubits)
         with pytest.raises(ValueError, match="no downstream cut qubits"):
             operator_tensor(bare, DIST)
+
+
+class TestBoundaryChecks:
+    """Both builders reject what the variant enumerators reject, with the
+    same errors."""
+
+    def fragment(self):
+        f1, _ = bipartition(golden_ansatz(5, 2, 7))
+        assert f1.upstream_cut_qubits == ((1, 2),)  # local qubit 2 is the cut wire
+        return f1
+
+    def test_operator_tensor_rejects_cut_wire_projector(self):
+        with pytest.raises(SupportMismatch, match="qubit 2 is not a fragment output"):
+            operator_tensor(self.fragment(), ObservableSpec.projector("0", (2,)))
+
+    def test_build_tensor_rejects_cut_wire_projector(self):
+        f1 = self.fragment()
+        results = run_fragment(f1, upstream_variants(f1))
+        with pytest.raises(SupportMismatch, match="qubit 2 is not a fragment output"):
+            build_tensor(results, ObservableSpec.projector("0", (2,)), "upstream")
+
+    @pytest.mark.parametrize("pair,message", [((1, "I"), "identity basis cannot be neglected"),
+                                              ((9, "X"), "unknown cut 9")])
+    def test_neglected_set_checked_as_the_enumerators_check_it(self, pair, message):
+        f1 = self.fragment()
+        with pytest.raises(ValueError, match=message):
+            upstream_variants(f1, {pair})
+        results = run_fragment(f1, upstream_variants(f1))
+        with pytest.raises(ValueError, match=message):
+            build_tensor(results, DIST, "upstream", {pair})
+        for t in (build_tensor(results, DIST, "upstream"), operator_tensor(f1, DIST)):
+            with pytest.raises(ValueError, match=message):
+                t.pruned({pair})
 
 
 class TestContractExpectation:
