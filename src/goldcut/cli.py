@@ -97,6 +97,8 @@ def cmd_run(args) -> int:
     circ = _load_circuit(args.circuit)
     if not circ.cuts:
         raise GoldcutError("circuit has no cuts; nothing to reconstruct")
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     if args.prune == "known" and not args.neglect:
         raise ValueError("--prune known needs at least one --neglect CUT:BASIS")
     neglect = _parse_neglect(args.neglect)

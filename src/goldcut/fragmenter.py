@@ -12,15 +12,15 @@ that a Pauli observable puts on the fragment's outputs. On a device it is
 the fragment with the preparations of its labels prepended (downstream),
 and the readout rotations, then the basis rotations of its settings
 (upstream), appended. run_fragment builds no circuit per variant: it
-groups the keys by readout and simulates each group's body (the fragment
-plus its readout rotations) once. Upstream, it applies each key's basis
-rotations to a copy of the body's final state; downstream, it runs the
-body on the 2^K computational inputs of the cut wires in one batched pass
-and forms each preparation as the matching linear combination of those
-2^K output states. Each variant's result is one probability vector over
-its local qubits: the exact Born probabilities, or the frequencies of a
-multinomial draw of so many shots. Exact tensors need no variants:
-cut_amplitudes gives the fragment's cut operator from the same one pass.
+groups the keys by readout and takes each group's cut amplitudes psi[b, x]
+from one pass of its body (the fragment plus its readout rotations,
+cut_amplitudes), the pass operator_tensor reads too. Every key's state, on
+both sides, is then the Kronecker product of per-cut maps applied to psi.
+The maps come from the one eigenstate table: upstream a setting's two rows
+are the bras of its +1 and -1 eigenstates (outcome bits 0 and 1),
+downstream a preparation's one row is its eigenstate. Each variant's
+result is one probability vector over its local qubits: the exact Born
+probabilities, or the frequencies of a multinomial draw of so many shots.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from .errors import SupportMismatch, TooWide
 from .seeding import stream
 from .simulator import (
     MAX_QUBITS,
+    ObservableSpec,
     StateVector,
     apply_gates,
     basis_rotation,
@@ -65,7 +66,15 @@ def prep_state(label: str) -> np.ndarray:
     return apply_gates(zero, [factory(0) for factory in _PREP_GATES[label]]).amplitudes
 
 
-_PREP_AMPS = np.array([prep_state(lab) for lab in PREP_LABELS])
+# Per label: a cut's map from its computational bit to the rows of the
+# label's data. Upstream, a setting's two rows are the bras of its +1 and -1
+# eigenstates (outcome bits 0 and 1); downstream, a preparation's one row
+# is its eigenstate.
+_CUT_MAPS = {
+    **{p: np.array([prep_state(p + "p"), prep_state(p + "m")]).conj()
+       for p in SIDE_LABELS["upstream"]},
+    **{lab: prep_state(lab)[None, :] for lab in PREP_LABELS},
+}
 
 
 @dataclass(frozen=True)
@@ -161,12 +170,6 @@ def _readout(fragment: Fragment, obs) -> tuple:
     return tuple(readout)
 
 
-def _body(fragment: Fragment, readout) -> Circuit:
-    """The fragment followed by the rotations of a readout."""
-    rotations = [g for q, p in readout for g in basis_rotation(PauliOp(p), q)]
-    return Circuit(fragment.circuit.n_qubits, tuple(fragment.circuit.gates) + tuple(rotations), ())
-
-
 def _variants(fragment: Fragment, side: str, neglected, obs) -> list:
     cut_ids = [cid for cid, _ in _cuts(fragment, side)]
     dropped = _neglected_by_cut(cut_ids, neglected)
@@ -194,25 +197,29 @@ def downstream_variants(f2: Fragment, neglected=frozenset(), obs=None) -> list:
     return _variants(f2, "downstream", neglected, obs)
 
 
-def _upstream_states(fragment: Fragment, body: Circuit, keys):
-    """Final state per key: the body runs once, each key adds the basis
-    rotations of its settings on the cut wires, in cut_id order."""
-    wires = dict(fragment.upstream_cut_qubits)
-    state = simulate(body)
-    for key in keys:
-        yield apply_gates(state, [g for cid, lab in key.assignment
-                                  for g in basis_rotation(PauliOp(lab), wires[cid])])
+def cut_amplitudes(fragment: Fragment, obs=None) -> np.ndarray:
+    """The cut operator as amplitudes psi[b, x] from one pass of the body
+    (the fragment plus obs's readout rotations).
 
-
-def _cut_columns(fragment: Fragment, body: Circuit) -> np.ndarray:
-    """Row b: the body run on |b> at the cut wires (cut_id order, the first
-    cut most significant) and |0> elsewhere. One pass runs all 2^K inputs:
-    K reference axes after the body's own hold sum_b |b>|b>."""
-    n = body.n_qubits
+    b is the cut bits (cut_id order, the first cut most significant) and x
+    the other local qubits in order. Upstream psi is the final state, so
+    psi[b, x] conj(psi[b', x]) is the cut wires' density matrix with output
+    x; downstream row b is the output on input |b> at the cut wires and |0>
+    elsewhere, so that product is output x's response to |b><b'|. The
+    downstream pass runs all 2^K inputs at once: K reference axes after the
+    body's own hold sum_b |b>|b>. A fragment without cut qubits raises
+    ValueError.
+    """
+    side = fragment.side
+    wires = [q for _, q in _cuts(fragment, side)]
+    rotations = [g for q, p in _readout(fragment, obs) for g in basis_rotation(PauliOp(p), q)]
+    body = Circuit(fragment.circuit.n_qubits, tuple(fragment.circuit.gates) + tuple(rotations), ())
+    n, k = body.n_qubits, len(wires)
+    if side == "upstream":
+        order = wires + [q for q in range(n) if q not in wires]
+        return simulate(body).amplitudes.reshape((2,) * n).transpose(order).reshape(2 ** k, -1)
     if n > MAX_QUBITS:
         raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
-    wires = [q for _, q in fragment.downstream_cut_qubits]
-    k = len(wires)
     inputs = np.arange(2 ** k)
     rows = sum(((inputs >> (k - 1 - j)) & 1) << (n - 1 - q) for j, q in enumerate(wires))
     psi = np.zeros((2 ** n, 2 ** k), dtype=complex)
@@ -221,64 +228,46 @@ def _cut_columns(fragment: Fragment, body: Circuit) -> np.ndarray:
     return out.reshape(2 ** n, 2 ** k).T
 
 
-def cut_amplitudes(fragment: Fragment, obs=None) -> np.ndarray:
-    """The cut operator as amplitudes psi[b, x] from one pass of the body
-    (the fragment plus obs's readout rotations).
-
-    b is the cut bits (cut_id order, the first cut most significant) and x
-    the other local qubits in order. Upstream psi is the final state, so
-    psi[b, x] conj(psi[b', x]) is the cut wires' density matrix with output
-    x; downstream row b is the output on input |b> (_cut_columns), so that
-    product is output x's response to |b><b'|. A fragment without cut
-    qubits raises ValueError.
-    """
-    side = fragment.side
-    wires = [q for _, q in _cuts(fragment, side)]
-    body = _body(fragment, _readout(fragment, obs))
-    if side == "downstream":
-        return _cut_columns(fragment, body)
-    n = body.n_qubits
-    order = wires + [q for q in range(n) if q not in wires]
-    psi = simulate(body).amplitudes.reshape((2,) * n).transpose(order)
-    return psi.reshape(2 ** len(wires), -1)
-
-
-# Downstream states formed per matrix product; 64 states of 10 wires take
+# Variant states formed per matrix product; 64 states of 10 wires take
 # 1 MiB, where all 6^4 of them would take 21 MiB.
 _CHUNK = 64
 
 
-def _downstream_states(fragment: Fragment, body: Circuit, keys):
-    """Final state per key from the body's 2^K computational-input columns.
+def _variant_states(fragment: Fragment, psi: np.ndarray, keys):
+    """Final state per key from the cut amplitudes psi[b, x].
 
-    The body is linear in its input, so a product of per-cut preparations
-    maps to the same product of coefficients applied to the columns. Rows
-    are formed for all keys at once; states are formed a chunk at a time so
-    that at most _CHUNK of them are held.
+    A key's map is the Kronecker product of its labels' per-cut maps
+    (_CUT_MAPS), applied to psi. Upstream it has one row per outcome of
+    the cut bits, and those bits then move back to their wires; downstream
+    its one row gives the state. Maps are formed for _CHUNK keys at a
+    time, so at most _CHUNK states are held.
     """
-    columns = _cut_columns(fragment, body)
-    which = np.array([[PREP_LABELS.index(lab) for _, lab in key.assignment] for key in keys])
-    rows = np.ones((len(keys), 1), dtype=complex)
-    for j in range(which.shape[1]):
-        rows = (rows[:, :, None] * _PREP_AMPS[which[:, j]][:, None, :]).reshape(len(keys), -1)
+    n = fragment.circuit.n_qubits
+    wires = [q for _, q in fragment.upstream_cut_qubits]
+    back = np.argsort(wires + [q for q in range(n) if q not in wires])
     for start in range(0, len(keys), _CHUNK):
-        for amplitudes in rows[start:start + _CHUNK] @ columns:
-            yield StateVector(amplitudes)
+        maps = np.array([[_CUT_MAPS[lab] for _, lab in key.assignment]
+                         for key in keys[start:start + _CHUNK]])
+        rows = np.ones((len(maps), 1, 1), dtype=complex)
+        for j in range(maps.shape[1]):
+            rows = (rows[:, :, None, :, None] * maps[:, j, None, :, None, :]).reshape(
+                len(maps), -1, 2 ** (j + 1))
+        for amplitudes in (rows.reshape(-1, psi.shape[0]) @ psi).reshape(len(maps), -1):
+            yield StateVector(amplitudes.reshape((2,) * n).transpose(back).reshape(-1))
 
 
 def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=()):
     """Execute every VariantKey; exact or sampled probability vectors.
 
-    Keys are grouped by readout, and each group's body is simulated once
-    (downstream in one batched pass over the 2^K inputs of the cut wires);
-    see the module docstring. Any list of keys of this fragment works, in
-    any order; a key of another side, with other cut ids, an unknown label
-    or a readout qubit that is not an output raises ValueError. shots None
-    stores exact probability vectors (result shots 0); otherwise each
-    variant stores its draw divided by shots, sampled with its own RNG
-    stream derived from (seed, *seed_path, index), index being its position
-    in variants, so results are deterministic and independent of execution
-    order.
+    Keys are grouped by readout, and each group's states are mapped from
+    one cut_amplitudes pass of its body; see the module docstring. Any list
+    of keys of this fragment works, in any order; a key of another side,
+    with other cut ids, an unknown label or a readout qubit that is not an
+    output raises ValueError. shots None stores exact probability vectors
+    (result shots 0); otherwise each variant stores its draw divided by
+    shots, sampled with its own RNG stream derived from (seed, *seed_path,
+    index), index being its position in variants, so results are
+    deterministic and independent of execution order.
     """
     side = fragment.side
     n = fragment.circuit.n_qubits
@@ -293,12 +282,12 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
             raise ValueError("variant %r does not fit the %s fragment with cuts %s"
                              % (key, side, cut_ids))
         groups.setdefault(key.readout, []).append(i)
-    states = _upstream_states if side == "upstream" else _downstream_states
     results = [None] * len(variants)
     for readout, indices in groups.items():
-        body = _body(fragment, readout)
+        psi = cut_amplitudes(fragment, ObservableSpec.pauli_string(
+            [p for _, p in readout], [q for q, _ in readout]))
         keys = [variants[i] for i in indices]
-        for i, key, sv in zip(indices, keys, states(fragment, body, keys)):
+        for i, key, sv in zip(indices, keys, _variant_states(fragment, psi, keys)):
             if shots is None:
                 probs, used = exact_distribution(sv, everything), 0
             else:

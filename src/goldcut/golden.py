@@ -123,10 +123,13 @@ def detect_statistical(results, obs, alpha: float = DEFAULT_ALPHA,
     flagged when the radius is at most tau and the confidence interval
     contains zero (empirical magnitude within the radius). When the radius
     exceeds tau the data cannot support a decision and the entry is marked
-    insufficient instead of raising.
+    insufficient instead of raising. alpha outside (0, 1) and a tau that is
+    not finite and positive raise ValueError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be finite and above 0, got %r" % tau)
     for r in results:
         if r.shots == 0:
             raise ValueError("detect_statistical needs shot-mode results")

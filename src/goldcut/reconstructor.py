@@ -92,10 +92,15 @@ class FragmentTensor:
     def pruned(self, neglected) -> "FragmentTensor":
         """This tensor with the rows of the neglected (cut_id, basis) pairs
         zeroed and the neglected set recorded; itself when it already has
-        that set. neglected is checked as the variant enumerators check it.
-        No other code zeroes rows."""
+        that set. neglected is checked as the variant enumerators check it,
+        and a set that leaves out a basis already neglected raises
+        ValueError, since its zeroed rows cannot come back. No other code
+        zeroes rows."""
         dropped = _neglected_by_cut(self.cut_ids, neglected)
         neglected = frozenset((cid, p) for cid, ps in dropped.items() for p in ps)
+        if not self.neglected <= neglected:
+            raise ValueError("cannot restore neglected bases %s"
+                             % sorted((c, p.value) for c, p in self.neglected - neglected))
         if neglected == self.neglected:
             return self
         mask = _kept(self.cut_ids, dropped)

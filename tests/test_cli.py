@@ -105,6 +105,19 @@ class TestRun:
         assert main(["run", "--circuit", str(circ), "--prune", "known",
                      "--neglect", "1-Y"]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_is_config_error(self, tmp_path, trials):
+        circ = ansatz_path(tmp_path)
+        out = tmp_path / "run.csv"
+        assert main(["run", "--circuit", str(circ), "--trials", trials,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_nan_tau_is_config_error(self, tmp_path):
+        circ = ansatz_path(tmp_path)
+        assert main(["run", "--circuit", str(circ), "--trials", "1", "--shots", "100",
+                     "--prune", "statistical", "--tau", "nan"]) == 2
+
     def test_circuit_without_cuts_is_validation_error(self, tmp_path):
         path = tmp_path / "uncut.json"
         save(Circuit(2, (h(0), cnot(0, 1)), ()), str(path))
@@ -188,6 +201,15 @@ class TestDetect:
         for row in doc:
             assert row["shots"] == 10000
             assert row["radius"] > 0.0
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0", "-0.02"])
+    def test_tau_that_is_not_finite_and_positive_is_config_error(self, tmp_path, tau):
+        # with a NaN tau, 100 shots flagged Y at radius 0.192
+        circ = ansatz_path(tmp_path)
+        out = tmp_path / "detect.json"
+        assert main(["detect", "--circuit", str(circ), "--shots", "100", "--tau", tau,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_cutless_circuit_is_validation_error(self, tmp_path):
         path = tmp_path / "uncut.json"

@@ -1,5 +1,7 @@
 """Variant enumeration and fragment execution."""
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +9,11 @@ from hypothesis import given, strategies as st
 
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
 from goldcut.fragmenter import (
+    MEASURED_BASES,
     PREP_LABELS,
+    SIDE_LABELS,
     VariantKey,
+    _kept_labels,
     cut_amplitudes,
     downstream_variants,
     prep_state,
@@ -104,6 +109,24 @@ class TestVariantCounts:
         f1, _ = bell_fragments()
         with pytest.raises(ValueError):
             upstream_variants(f1, {(1, PauliOp.I)})
+
+
+class TestTracerLabelRule:
+    """perfbench's tracer keeps its own copy of the label rule to count the
+    results a build reads; it must keep what fragmenter._kept_labels keeps."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("side", ["upstream", "downstream"])
+    def test_useful_variants_equal_kept_labels(self, side, k):
+        useful = load_perfbench("tracer")._useful_variants
+        cut_ids = range(1, k + 1)
+        results = [SimpleNamespace(key=VariantKey(side, tuple(zip(cut_ids, labels))))
+                   for labels in itertools.product(SIDE_LABELS[side], repeat=k)]
+        subsets = [set(c) for r in range(4) for c in itertools.combinations(MEASURED_BASES, r)]
+        for dropped in itertools.product(subsets, repeat=k):
+            neglected = {(cid, p) for cid, ps in zip(cut_ids, dropped) for p in ps}
+            want = math.prod(len(_kept_labels(side, ps)) for ps in dropped)
+            assert useful(results, neglected) == want
 
 
 class TestVariantKey:
@@ -237,9 +260,8 @@ class TestRunOnce:
         results = run_fragment(frag, variants)
         n = frag.circuit.n_qubits
         if frag.side == "upstream":
-            # one simulation per body; each key rotates a copy of its state
-            assert calls.count("simulate") == bodies
-            assert calls.count(n) == len(variants) and len(calls) == bodies + len(variants)
+            # one simulation per body; each key's state is a map of its amplitudes
+            assert calls == ["simulate"] * bodies
         else:
             # one batched pass per body over its wires plus K reference axes
             assert calls == [n + k] * bodies
@@ -251,16 +273,20 @@ class TestRunOnce:
             assert np.max(np.abs(r.probs - want)) <= 1e-12
 
     def test_upstream_shot_counts_equal_own_circuit_draws(self):
-        # upstream states apply the same gates in the same order as a full
-        # simulation of each variant, so its own circuit's draws come back
-        frag = multicut_fragments(2)[0]
-        variants, _ = variant_lists(frag, 2)["mixed"]
-        results = run_fragment(frag, variants, shots=500, seed=7, seed_path=(3, 1))
-        for i, (key, r) in enumerate(zip(variants, results)):
-            circ = variant_circuit(frag, key)
-            want = sample(simulate(circ), range(circ.n_qubits), 500, stream(7, 3, 1, i))
-            assert r.key == key and r.shots == 500
-            assert np.array_equal(r.probs, want / 500)
+        # upstream states map the cut amplitudes where a full simulation of
+        # each variant rotates the cut wires; the two agree closely enough
+        # that its own circuit's draws come back. The golden ansatz has real
+        # amplitudes, so Y's conditional probabilities sit at exactly 1/2,
+        # where one ulp would swap whole counts
+        golden = bipartition(golden_ansatz(5, 2, 7))[0]
+        for frag, k in ((multicut_fragments(2)[0], 2), (golden, 1)):
+            variants, _ = variant_lists(frag, k)["mixed"]
+            results = run_fragment(frag, variants, shots=500, seed=7, seed_path=(3, 1))
+            for i, (key, r) in enumerate(zip(variants, results)):
+                circ = variant_circuit(frag, key)
+                want = sample(simulate(circ), range(circ.n_qubits), 500, stream(7, 3, 1, i))
+                assert r.key == key and r.shots == 500
+                assert np.array_equal(r.probs, want / 500)
 
     def test_downstream_shot_counts_follow_seed_path_and_index(self):
         # downstream probabilities may differ from a full simulation in the

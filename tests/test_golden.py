@@ -22,6 +22,7 @@ from goldcut.golden import (
     detect_statistical,
     hoeffding_radius,
 )
+from goldcut.pipeline import reconstruct
 from goldcut.reconstructor import (
     build_tensor,
     combine_tensors,
@@ -154,6 +155,17 @@ class TestStatisticalDetection:
         sampled = run_fragment(f1, upstream_variants(f1), shots=100, seed=0)
         with pytest.raises(ValueError):
             detect_statistical(sampled, obs, alpha=1.5)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.02])
+    def test_rejects_tau_that_is_not_finite_and_positive(self, tau):
+        # a NaN tau made "radius > tau" false, so wide radii flagged bases
+        obs = ObservableSpec.distribution((0,))
+        f1, _ = bipartition(fig1())
+        sampled = run_fragment(f1, upstream_variants(f1), shots=100, seed=0)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            detect_statistical(sampled, obs, tau=tau)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            reconstruct(golden_ansatz(5, 2, 7), shots=100, prune="statistical", tau=tau)
 
     @pytest.mark.parametrize("exact_at", [(0, 1, 2), (1,)])
     def test_rejects_zero_shot_results(self, exact_at):

@@ -353,6 +353,19 @@ class TestBoundaryChecks:
             with pytest.raises(ValueError, match=message):
                 t.pruned({pair})
 
+    def test_pruned_cannot_restore_neglected_bases(self):
+        # the zeroed X rows would count as kept and read as zero: off by
+        # 0.092 in the contracted distribution of this fragment
+        t = operator_tensor(self.fragment(), DIST).pruned({(1, "X")})
+        for smaller in (set(), {(1, "Y")}):
+            with pytest.raises(ValueError, match="cannot restore neglected bases"):
+                t.pruned(smaller)
+        both = {(1, PauliOp.X), (1, PauliOp.Y)}
+        want = operator_tensor(self.fragment(), DIST).pruned(both)
+        assert t.pruned({(1, "X")}) is t
+        assert np.array_equal(t.pruned(both).entries, want.entries)
+        assert t.pruned(both).neglected == want.neglected
+
 
 class TestContractExpectation:
     def test_pass_through_value(self):
