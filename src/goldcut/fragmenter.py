@@ -14,13 +14,16 @@ and the readout rotations, then the basis rotations of its settings
 (upstream), appended. run_fragment builds no circuit per variant: it
 groups the keys by readout and takes each group's cut amplitudes psi[b, x]
 from one pass of its body (the fragment plus its readout rotations,
-cut_amplitudes), the pass operator_tensor reads too. Every key's state, on
-both sides, is then the Kronecker product of per-cut maps applied to psi.
-The maps come from the one eigenstate table: upstream a setting's two rows
-are the bras of its +1 and -1 eigenstates (outcome bits 0 and 1),
-downstream a preparation's one row is its eigenstate. Each variant's
-result is one probability vector over its local qubits: the exact Born
-probabilities, or the frequencies of a multinomial draw of so many shots.
+cut_amplitudes), the pass operator_tensor reads too. One 6x2 table per
+side (AMPLITUDE_MAPS) takes a cut's computational bit to the amplitude
+rows of its labels: upstream the bras of each setting's +1 and -1
+eigenstates (rows X0 X1 Y0 Y1 Z0 Z1, the outcome bit last), downstream
+the preparations' eigenstates (Zp .. Ym). _map_cuts applies it along
+every cut axis of psi, one block of leading-cut labels at a time, and
+each key picks its rows by label index; upstream the outcome bits then
+move back to their wires. Each variant's result is one probability
+vector over its local qubits: the exact Born probabilities, or the
+frequencies of a multinomial draw of so many shots.
 """
 from __future__ import annotations
 
@@ -66,15 +69,26 @@ def prep_state(label: str) -> np.ndarray:
     return apply_gates(zero, [factory(0) for factory in _PREP_GATES[label]]).amplitudes
 
 
-# Per label: a cut's map from its computational bit to the rows of the
-# label's data. Upstream, a setting's two rows are the bras of its +1 and -1
-# eigenstates (outcome bits 0 and 1); downstream, a preparation's one row
-# is its eigenstate.
-_CUT_MAPS = {
-    **{p: np.array([prep_state(p + "p"), prep_state(p + "m")]).conj()
-       for p in SIDE_LABELS["upstream"]},
-    **{lab: prep_state(lab)[None, :] for lab in PREP_LABELS},
+# Per side: a cut's map from its computational bit to the amplitude rows of
+# its labels, in SIDE_LABELS x outcome-bit order. Upstream a setting's two
+# rows are the bras of its +1 and -1 eigenstates (outcome bits 0 and 1);
+# downstream a preparation's one row is its eigenstate.
+AMPLITUDE_MAPS = {
+    "upstream": np.array([prep_state(p + s) for p in SIDE_LABELS["upstream"]
+                          for s in "pm"]).conj(),
+    "downstream": np.array([prep_state(lab) for lab in PREP_LABELS]),
 }
+
+
+def _map_cuts(maps, data):
+    """maps[j] applied along axis j of data, one axis of columns per cut and
+    the other axes flattened after them: the rows of every map, in cut
+    order, then the rest."""
+    rows = 1
+    for cut_map in maps:
+        data = np.matmul(cut_map, data.reshape(rows, cut_map.shape[1], -1))
+        rows *= cut_map.shape[0]
+    return data.reshape(rows, -1)
 
 
 @dataclass(frozen=True)
@@ -158,12 +172,12 @@ def _kept_labels(side: str, dropped) -> tuple:
                  if lab[0] == "Z" or PauliOp(lab[0]) not in dropped)
 
 
-def _readout(fragment: Fragment, obs) -> tuple:
+def _readout(outputs, obs) -> tuple:
     """The (output qubit, "X" | "Y") pairs a Pauli obs rotates to a Z readout."""
     readout = []
     if obs is not None and obs.kind == "pauli":
         for q, p in zip(obs.qubits, obs.paulis):
-            if q not in fragment.output_qubits:
+            if q not in outputs:
                 raise SupportMismatch("observable qubit %d is not a fragment output" % q)
             if p in (PauliOp.X, PauliOp.Y):
                 readout.append((q, p.value))
@@ -173,7 +187,7 @@ def _readout(fragment: Fragment, obs) -> tuple:
 def _variants(fragment: Fragment, side: str, neglected, obs) -> list:
     cut_ids = [cid for cid, _ in _cuts(fragment, side)]
     dropped = _neglected_by_cut(cut_ids, neglected)
-    readout = _readout(fragment, obs)
+    readout = _readout(fragment.output_qubits, obs)
     allowed = [_kept_labels(side, dropped[cid]) for cid in cut_ids]
     return [VariantKey(side, tuple(zip(cut_ids, combo)), readout)
             for combo in itertools.product(*allowed)]
@@ -212,7 +226,8 @@ def cut_amplitudes(fragment: Fragment, obs=None) -> np.ndarray:
     """
     side = fragment.side
     wires = [q for _, q in _cuts(fragment, side)]
-    rotations = [g for q, p in _readout(fragment, obs) for g in basis_rotation(PauliOp(p), q)]
+    rotations = [g for q, p in _readout(fragment.output_qubits, obs)
+                 for g in basis_rotation(PauliOp(p), q)]
     body = Circuit(fragment.circuit.n_qubits, tuple(fragment.circuit.gates) + tuple(rotations), ())
     n, k = body.n_qubits, len(wires)
     if side == "upstream":
@@ -226,34 +241,6 @@ def cut_amplitudes(fragment: Fragment, obs=None) -> np.ndarray:
     psi[rows, inputs] = 1.0
     out = apply_gates(StateVector(psi.reshape(-1)), body.gates).amplitudes
     return out.reshape(2 ** n, 2 ** k).T
-
-
-# Variant states formed per matrix product; 64 states of 10 wires take
-# 1 MiB, where all 6^4 of them would take 21 MiB.
-_CHUNK = 64
-
-
-def _variant_states(fragment: Fragment, psi: np.ndarray, keys):
-    """Final state per key from the cut amplitudes psi[b, x].
-
-    A key's map is the Kronecker product of its labels' per-cut maps
-    (_CUT_MAPS), applied to psi. Upstream it has one row per outcome of
-    the cut bits, and those bits then move back to their wires; downstream
-    its one row gives the state. Maps are formed for _CHUNK keys at a
-    time, so at most _CHUNK states are held.
-    """
-    n = fragment.circuit.n_qubits
-    wires = [q for _, q in fragment.upstream_cut_qubits]
-    back = np.argsort(wires + [q for q in range(n) if q not in wires])
-    for start in range(0, len(keys), _CHUNK):
-        maps = np.array([[_CUT_MAPS[lab] for _, lab in key.assignment]
-                         for key in keys[start:start + _CHUNK]])
-        rows = np.ones((len(maps), 1, 1), dtype=complex)
-        for j in range(maps.shape[1]):
-            rows = (rows[:, :, None, :, None] * maps[:, j, None, :, None, :]).reshape(
-                len(maps), -1, 2 ** (j + 1))
-        for amplitudes in (rows.reshape(-1, psi.shape[0]) @ psi).reshape(len(maps), -1):
-            yield StateVector(amplitudes.reshape((2,) * n).transpose(back).reshape(-1))
 
 
 def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=()):
@@ -273,26 +260,42 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     n = fragment.circuit.n_qubits
     everything = tuple(range(n))
     cut_ids = tuple(cid for cid, _ in _cuts(fragment, side))
+    labels = SIDE_LABELS[side]
+    # A block fixes the labels of all but the last two cuts, so whatever K
+    # is it holds the states of 9 upstream or 36 downstream keys.
+    lead = max(len(cut_ids) - 2, 0)
     groups = {}
     for i, key in enumerate(variants):
         if (key.side != side or tuple(cid for cid, _ in key.assignment) != cut_ids
-                or any(lab not in SIDE_LABELS[side] for _, lab in key.assignment)
+                or any(lab not in labels for _, lab in key.assignment)
                 or any(q not in fragment.output_qubits or p not in ("X", "Y")
                        for q, p in key.readout)):
             raise ValueError("variant %r does not fit the %s fragment with cuts %s"
                              % (key, side, cut_ids))
-        groups.setdefault(key.readout, []).append(i)
+        index = [labels.index(lab) for _, lab in key.assignment]
+        rows = (slice(None),) * lead + tuple(x for j in index[lead:] for x in (j, slice(None)))
+        groups.setdefault(key.readout, {}).setdefault(tuple(index[:lead]), []).append((i, rows))
+    table = AMPLITUDE_MAPS[side]
+    per_label = len(table) // len(labels)
+    shape = (per_label,) * lead + (len(labels), per_label) * (len(cut_ids) - lead) + (-1,)
+    wires = [q for _, q in fragment.upstream_cut_qubits]
+    back = [0, *(1 + np.argsort(wires + [q for q in range(n) if q not in wires]))]
     results = [None] * len(variants)
-    for readout, indices in groups.items():
-        psi = cut_amplitudes(fragment, ObservableSpec.pauli_string(
-            [p for _, p in readout], [q for q, _ in readout]))
-        keys = [variants[i] for i in indices]
-        for i, key, sv in zip(indices, keys, _variant_states(fragment, psi, keys)):
-            if shots is None:
-                probs, used = exact_distribution(sv, everything), 0
-            else:
-                draws = sample(sv, everything, shots, stream(seed, *seed_path, i))
-                probs, used = draws / shots, shots
-            results[i] = VariantResult(key, probs, used, n, fragment.upstream_cut_qubits,
-                                       fragment.output_qubits)
+    for readout, blocks in groups.items():
+        # downstream psi is a transposed view: copied once here, not per block
+        psi = np.ascontiguousarray(cut_amplitudes(fragment, ObservableSpec.pauli_string(
+            [p for _, p in readout], [q for q, _ in readout])))
+        for first, members in blocks.items():
+            maps = [table[per_label * j:per_label * (j + 1)] for j in first]
+            phi = _map_cuts(maps + [table] * (len(cut_ids) - lead), psi).reshape(shape)
+            states = np.array([phi[rows] for _, rows in members]).reshape((-1,) + (2,) * n)
+            for (i, _), amplitudes in zip(members, states.transpose(back).reshape(len(members), -1)):
+                sv = StateVector(amplitudes)
+                if shots is None:
+                    probs, used = exact_distribution(sv, everything), 0
+                else:
+                    draws = sample(sv, everything, shots, stream(seed, *seed_path, i))
+                    probs, used = draws / shots, shots
+                results[i] = VariantResult(variants[i], probs, used, n,
+                                           fragment.upstream_cut_qubits, fragment.output_qubits)
     return results

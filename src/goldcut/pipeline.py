@@ -203,19 +203,13 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
                                       shots=shots, seed=seed, seed_path=(trial, SIDE_DOWNSTREAM)),
                          obs2, "downstream", neglected)
     a, b = a.pruned(neglected), b.pruned(neglected)
+    expectation = distribution = raw_distribution = None
     if obs.kind == "distribution":
         rec = contract_distribution(a, b)
+        perm = parent_permutation(f1, f2, circuit.n_qubits)
+        distribution, raw_distribution = rec.value[perm], rec.raw[perm]
     else:
         rec = contract_expectation(a, b)
-
-    expectation = None
-    distribution = None
-    raw_distribution = None
-    if obs.kind == "distribution":
-        perm = parent_permutation(f1, f2, circuit.n_qubits)
-        distribution = rec.value[perm]
-        raw_distribution = rec.raw[perm]
-    else:
         expectation = rec.value
     return RunResult(rec, expectation, distribution, raw_distribution, report,
                      cost_report(ledger, baseline), neglected,

@@ -3,9 +3,10 @@
 The upstream tensor A and downstream tensor B are indexed by a Pauli basis
 tuple M with one entry per cut. Every tensor is made the same way: data
 with one axis per cut, a fixed per-cut map applied along each of those
-axes by _map_cuts (the wire-cut identity of Peng, Harrow, Ozols and Wu,
-PRL 125, 150504, 2020), then FragmentTensor.pruned, the only code that
-zeroes the rows of neglected bases. build_tensor reads variant results,
+axes by fragmenter._map_cuts, the helper that also maps every variant's
+amplitudes in run_fragment (the wire-cut identity of Peng, Harrow, Ozols
+and Wu, PRL 125, 150504, 2020), then FragmentTensor.pruned, the only code
+that zeroes the rows of neglected bases. build_tensor reads variant results,
 exact or sampled: six data columns per cut, upstream the (setting, outcome
 bit) pairs X0 X1 Y0 Y1 Z0 Z1, downstream the preparations Zp Zm Xp Xm Yp
 Ym, which a 4x6 map per side (SIDE_MAPS) takes to the basis rows I, X, Y,
@@ -27,7 +28,8 @@ import numpy as np
 
 from .circuits import PauliOp
 from .errors import ArityMismatch, GoldcutError, MissingVariant, SupportMismatch, WrongSide
-from .fragmenter import SIDE_LABELS, _cuts, _kept_labels, _neglected_by_cut, cut_amplitudes
+from .fragmenter import SIDE_LABELS, _cuts, _kept_labels, _map_cuts, _neglected_by_cut
+from .fragmenter import _readout, cut_amplitudes
 from .metrics import closed_form_counts
 
 BASES = (PauliOp.I, PauliOp.X, PauliOp.Y, PauliOp.Z)
@@ -55,6 +57,8 @@ SIDE_MAPS = {
 # Per side: the 4x4 map from a cut's pairs (b, b') of computational bits,
 # b' the faster index, to the basis rows I, X, Y, Z: upstream P[b', b], so a
 # row is tr(P rho); downstream P[b, b'], the response to P at the input.
+# Per cut it is SIDE_MAPS times the map from (b, b') to the |amplitude|^2
+# of fragmenter.AMPLITUDE_MAPS's rows, so both builders agree.
 OPERATOR_MAPS = {
     "upstream": np.array([p.matrix.T.reshape(-1) for p in BASES]),
     "downstream": np.array([p.matrix.reshape(-1) for p in BASES]),
@@ -133,14 +137,6 @@ def _check_cuts(k: int):
         raise GoldcutError("tensor capped at %d cuts, got %d" % (MAX_CUTS, k))
 
 
-def _map_cuts(cut_map, data, k):
-    """cut_map applied along each of the first k axes of data, one axis of
-    columns per cut: 4 basis rows per cut, the other axes flattened."""
-    for j in range(k):
-        data = np.matmul(cut_map, data.reshape(4 ** j, cut_map.shape[1], -1))
-    return data.reshape(4 ** k, -1)
-
-
 def _tensor(side, cut_ids, obs, entries, source, out_bits) -> FragmentTensor:
     """The FragmentTensor of mapped entries, nothing neglected; an exact
     projector entry beyond 2^K raises GoldcutError."""
@@ -162,7 +158,8 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     (cut_id, basis) pairs in neglected. The variants that
     upstream_variants / downstream_variants keep for neglected must be
     present; others may be, and feed only pruned rows. For a repeated key
-    the last result counts.
+    the last result counts. Every result must be read out as obs needs (its
+    X/Y factors, in obs order); another readout raises ValueError.
     """
     if not results:
         raise MissingVariant("no variant results")
@@ -189,9 +186,13 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     cut_axes = [pos[cid] for cid in measured]
     out_bits = tuple(q for q in range(n) if q not in cut_axes)
     weights = _output_weights(obs, out_bits)
+    readout = _readout(out_bits, obs)
     tail = (2 ** len(out_bits),) if dist else ()
     by_first = {}
     for r in results:
+        if r.key.readout != readout:
+            raise ValueError("variant read out as %s, the observable needs %s"
+                             % (r.key.readout, readout))
         data = r.probs.reshape((2,) * n).transpose(cut_axes + list(out_bits))
         data = data.reshape(per_label ** k, -1)
         if not dist:
@@ -209,8 +210,8 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     for col in range(side_map.shape[1]):
         first, bit = divmod(col, per_label)
         if labels[first] in by_first:
-            block = _map_cuts(side_map, _block(by_first[labels[first]], bit, labels, shape),
-                              k - 1)
+            block = _map_cuts([side_map] * (k - 1),
+                              _block(by_first[labels[first]], bit, labels, shape))
             for basis in np.flatnonzero(side_map[:, col]):
                 entries[basis] += side_map[basis, col] * block.reshape(-1)
             del block  # freed before the next block is mapped
@@ -251,7 +252,7 @@ def operator_tensor(fragment, obs) -> FragmentTensor:
         data = (psi * weights) @ psi.conj().T
     pairs = [a for j in range(k) for a in (j, k + j)]
     data = data.reshape((2,) * (2 * k) + (-1,)).transpose(pairs + [2 * k])
-    return _tensor(side, cut_ids, obs, _map_cuts(OPERATOR_MAPS[side], data, k).real,
+    return _tensor(side, cut_ids, obs, _map_cuts([OPERATOR_MAPS[side]] * k, data).real,
                    "exact", out_bits)
 
 

@@ -272,6 +272,26 @@ class TestRunOnce:
             want = exact_distribution(simulate(circ), range(circ.n_qubits))
             assert np.max(np.abs(r.probs - want)) <= 1e-12
 
+    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_key_subsets_across_blocks_match_own_circuit(self, k, side):
+        # states are mapped one block of leading-cut labels at a time; about
+        # 100 keys drawn from two readouts in seeded random order, one of
+        # them repeated, cross many blocks and come back to each
+        frag = bipartition(make_cut_circuit(7, 7, k, 1, 50 + k))[side]
+        variants, _ = variant_lists(frag, k)["mixed"]
+        assert len({key.readout for key in variants}) == 2
+        rng = np.random.default_rng(100 + k)
+        keys = [variants[i] for i in rng.choice(len(variants), size=100, replace=False)]
+        keys.insert(int(rng.integers(len(keys))), keys[int(rng.integers(len(keys)))])
+        results = run_fragment(frag, keys)
+        assert len(results) == 101 and len(set(keys)) == 100
+        for key, r in zip(keys, results):
+            assert r.key == key
+            circ = variant_circuit(frag, key)
+            want = exact_distribution(simulate(circ), range(circ.n_qubits))
+            assert np.max(np.abs(r.probs - want)) <= 1e-12
+
     def test_upstream_shot_counts_equal_own_circuit_draws(self):
         # upstream states map the cut amplitudes where a full simulation of
         # each variant rotates the cut wires; the two agree closely enough

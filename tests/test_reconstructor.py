@@ -24,6 +24,7 @@ from goldcut.errors import (
     WrongSide,
 )
 from goldcut.fragmenter import (
+    AMPLITUDE_MAPS,
     MEASURED_BASES,
     VariantResult,
     cut_amplitudes,
@@ -33,6 +34,8 @@ from goldcut.fragmenter import (
 )
 from goldcut.pipeline import parent_permutation, split_observable
 from goldcut.reconstructor import (
+    OPERATOR_MAPS,
+    SIDE_MAPS,
     Reconstruction,
     build_tensor,
     combine_tensors,
@@ -300,6 +303,16 @@ class TestOperatorTensor:
                                 want.neglected, want.output_bits, want.entries.shape))
                     assert np.max(np.abs(got.entries - want.entries)) <= 1e-12
 
+    @pytest.mark.parametrize("side", ["upstream", "downstream"])
+    def test_side_map_times_amplitude_pairs_is_operator_map(self, side):
+        # a variant column is |T[r] . psi|^2, so per cut the data map of
+        # build_tensor, applied to the pair map Q[r, (b, b')] = T[r, b]
+        # conj(T[r, b']), must be operator_tensor's map; equal to rounding
+        table = AMPLITUDE_MAPS[side]
+        assert table.shape == (6, 2)
+        pairs = (table[:, :, None] * table[:, None, :].conj()).reshape(6, 4)
+        assert np.max(np.abs(SIDE_MAPS[side][2] @ pairs - OPERATOR_MAPS[side])) <= 1e-15
+
     def test_cut_cap_raises(self):
         for frag in bipartition(make_cut_circuit(9, 9, 9, 1, 0)):
             with pytest.raises(GoldcutError, match="capped at 8 cuts"):
@@ -339,6 +352,23 @@ class TestBoundaryChecks:
         results = run_fragment(f1, upstream_variants(f1))
         with pytest.raises(SupportMismatch, match="qubit 2 is not a fragment output"):
             build_tensor(results, ObservableSpec.projector("0", (2,)), "upstream")
+
+    def test_build_tensor_rejects_results_read_out_for_another_observable(self):
+        # Z-readout results for an X observable gave a tensor off by 0.967,
+        # and a mixed list used whichever readout came last
+        f1 = self.fragment()
+        x_obs = ObservableSpec.pauli_string("X", (0,))
+        y_obs = ObservableSpec.pauli_string("Y", (0,))
+        plain = run_fragment(f1, upstream_variants(f1))
+        x_read = run_fragment(f1, upstream_variants(f1, obs=x_obs))
+        y_read = run_fragment(f1, upstream_variants(f1, obs=y_obs))
+        for results in (plain, y_read, x_read + plain, plain + x_read, x_read[:1] + y_read):
+            with pytest.raises(ValueError, match="the observable needs"):
+                build_tensor(results, x_obs, "upstream")
+        with pytest.raises(ValueError, match="the observable needs"):
+            build_tensor(x_read, DIST, "upstream")
+        got = build_tensor(x_read, x_obs, "upstream").entries
+        assert np.max(np.abs(got - operator_tensor(f1, x_obs).entries)) <= 1e-12
 
     @pytest.mark.parametrize("pair,message", [((1, "I"), "identity basis cannot be neglected"),
                                               ((9, "X"), "unknown cut 9")])
