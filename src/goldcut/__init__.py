@@ -51,6 +51,7 @@ from .reconstructor import (
     build_tensor,
     contract_distribution,
     contract_expectation,
+    contract_operator,
     operator_tensor,
     term_count,
 )
@@ -78,7 +79,8 @@ __all__ = [
     "CostReport", "cost_report", "weighted_distance",
     "reconstruct",
     "FragmentTensor", "Reconstruction", "build_tensor",
-    "contract_distribution", "contract_expectation", "operator_tensor", "term_count",
+    "contract_distribution", "contract_expectation", "contract_operator", "operator_tensor",
+    "term_count",
     "ObservableSpec", "StateVector", "basis_rotation", "exact_distribution",
     "exact_expectation", "sample", "simulate",
     "__version__",

@@ -2,10 +2,12 @@
 
 Observables and distributions at this level refer to parent-circuit qubits;
 the helpers here split them onto the two fragments and permute fragment
-results back into parent qubit order. Exact mode runs no variant: both
-tensors come from the fragments' cut operators (operator_tensor). RNG
-streams are split per (root seed, trial, side, variant) with side codes
-0 = upstream, 1 = downstream, 2 = uncut reference.
+results back into parent qubit order. Exact mode runs no variant: the
+upstream tensor comes from its cut operator (operator_tensor), and
+contract_operator contracts it through the downstream cut operator
+without building a downstream tensor. RNG streams are split per (root
+seed, trial, side, variant) with side codes 0 = upstream, 1 = downstream,
+2 = uncut reference.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .reconstructor import (
     build_tensor,
     contract_distribution,
     contract_expectation,
+    contract_operator,
     operator_tensor,
 )
 from .seeding import stream
@@ -152,9 +155,10 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     """Cut, execute, optionally prune, and reconstruct one circuit.
 
     obs None reconstructs the full bitstring distribution. shots None runs
-    no variant (operator_tensor on both sides), though run.cost counts what
-    a device would run; otherwise every executed variant is sampled with
-    shots drawn from its own seeded stream. Pruning modes:
+    no variant (operator_tensor upstream, contract_operator through the
+    downstream cut operator), though run.cost counts what a device would
+    run; otherwise every executed variant is sampled with shots drawn from
+    its own seeded stream and both tensors are contracted. Pruning modes:
 
     * "off": no neglected bases.
     * "known": neglect exactly the pairs passed in neglect, which every
@@ -196,20 +200,20 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
         a = build_tensor(run_fragment(f1, upstream_variants(f1, neglected, obs=obs1),
                                       shots=shots, seed=seed, seed_path=(trial, SIDE_UPSTREAM)),
                          obs1, "upstream", neglected)
+    a = a.pruned(neglected)
     if shots is None:
-        b = operator_tensor(f2, obs2)
+        rec = contract_operator(a, f2, obs2)
     else:
         b = build_tensor(run_fragment(f2, downstream_variants(f2, neglected, obs=obs2),
                                       shots=shots, seed=seed, seed_path=(trial, SIDE_DOWNSTREAM)),
                          obs2, "downstream", neglected)
-    a, b = a.pruned(neglected), b.pruned(neglected)
+        contract = contract_distribution if obs.kind == "distribution" else contract_expectation
+        rec = contract(a, b)
     expectation = distribution = raw_distribution = None
     if obs.kind == "distribution":
-        rec = contract_distribution(a, b)
         perm = parent_permutation(f1, f2, circuit.n_qubits)
         distribution, raw_distribution = rec.value[perm], rec.raw[perm]
     else:
-        rec = contract_expectation(a, b)
         expectation = rec.value
     return RunResult(rec, expectation, distribution, raw_distribution, report,
                      cost_report(ledger, baseline), neglected,

@@ -17,6 +17,9 @@ operator instead: the four pairs (b, b') of computational bits per cut,
 is checked once, by fragmenter's rule, wherever it is read. The uncut
 expectation is (1/2^K) * sum over kept M of A[M] * B[M], and the uncut
 distribution applies the same contraction per output bitstring pair.
+contract_operator gives the exact result without building B: the sum over
+M moves onto A, which the transposed downstream OPERATOR_MAPS take to one
+cut operator per upstream output, contracted with the downstream psi.
 """
 from __future__ import annotations
 
@@ -308,11 +311,24 @@ def _kept_rows(a: FragmentTensor, b: FragmentTensor, mode: str):
     return a.entries.reshape(mask.size, -1)[mask], b.entries.reshape(mask.size, -1)[mask]
 
 
+def _reconstruction(mode, raw, terms, neglected) -> Reconstruction:
+    """The Reconstruction of a contracted raw result. A distribution's value
+    clamps negatives and renormalizes; raw keeps the unclamped
+    quasi-distribution for diagnostics."""
+    if mode == "expectation":
+        value = float(raw)
+        return Reconstruction(mode, value, value, terms, neglected)
+    clamped = np.clip(raw, 0.0, None)
+    total = clamped.sum()
+    value = clamped / total if total > 0 else clamped
+    return Reconstruction(mode, value, raw, terms, neglected)
+
+
 def contract_expectation(a: FragmentTensor, b: FragmentTensor) -> Reconstruction:
     """(1/2^K) * sum of A[M]*B[M] over tuples avoiding the tensors' neglected bases."""
     av, bv = _kept_rows(a, b, "expectation")
-    value = float((av * bv).sum() / 2 ** a.n_cuts)
-    return Reconstruction("expectation", value, value, len(av), a.neglected)
+    return _reconstruction("expectation", (av * bv).sum() / 2 ** a.n_cuts, len(av),
+                           a.neglected)
 
 
 def contract_distribution(a: FragmentTensor, b: FragmentTensor) -> Reconstruction:
@@ -322,11 +338,45 @@ def contract_distribution(a: FragmentTensor, b: FragmentTensor) -> Reconstructio
     raw keeps the unclamped quasi-distribution for diagnostics.
     """
     av, bv = _kept_rows(a, b, "distribution")
-    raw = (av.T @ bv).reshape(-1) / 2 ** a.n_cuts
-    clamped = np.clip(raw, 0.0, None)
-    total = clamped.sum()
-    value = clamped / total if total > 0 else clamped
-    return Reconstruction("distribution", value, raw, len(av), a.neglected)
+    return _reconstruction("distribution", (av.T @ bv).reshape(-1) / 2 ** a.n_cuts,
+                           len(av), a.neglected)
+
+
+def contract_operator(a: FragmentTensor, fragment, obs) -> Reconstruction:
+    """What contract_distribution or contract_expectation gives on A and
+    operator_tensor(fragment, obs).pruned(a.neglected), without building
+    that downstream tensor. B[M, x] sums prod_c P_M_c[b_c, b'_c] psi[b, x]
+    conj(psi[b', x]) over (b, b'), so the sum over M moves onto A as one cut
+    operator per upstream output, R_y = 2^-K sum_M A[M, y] prod_c P_M_c;
+    then raw[y, x] = sum_b psi[b, x] (R_y conj(psi))[b, x], weighted over x
+    outside distribution mode. Input rows of psi (cut_amplitudes) that are
+    not unit-norm, the condition bounding every B[M] by 2^K, raise
+    GoldcutError.
+    """
+    if a.side != "upstream" or fragment.side != "downstream":
+        raise WrongSide("contract takes an upstream tensor and a downstream fragment")
+    cut_ids = tuple(cid for cid, _ in _cuts(fragment, "downstream"))
+    if a.cut_ids != cut_ids:
+        raise ArityMismatch("cut interfaces differ: %s vs %s" % (a.cut_ids, cut_ids))
+    mode = "distribution" if obs.kind == "distribution" else "expectation"
+    if a.mode != mode:
+        raise ArityMismatch("contract_operator needs a %s-mode tensor" % mode)
+    k = a.n_cuts
+    _check_cuts(k)
+    weights = _output_weights(obs, tuple(range(fragment.circuit.n_qubits)))
+    psi = cut_amplitudes(fragment, obs)
+    if np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) > 1e-9:
+        raise GoldcutError("downstream cut amplitudes are not unit-norm per input")
+    # R_y with axes (y, b, b'): the map leaves each cut's (b, b') pair adjacent
+    ops = _map_cuts([OPERATOR_MAPS["downstream"].T] * k, a.entries.reshape(4 ** k, -1))
+    ops = ops.reshape((2,) * (2 * k) + (-1,)).transpose(
+        [2 * k] + list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)))
+    ops = ops.reshape(-1, 2 ** k) / 2 ** k
+    raw = np.einsum("ybx,bx->yx", (ops @ psi.conj()).reshape((-1,) + psi.shape), psi)
+    raw = raw.real.reshape(-1)
+    terms = int(_kept(a.cut_ids, _neglected_by_cut(a.cut_ids, a.neglected)).sum())
+    return _reconstruction(mode, raw if weights is None else raw @ weights, terms,
+                           a.neglected)
 
 
 def term_count(k_regular: int, k_golden: int):

@@ -8,7 +8,7 @@ from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, gold
 from goldcut.errors import NotBipartite
 from goldcut.fragmenter import run_fragment
 from goldcut.metrics import cut_counts
-from goldcut.reconstructor import contract_distribution
+from goldcut.reconstructor import contract_distribution, contract_operator, operator_tensor
 from goldcut.pipeline import (
     ground_truth_distribution,
     ground_truth_expectation,
@@ -275,6 +275,25 @@ class TestOracleReuse:
         assert np.max(np.abs(run.raw_distribution - want)) < 1e-10
 
 
+    @pytest.mark.parametrize("prune", ["off", "known", "exact"])
+    @pytest.mark.parametrize("obs", [None, ObservableSpec.pauli_string("ZXZ", range(3)),
+                                     ObservableSpec.projector("010", range(3))])
+    def test_exact_mode_builds_no_downstream_tensor(self, obs, prune, monkeypatch):
+        circ = make_cut_circuit(2, 2, 1, 2, 4)
+        sides = []
+
+        def recording(fragment, o):
+            sides.append(fragment.side)
+            return operator_tensor(fragment, o)
+
+        monkeypatch.setattr(pipeline, "operator_tensor", recording)
+        neglect = [(1, "X")] if prune == "known" else ()
+        run = reconstruct(circ, obs, prune=prune, neglect=neglect)
+        assert sides == ["upstream"]
+        if obs is None:
+            want = ground_truth_distribution(circ)
+            assert np.max(np.abs(run.raw_distribution - want)) < 1e-10
+
     @pytest.mark.parametrize("shots,prune", [(None, "exact"), (10_000, "statistical")])
     def test_reconstruct_prunes_the_reported_tensor(self, shots, prune, monkeypatch):
         # upstream_report's tensor is unmasked; reconstruct zeroes the rows it
@@ -288,11 +307,14 @@ class TestOracleReuse:
         assert report.golden_pairs() == {(1, PauliOp.Y)}
         contracted = []
 
-        def recording(a, b):
-            contracted.append(a)
-            return contract_distribution(a, b)
+        # shot mode contracts A with B; exact mode contracts A through the
+        # downstream cut operator
+        for contract in (contract_distribution, contract_operator):
+            def recording(a, *rest, contract=contract):
+                contracted.append(a)
+                return contract(a, *rest)
 
-        monkeypatch.setattr(pipeline, "contract_distribution", recording)
+            monkeypatch.setattr(pipeline, contract.__name__, recording)
         run = reconstruct(circ, shots=shots, seed=3, prune=prune)
         (a,) = contracted
         assert a.neglected == run.neglected == {(1, PauliOp.Y)}
@@ -336,7 +358,7 @@ class TestRejections:
 
 
 class TestReconstructProperty:
-    @given(k=st.integers(1, 3), extra_up=st.integers(0, 2), extra_down=st.integers(0, 2),
+    @given(k=st.integers(1, 4), extra_up=st.integers(0, 2), extra_down=st.integers(0, 2),
            depth=st.integers(1, 2), seed=st.integers(0, 10 ** 6))
     def test_exact_matches_uncut_and_golden_pruning_changes_nothing(
             self, k, extra_up, extra_down, depth, seed):
@@ -347,3 +369,8 @@ class TestReconstructProperty:
         # off mode reports detect_exact on the full upstream oracle
         known = reconstruct(circ, prune="known", neglect=off.golden.golden_pairs())
         assert np.max(np.abs(known.raw_distribution - off.raw_distribution)) <= 1e-12
+        n = circ.n_qubits
+        paulis = np.random.default_rng(seed).choice(list("IXYZ"), n)
+        obs = ObservableSpec.pauli_string(list(paulis), range(n))
+        got = reconstruct(circ, obs).expectation
+        assert abs(got - ground_truth_expectation(circ, obs)) <= 1e-10

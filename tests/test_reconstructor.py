@@ -32,15 +32,18 @@ from goldcut.fragmenter import (
     run_fragment,
     upstream_variants,
 )
-from goldcut.pipeline import parent_permutation, split_observable
+from goldcut.golden import detect_exact
+from goldcut.pipeline import parent_permutation, reconstruct, split_observable
 from goldcut.reconstructor import (
     OPERATOR_MAPS,
     SIDE_MAPS,
+    FragmentTensor,
     Reconstruction,
     build_tensor,
     combine_tensors,
     contract_distribution,
     contract_expectation,
+    contract_operator,
     operator_tensor,
     term_count,
 )
@@ -480,6 +483,82 @@ class TestGoldenPruning:
         _, _, a, b = exact_tensors(circ, DIST, DIST, neglected)
         assert np.all(a.entry([PauliOp.Y]) == 0.0)
         assert np.all(b.entry([PauliOp.Y]) == 0.0)
+
+
+class TestContractOperator:
+    """contract_operator equals the contraction with the downstream
+    operator_tensor pruned as A is, and rejects what that route rejects."""
+
+    @staticmethod
+    def observables(n, rng):
+        return (
+            ObservableSpec.distribution(range(n)),
+            ObservableSpec.pauli_string(list(rng.choice(list("IXYZ"), n)), range(n)),
+            ObservableSpec.projector("".join(rng.choice(["0", "1"], n)), range(n)),
+        )
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_equals_contraction_with_the_downstream_tensor(self, k):
+        # k 0 is golden_ansatz, whose exact golden set is not empty
+        circ = golden_ansatz(5, 2, 7) if k == 0 else make_cut_circuit(k + 2, k + 1, k, 2, 80 + k)
+        f1, f2 = bipartition(circ)
+        cut_ids = tuple(cid for cid, _ in f1.upstream_cut_qubits)
+        rng = np.random.default_rng(k)
+        for obs in self.observables(circ.n_qubits, rng):
+            obs1, obs2 = split_observable(f1, f2, obs)
+            a = operator_tensor(f1, obs1)
+            golden = detect_exact(a).golden_pairs()
+            other = {(cid, p) for cid in cut_ids for p in SUBSETS[(cid + k) % len(SUBSETS)]}
+            assert other != golden
+            if k == 0:
+                assert golden
+            for neglected in (frozenset(), golden, other):
+                want = (contract_distribution if obs.kind == "distribution"
+                        else contract_expectation)(
+                    a.pruned(neglected), operator_tensor(f2, obs2).pruned(neglected))
+                got = contract_operator(a.pruned(neglected), f2, obs2)
+                assert (got.mode, got.terms_evaluated, got.neglected) == (
+                    want.mode, want.terms_evaluated, want.neglected)
+                assert np.max(np.abs(np.asarray(got.value) - want.value)) <= 1e-12
+                assert np.max(np.abs(np.asarray(got.raw) - want.raw)) <= 1e-12
+
+    def test_rejects_what_the_contractions_reject(self):
+        f1, f2 = bipartition(fig1())
+        a = operator_tensor(f1, DIST)
+        obs2 = ObservableSpec.distribution(f2.output_qubits)
+        with pytest.raises(WrongSide):
+            contract_operator(operator_tensor(f2, obs2), f2, obs2)
+        with pytest.raises(WrongSide):
+            contract_operator(a, f1, DIST)
+        _, f2_wide = bipartition(make_cut_circuit(2, 2, 2, 1, 0))
+        with pytest.raises(ArityMismatch, match="cut interfaces differ"):
+            contract_operator(a, f2_wide, ObservableSpec.distribution(f2_wide.output_qubits))
+        with pytest.raises(ArityMismatch, match="expectation-mode"):
+            contract_operator(a, f2, IDENTITY_OBS)
+        with pytest.raises(ArityMismatch, match="distribution-mode"):
+            contract_operator(operator_tensor(f1, IDENTITY_OBS), f2, obs2)
+
+    def test_cut_cap_raises(self):
+        _, f2 = bipartition(make_cut_circuit(9, 9, 9, 1, 0))
+        a = FragmentTensor("upstream", tuple(range(1, 10)), "distribution",
+                           np.zeros((4,) * 9 + (1,)), "exact", frozenset())
+        with pytest.raises(GoldcutError, match="capped at 8 cuts"):
+            contract_operator(a, f2, ObservableSpec.distribution(f2.output_qubits))
+
+    @pytest.mark.parametrize("obs", [None, ObservableSpec.projector("00", (0, 2))])
+    def test_amplitudes_beyond_unit_norm_raise(self, obs, monkeypatch):
+        # the bound |B[M]| <= 2^K that operator_tensor checks on projector
+        # entries follows from unit-norm inputs, which this path checks
+        circ = fig1()
+        reconstruct(circ, obs)
+
+        def scaled(fragment, o):
+            psi = cut_amplitudes(fragment, o)
+            return 10.0 * psi if fragment.side == "downstream" else psi
+
+        monkeypatch.setattr(reconstructor, "cut_amplitudes", scaled)
+        with pytest.raises(GoldcutError, match="unit-norm"):
+            reconstruct(circ, obs)
 
 
 class TestTermCount:
