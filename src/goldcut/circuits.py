@@ -306,6 +306,13 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _moved(g: Gate, qubits: tuple) -> Gate:
+    """g on other qubits; Gate's checks are not rerun on a validated gate."""
+    moved = object.__new__(Gate)
+    moved.__dict__.update(vars(g), qubits=qubits)
+    return moved
+
+
 def bipartition(circuit: Circuit):
     """Split a cut circuit into its upstream and downstream fragment.
 
@@ -369,7 +376,7 @@ def bipartition(circuit: Circuit):
         )
         index = {q: i for i, q in enumerate(locals_)}
         gates = tuple(
-            replace(g, qubits=tuple(index[q] for q in g.qubits))
+            _moved(g, tuple(index[q] for q in g.qubits))
             for g, sid in zip(circuit.gates, gate_seg)
             if uf.find(sid) == root
         )
@@ -426,6 +433,11 @@ def golden_ansatz(n_qubits: int, depth: int, seed: int) -> Circuit:
     raised unless exact detection at GENERATION_EPS reports the Y basis
     golden.
     """
+    return certified_ansatz(n_qubits, depth, seed)[0]
+
+
+def certified_ansatz(n_qubits: int, depth: int, seed: int):
+    """(golden_ansatz(...), the exact upstream report that certified it)."""
     from .golden import GENERATION_EPS
     from .pipeline import upstream_report
 
@@ -455,7 +467,7 @@ def golden_ansatz(n_qubits: int, depth: int, seed: int) -> Circuit:
     _, report = upstream_report(bipartition(circuit)[0], eps=GENERATION_EPS)
     if not report.entry(1, "Y").golden:
         raise AnsatzNotGolden("ansatz failed Y-golden certification; template is wrong")
-    return circuit
+    return circuit, report
 
 
 def _fmt(value: float) -> str:

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .circuits import PauliOp, _fmt, bipartition, golden_ansatz, save, validate
+from .circuits import PauliOp, _fmt, bipartition, certified_ansatz, save, validate
 from .errors import GoldcutError
 from .golden import DEFAULT_ALPHA, DEFAULT_TAU, GENERATION_EPS
 from .metrics import CSV_COLUMNS, closed_form_counts, weighted_distance
@@ -79,10 +79,8 @@ def _csv(columns, rows):
 
 
 def cmd_generate(args) -> int:
-    circ = golden_ansatz(args.qubits, args.depth, args.seed)
+    circ, report = certified_ansatz(args.qubits, args.depth, args.seed)
     save(circ, args.out)
-    f1, _ = bipartition(circ)
-    _, report = upstream_report(f1, eps=GENERATION_EPS)
     flagged = [e for e in report.entries if e.golden]
     if flagged:
         for e in flagged:

@@ -115,7 +115,7 @@ def hoeffding_radius(shots: int, alpha: float) -> float:
 
 
 def detect_statistical(results, obs, alpha: float = DEFAULT_ALPHA,
-                       tau: float = DEFAULT_TAU) -> GoldenReport:
+                       tau: float = DEFAULT_TAU, *, tensor=None) -> GoldenReport:
     """Flag golden bases from finite-shot upstream results.
 
     For each (cut, basis) the empirical signed sum is compared against a
@@ -124,7 +124,8 @@ def detect_statistical(results, obs, alpha: float = DEFAULT_ALPHA,
     contains zero (empirical magnitude within the radius). When the radius
     exceeds tau the data cannot support a decision and the entry is marked
     insufficient instead of raising. alpha outside (0, 1) and a tau that is
-    not finite and positive raise ValueError.
+    not finite and positive raise ValueError. tensor, if given, is
+    build_tensor(results, obs, "upstream") already built by the caller.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -133,7 +134,7 @@ def detect_statistical(results, obs, alpha: float = DEFAULT_ALPHA,
     for r in results:
         if r.shots == 0:
             raise ValueError("detect_statistical needs shot-mode results")
-    tensor = build_tensor(results, obs, "upstream")
+    tensor = build_tensor(results, obs, "upstream") if tensor is None else tensor
     shots_by_setting = {
         tuple(r.key.label(cid) for cid in tensor.cut_ids): r.shots for r in results
     }

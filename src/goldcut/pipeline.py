@@ -144,8 +144,8 @@ def upstream_report(f1: Fragment, obs: ObservableSpec = None, shots: int = None,
         return tensor, detect_exact(tensor, eps)
     results = run_fragment(f1, upstream_variants(f1, obs=obs), shots=shots, seed=seed,
                            seed_path=(trial, SIDE_UPSTREAM))
-    return (build_tensor(results, obs, "upstream"),
-            detect_statistical(results, obs, alpha=alpha, tau=tau))
+    tensor = build_tensor(results, obs, "upstream")
+    return tensor, detect_statistical(results, obs, alpha=alpha, tau=tau, tensor=tensor)
 
 
 def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,

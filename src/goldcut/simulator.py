@@ -3,7 +3,8 @@
 Everything here is an infinite-shot oracle except sample(), which returns
 the per-outcome counts of a multinomial draw from the exact Born
 distribution. Outcome indices follow the package-wide bitstring convention:
-qubit 0 is the most significant (leftmost) bit.
+qubit 0 is the most significant (leftmost) bit. apply_gates makes one
+matrix product per gate, the very product np.tensordot would make.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, PauliOp, _as_int, gate_matrix, h, sdg
+from .circuits import Circuit, Gate, PauliOp, _as_int, gate_matrix, h, sdg
 from .errors import (
     GoldcutError,
     IdentityBasisRequested,
@@ -107,20 +108,24 @@ def simulate(circuit: Circuit, initial=None) -> StateVector:
             vec = np.asarray(initial[q], dtype=complex).reshape(2)
             if abs(np.linalg.norm(vec) - 1.0) > _ATOL:
                 raise InvalidInitial("initial state on qubit %d is not normalized" % q)
-        psi = np.kron(psi, vec)
+        psi = np.multiply.outer(psi, vec).reshape(-1)
     return apply_gates(StateVector(psi), circuit.gates)
 
 
 def apply_gates(state: StateVector, gates) -> StateVector:
-    """Apply a gate sequence to any state; the input state is left intact."""
-    n = state.n_qubits
-    psi = state.amplitudes.reshape((2,) * n) if n else state.amplitudes
+    """Apply a gate sequence to any state; the input state is left intact.
+
+    Per gate, one np.dot on the state transposed to (gate qubits, the rest
+    ascending); order[i] is the qubit axis i holds until the final transpose.
+    """
+    n, shape = state.n_qubits, (2,) * state.n_qubits
+    psi, order = state.amplitudes, list(range(n))
     for g in gates:
-        k = len(g.qubits)
-        u = gate_matrix(g).reshape((2,) * (2 * k))
-        psi = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), list(g.qubits)))
-        psi = np.moveaxis(psi, list(range(k)), list(g.qubits))
-    return StateVector(psi.reshape(-1))
+        rest = [q for q in range(n) if q not in g.qubits]
+        axes = [order.index(q) for q in g.qubits + tuple(rest)]
+        psi = psi.reshape(shape).transpose(axes).reshape(2 ** len(g.qubits), -1)
+        psi, order = np.dot(gate_matrix(g), psi), list(g.qubits) + rest
+    return StateVector(psi.reshape(shape).transpose(np.argsort(order)).reshape(-1))
 
 
 def exact_distribution(state: StateVector, qubits) -> np.ndarray:
@@ -155,14 +160,8 @@ def exact_expectation(state: StateVector, obs: ObservableSpec) -> float:
         raise SupportMismatch("expectation needs a pauli or projector observable")
     if not obs.qubits:
         return 1.0
-    psi = state.amplitudes.reshape((2,) * n)
-    phi = psi
-    for q, p in zip(obs.qubits, obs.paulis):
-        if p is PauliOp.I:
-            continue
-        phi = np.tensordot(p.matrix, phi, axes=([1], [q]))
-        phi = np.moveaxis(phi, 0, q)
-    value = np.vdot(psi, phi)
+    flips = [Gate(p.value.lower(), (q,)) for q, p in zip(obs.qubits, obs.paulis) if p.value != "I"]
+    value = np.vdot(state.amplitudes, apply_gates(state, flips).amplitudes)
     if not abs(value.imag) <= _ATOL:
         raise GoldcutError("imaginary residue %g in a Pauli expectation" % value.imag)
     return float(value.real)

@@ -1,12 +1,13 @@
 """Shared test helpers.
 
-The reference simulator here deliberately avoids the package's tensordot
-path: it embeds every gate into a full 2^n x 2^n matrix by explicit index
-arithmetic, so the two implementations can cross-check each other. The
-random cut-circuit builder makes parents that are bipartite by
-construction (an upstream block, K shared wires, a downstream block), with
-entangling chains so each side is one connected component. Hypothesis runs
-derandomized, so property tests draw the same examples on every run.
+The reference simulator here deliberately avoids the package's
+matrix-product kernel: it embeds every gate into a full 2^n x 2^n matrix
+by explicit index arithmetic, so the two implementations can cross-check
+each other. The random cut-circuit builder makes parents that are
+bipartite by construction (an upstream block, K shared wires, a downstream
+block), with entangling chains so each side is one connected component.
+Hypothesis runs derandomized, so property tests draw the same examples on
+every run.
 """
 import importlib.util
 import sys

@@ -3,10 +3,23 @@ import json
 
 import pytest
 
-from goldcut.circuits import Circuit, CutPoint, PauliOp, cnot, h, load, save
+import goldcut.cli as cli
+import goldcut.pipeline as pipeline
+from goldcut.circuits import (
+    Circuit,
+    CutPoint,
+    PauliOp,
+    bipartition,
+    cnot,
+    golden_ansatz,
+    h,
+    load,
+    save,
+)
 from goldcut.cli import main
+from goldcut.golden import GENERATION_EPS
 from goldcut.metrics import CSV_COLUMNS, cut_counts
-from goldcut.pipeline import reconstruct
+from goldcut.pipeline import reconstruct, upstream_report
 
 
 def ansatz_path(tmp_path, name="circ.json", seed=0):
@@ -33,6 +46,31 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
         c = ansatz_path(tmp_path, "c.json", seed=6)
         assert a.read_bytes() != c.read_bytes()
+
+    def test_runs_the_upstream_pass_once(self, tmp_path, capsys, monkeypatch):
+        # the certification's report is the one printed; the output is that
+        # of saving golden_ansatz and detecting on its upstream fragment anew
+        circ = golden_ansatz(5, 2, 7)
+        save(circ, str(tmp_path / "want.json"))
+        _, report = upstream_report(bipartition(circ)[0], eps=GENERATION_EPS)
+        want = "".join("cut %d: %s golden\n" % (e.cut_id, e.basis)
+                       for e in report.entries if e.golden)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return upstream_report(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "upstream_report", counting)
+        monkeypatch.setattr(cli, "upstream_report", counting)
+        capsys.readouterr()
+        path = tmp_path / "got.json"
+        assert main(["generate", "--qubits", "5", "--depth", "2", "--seed", "7",
+                     "--out", str(path)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == want + "wrote %s\n" % path
+        assert want == "cut 1: Y golden\n"
+        assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
 
     def test_even_width_is_config_error(self, tmp_path):
         code = main(["generate", "--qubits", "4",

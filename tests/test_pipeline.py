@@ -3,12 +3,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import goldcut.golden as golden
 import goldcut.pipeline as pipeline
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
 from goldcut.errors import NotBipartite
-from goldcut.fragmenter import run_fragment
+from goldcut.fragmenter import run_fragment, upstream_variants
+from goldcut.golden import detect_statistical
 from goldcut.metrics import cut_counts
-from goldcut.reconstructor import contract_distribution, contract_operator, operator_tensor
+from goldcut.reconstructor import (
+    build_tensor,
+    contract_distribution,
+    contract_operator,
+    operator_tensor,
+)
 from goldcut.pipeline import (
     ground_truth_distribution,
     ground_truth_expectation,
@@ -321,6 +328,27 @@ class TestOracleReuse:
         assert np.array_equal(a.entries, tensor.pruned(run.neglected).entries)
         assert not np.any(a.entries[2]) and np.array_equal(a.entries[[0, 1, 3]],
                                                            tensor.entries[[0, 1, 3]])
+
+    @pytest.mark.parametrize("obs", [None, ObservableSpec.pauli_string("ZXZ", range(3))])
+    def test_statistical_builds_the_upstream_tensor_once(self, obs, monkeypatch):
+        # detect_statistical reads the tensor upstream_report built; its
+        # report equals the one it makes from the results alone
+        circ = golden_ansatz(5, 2, 7) if obs is None else make_cut_circuit(2, 2, 1, 2, 4)
+        sides = []
+
+        def recording(results, o, side, *rest):
+            sides.append(side)
+            return build_tensor(results, o, side, *rest)
+
+        monkeypatch.setattr(pipeline, "build_tensor", recording)
+        monkeypatch.setattr(golden, "build_tensor", recording)
+        run = reconstruct(circ, obs, shots=2000, seed=5, prune="statistical")
+        assert sides == ["upstream", "downstream"]
+        f1, f2 = bipartition(circ)
+        obs1, _ = split_observable(f1, f2, obs or ObservableSpec.distribution(range(5)))
+        results = run_fragment(f1, upstream_variants(f1, obs=obs1), shots=2000, seed=5,
+                               seed_path=(0, pipeline.SIDE_UPSTREAM))
+        assert run.golden == detect_statistical(results, obs1)
 
 
 class TestDeterminism:

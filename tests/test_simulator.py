@@ -2,7 +2,20 @@
 import numpy as np
 import pytest
 
-from goldcut.circuits import Circuit, CutPoint, Gate, PauliOp, cnot, gate_matrix, h, random_circuit
+import goldcut.fragmenter as fragmenter
+from goldcut.circuits import (
+    Circuit,
+    CutPoint,
+    Gate,
+    PauliOp,
+    bipartition,
+    cnot,
+    cz,
+    gate_matrix,
+    h,
+    random_circuit,
+    unitary,
+)
 from goldcut.errors import (
     GoldcutError,
     IdentityBasisRequested,
@@ -13,6 +26,8 @@ from goldcut.errors import (
 from goldcut.fragmenter import PREP_LABELS, prep_state
 from goldcut.simulator import (
     ObservableSpec,
+    StateVector,
+    apply_gates,
     basis_rotation,
     exact_distribution,
     exact_expectation,
@@ -20,7 +35,7 @@ from goldcut.simulator import (
     simulate,
 )
 
-from conftest import embed_unitary, ref_distribution, ref_state
+from conftest import embed_unitary, make_cut_circuit, ref_distribution, ref_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -82,6 +97,101 @@ class TestSimulate:
         # one entry per qubit, so no wire is left unset or silently dropped
         with pytest.raises(InvalidInitial):
             simulate(Circuit(2, (), ()), initial)
+
+
+def tensordot_apply_gates(state, gates):
+    """The earlier kernel, kept as the reference: one tensordot and one
+    moveaxis per gate, the state always in qubit order."""
+    n = state.n_qubits
+    psi = state.amplitudes.reshape((2,) * n) if n else state.amplitudes
+    for g in gates:
+        k = len(g.qubits)
+        u = gate_matrix(g).reshape((2,) * (2 * k))
+        psi = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), list(g.qubits)))
+        psi = np.moveaxis(psi, list(range(k)), list(g.qubits))
+    return StateVector(psi.reshape(-1))
+
+
+def haar_unitary(rng, k):
+    dim = 2 ** k
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_state(rng, n):
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return StateVector(amps / np.linalg.norm(amps))
+
+
+class TestKernel:
+    """apply_gates must give the reference's amplitudes to the bit: seeded
+    shot draws depend on every last bit of a probability."""
+
+    def check(self, state, gates):
+        before = state.amplitudes.copy()
+        got = apply_gates(state, gates).amplitudes
+        assert np.array_equal(state.amplitudes, before)  # input left intact
+        want = tensordot_apply_gates(state, gates).amplitudes
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_circuits(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        self.check(random_state(rng, n), random_circuit(n, 4, seed).gates)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extra_cz_and_reversed_cnot(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = 5
+        gates = list(random_circuit(n, 3, seed).gates)
+        gates[2:2] = [cz(3, 1), cnot(4, 0), cz(0, 4)]
+        gates += [cnot(2, 1), cnot(4, 3), cz(2, 0)]
+        self.check(random_state(rng, n), gates)
+
+    @pytest.mark.parametrize("targets", [(1, 0), (3, 1), (2, 0, 1), (3, 1, 2), (1, 3, 0)])
+    def test_opaque_unitaries_on_unsorted_targets(self, targets):
+        rng = np.random.default_rng(len(targets) * 10 + targets[0])
+        n = 4
+        gates = [h(0), unitary(haar_unitary(rng, len(targets)), *targets), cnot(0, 3),
+                 unitary(haar_unitary(rng, 2), 2, 1), h(3)]
+        self.check(random_state(rng, n), gates)
+
+    def test_single_qubit(self):
+        rng = np.random.default_rng(1)
+        self.check(random_state(rng, 1), random_circuit(1, 5, 1).gates)
+
+    def test_empty_gate_list(self):
+        rng = np.random.default_rng(2)
+        self.check(random_state(rng, 3), ())
+        self.check(StateVector(np.array([1.0 + 0j])), ())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batched_downstream_state(self, k, monkeypatch):
+        # cut_amplitudes runs all 2^K inputs at once, with K reference axes
+        # after the fragment's own qubits that no gate touches
+        _, f2 = bipartition(make_cut_circuit(4, 4, k, 2, 60 + k))
+        seen = []
+
+        def checking_apply_gates(state, gates):
+            self.check(state, gates)
+            seen.append(state.n_qubits)
+            return apply_gates(state, gates)
+
+        monkeypatch.setattr(fragmenter, "apply_gates", checking_apply_gates)
+        fragmenter.cut_amplitudes(f2)
+        assert seen == [f2.circuit.n_qubits + k]
+
+    def test_simulate_start_state_is_the_kron_chain(self):
+        circ = random_circuit(4, 3, 9)
+        init = [np.array([0.6, 0.8j]), None,
+                np.array([INV_SQRT2, -INV_SQRT2]), np.array([0.8, -0.6])]
+        start = np.array([1.0], dtype=complex)
+        for vec in init:
+            start = np.kron(start, np.array([1.0, 0.0]) if vec is None else vec.astype(complex))
+        want = tensordot_apply_gates(StateVector(start), circ.gates).amplitudes
+        assert np.array_equal(simulate(circ, init).amplitudes, want)
+        assert np.array_equal(simulate(Circuit(4, (), ()), init).amplitudes, start)
 
 
 class TestExactExpectation:
