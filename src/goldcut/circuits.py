@@ -138,6 +138,8 @@ _FIXED_MATRICES = {
     ),
     "cz": np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex),
 }
+for _matrix in _FIXED_MATRICES.values():
+    _matrix.flags.writeable = False  # gate_matrix hands out these very arrays
 
 _ROTATIONS = {"rx", "ry", "rz"}
 
@@ -148,9 +150,9 @@ GATE_ARITY = {
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """Return the unitary matrix of a gate as a complex ndarray."""
+    """Return the unitary matrix of a gate as a complex ndarray (shared if fixed)."""
     if gate.kind in _FIXED_MATRICES:
-        return _FIXED_MATRICES[gate.kind].copy()
+        return _FIXED_MATRICES[gate.kind]
     if gate.kind in _ROTATIONS:
         (theta,) = gate.params
         c = math.cos(theta / 2.0)
@@ -290,22 +292,6 @@ def validate(circuit: Circuit) -> ValidationReport:
     return ValidationReport(bad)
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _moved(g: Gate, qubits: tuple) -> Gate:
     """g on other qubits; Gate's checks are not rerun on a validated gate."""
     moved = object.__new__(Gate)
@@ -329,69 +315,51 @@ def bipartition(circuit: Circuit):
     if not report.ok:
         raise ValueError("invalid circuit: %s" % "; ".join(report.violations))
 
-    cut_on = {c.qubit: c for c in circuit.cuts}
-    seg_id = {}
-    for q in range(circuit.n_qubits):
-        seg_id[(q, 0)] = len(seg_id)
-        if q in cut_on:
-            seg_id[(q, 1)] = len(seg_id)
-    uf = _UnionFind(len(seg_id))
+    # Segment q is wire q up to its cut; segment n + j is the wire of the
+    # j-th cut (in cut-id order) after that cut.
+    n = circuit.n_qubits
+    cuts = sorted(circuit.cuts, key=lambda c: c.cut_id)
+    post = {c.qubit: (c.after_gate, n + j) for j, c in enumerate(cuts)}
+    parent = list(range(n + len(cuts)))
 
-    def seg_of(q, gate_index):
-        c = cut_on.get(q)
-        if c is None or gate_index <= c.after_gate:
-            return seg_id[(q, 0)]
-        return seg_id[(q, 1)]
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]  # path halving
+            a = parent[a]
+        return a
 
     gate_seg = []
     for i, g in enumerate(circuit.gates):
-        segs = [seg_of(q, i) for q in g.qubits]
+        segs = [post[q][1] if q in post and i > post[q][0] else q for q in g.qubits]
         for other in segs[1:]:
-            uf.union(segs[0], other)
+            parent[find(other)] = find(segs[0])
         gate_seg.append(segs[0])
 
-    roots = {uf.find(sid) for sid in seg_id.values()}
-    if len(roots) != 2:
-        raise NotBipartite(
-            "cuts split the circuit into %d component(s), need exactly 2" % len(roots)
-        )
-
-    up_root = None
+    comp = [find(s) for s in range(len(parent))]
+    if len(set(comp)) != 2:
+        raise NotBipartite("cuts split the circuit into %d component(s), need exactly 2"
+                           % len(set(comp)))
+    up = comp[circuit.cuts[0].qubit]
     for c in circuit.cuts:
-        pre = uf.find(seg_id[(c.qubit, 0)])
-        post = uf.find(seg_id[(c.qubit, 1)])
-        if pre == post:
+        if comp[c.qubit] == comp[post[c.qubit][1]]:
             raise CyclicCut("cut %d does not separate its wire" % c.cut_id)
-        if up_root is None:
-            up_root = pre
-        elif pre != up_root:
+        if comp[c.qubit] != up:
             raise CyclicCut("cuts have mixed orientation; fragments feed back")
-    down_root = next(r for r in roots if r != up_root)
 
-    def build(root, side):
-        locals_ = sorted(
-            q for q in range(circuit.n_qubits)
-            if any(uf.find(seg_id[(q, part)]) == root
-                   for part in (0, 1) if (q, part) in seg_id)
-        )
-        index = {q: i for i, q in enumerate(locals_)}
-        gates = tuple(
-            _moved(g, tuple(index[q] for q in g.qubits))
-            for g, sid in zip(circuit.gates, gate_seg)
-            if uf.find(sid) == root
-        )
-        sub = Circuit(len(locals_), gates, ())
-        cut_pairs = tuple(
-            (c.cut_id, index[c.qubit])
-            for c in sorted(circuit.cuts, key=lambda c: c.cut_id)
-        )
-        if side == "upstream":
-            cut_locals = {index[c.qubit] for c in circuit.cuts}
-            outputs = tuple(i for i in range(len(locals_)) if i not in cut_locals)
-            return Fragment(sub, cut_pairs, (), outputs, tuple(locals_))
-        return Fragment(sub, (), cut_pairs, tuple(range(len(locals_))), tuple(locals_))
+    def build(upstream):
+        # a cut wire's first segment is upstream, so it is on both sides
+        wires = [q for q in range(n) if (comp[q] == up) == upstream or q in post]
+        index = {q: i for i, q in enumerate(wires)}
+        gates = tuple(_moved(g, tuple(index[q] for q in g.qubits))
+                      for g, seg in zip(circuit.gates, gate_seg) if (comp[seg] == up) == upstream)
+        sub = Circuit(len(wires), gates, ())
+        pairs = tuple((c.cut_id, index[c.qubit]) for c in cuts)
+        if upstream:
+            outputs = tuple(i for i, q in enumerate(wires) if q not in post)
+            return Fragment(sub, pairs, (), outputs, tuple(wires))
+        return Fragment(sub, (), pairs, tuple(range(len(wires))), tuple(wires))
 
-    return build(up_root, "upstream"), build(down_root, "downstream")
+    return build(True), build(False)
 
 
 def random_circuit(n_qubits: int, depth: int, seed: int) -> Circuit:

@@ -95,7 +95,9 @@ def _basis_magnitudes(tensor: FragmentTensor):
 
 
 def detect_exact(tensor: FragmentTensor, eps: float = ORACLE_EPS) -> GoldenReport:
-    """Flag golden bases from an infinite-shot upstream tensor."""
+    """Flag the bases whose magnitude is at most eps in an infinite-shot upstream tensor."""
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("eps must be finite and at least 0, got %r" % eps)
     if tensor.side != "upstream":
         raise WrongSide("golden detection inspects the upstream tensor")
     if tensor.source != "exact":

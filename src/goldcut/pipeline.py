@@ -49,9 +49,14 @@ def split_observable(f1: Fragment, f2: Fragment, obs: ObservableSpec):
     """Split a parent-qubit observable into per-fragment observables.
 
     Every parent wire terminates in exactly one fragment output, so the
-    observable factorizes across fragments up to qubit reordering.
+    observable factorizes across fragments up to qubit reordering. A
+    distribution reads every parent qubit in order: there are no marginals.
     """
     if obs.kind == "distribution":
+        n = len(f1.output_qubits) + len(f2.output_qubits)
+        if obs.qubits != tuple(range(n)):
+            raise SupportMismatch("a distribution reads parent qubits 0..%d in order, got %s"
+                                  % (n - 1, list(obs.qubits)))
         return (ObservableSpec.distribution(f1.output_qubits),
                 ObservableSpec.distribution(f2.output_qubits))
     ends1 = {f1.parent_qubits[q]: q for q in f1.output_qubits}

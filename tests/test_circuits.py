@@ -1,5 +1,7 @@
 """Circuit representation, validation, bipartition, and generators."""
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +29,9 @@ from goldcut.circuits import (
 from goldcut.errors import CyclicCut, NotBipartite
 from goldcut.simulator import simulate
 
-from conftest import make_cut_circuit, stitch
+from conftest import load_perfbench, make_cut_circuit, stitch
+
+multicut_circuit = load_perfbench("workloads").multicut_circuit
 
 
 class TestPauliOp:
@@ -52,6 +56,22 @@ class TestGates:
     def test_cnot_flips_target_when_control_set(self):
         u = gate_matrix(cnot(0, 1))
         assert np.array_equal(u @ [0, 0, 1, 0], [0, 0, 0, 1])
+
+    def test_fixed_matrix_is_shared_and_read_only(self):
+        u = gate_matrix(h(0))
+        assert u is gate_matrix(h(3))
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0.0
+        assert u[0, 0] == 1 / math.sqrt(2)
+        p = PauliOp.X.matrix
+        p[0, 1] = 5.0
+        assert gate_matrix(Gate("x", (0,)))[0, 1] == 1.0
+
+    def test_rotation_matrix_is_fresh(self):
+        u = gate_matrix(rx(1.2, 0))
+        assert u is not gate_matrix(rx(1.2, 0))
+        u[0, 0] = 0.0
+        assert gate_matrix(rx(1.2, 0))[0, 0] == math.cos(0.6)
 
     @pytest.mark.parametrize("wire", [0.7, 1.0, True, np.float64(1.0), np.bool_(True)])
     def test_non_integer_wire_rejected(self, wire):
@@ -155,13 +175,15 @@ class TestBipartition:
     def test_bridging_gate_not_bipartite(self):
         base = fig1_circuit()
         circ = Circuit(3, base.gates + (cnot(0, 2),), base.cuts)
-        with pytest.raises(NotBipartite):
+        msg = "cuts split the circuit into 1 component(s), need exactly 2"
+        with pytest.raises(NotBipartite, match="^%s$" % re.escape(msg)):
             bipartition(circ)
 
     def test_idle_wire_not_bipartite(self):
         base = fig1_circuit()
         circ = Circuit(4, base.gates, base.cuts)
-        with pytest.raises(NotBipartite):
+        msg = "cuts split the circuit into 3 component(s), need exactly 2"
+        with pytest.raises(NotBipartite, match="^%s$" % re.escape(msg)):
             bipartition(circ)
 
     def test_mixed_orientation_is_cyclic(self):
@@ -170,16 +192,30 @@ class TestBipartition:
             (cnot(0, 1), cnot(0, 3), cnot(3, 2), cnot(1, 2)),
             (CutPoint(0, 0, 1), CutPoint(2, 2, 2)),
         )
-        with pytest.raises(CyclicCut):
+        with pytest.raises(CyclicCut, match="^cuts have mixed orientation; fragments feed back$"):
             bipartition(circ)
 
     def test_unseparated_wire_is_cyclic(self):
         circ = Circuit(3, (cnot(0, 1), cnot(0, 1)), (CutPoint(1, 0, 1),))
-        with pytest.raises(CyclicCut):
+        with pytest.raises(CyclicCut, match="^cut 1 does not separate its wire$"):
+            bipartition(circ)
+
+    @pytest.mark.parametrize("order, message", [
+        ((1, 2, 3), "cuts have mixed orientation; fragments feed back"),
+        ((1, 3, 2), "cut 3 does not separate its wire"),
+    ])
+    def test_cuts_are_checked_in_circuit_order(self, order, message):
+        # components {0, 1 pre, 2 post} and {4, 1 post, 2 pre, 3}: cut 2 points
+        # the other way and cut 3 stays inside the second component, so it
+        # is both unseparated and wrongly oriented; separation is named first
+        cuts = {1: CutPoint(1, 0, 1), 2: CutPoint(2, 1, 2), 3: CutPoint(3, 2, 3)}
+        circ = Circuit(5, (cnot(0, 1), cnot(4, 2), cnot(4, 3), cnot(1, 4), cnot(2, 0),
+                           cnot(3, 4)), tuple(cuts[i] for i in order))
+        with pytest.raises(CyclicCut, match="^%s$" % re.escape(message)):
             bipartition(circ)
 
     def test_needs_a_cut(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bipartition needs at least one cut$"):
             bipartition(Circuit(2, (h(0), cnot(0, 1)), ()))
 
     def test_cut_before_any_gate(self):
@@ -200,6 +236,43 @@ class TestBipartition:
         a = simulate(uncut(circ)).amplitudes
         b = simulate(restitched).amplitudes
         assert np.max(np.abs(a - b)) < 1e-10
+
+    @given(k=st.integers(1, 3), extra_up=st.integers(0, 2), extra_down=st.integers(0, 2),
+           depth=st.integers(1, 2), seed=st.integers(0, 10 ** 6))
+    def test_fragments_restitch_and_joins_are_rejected(self, k, extra_up, extra_down,
+                                                       depth, seed):
+        circ = make_cut_circuit(k + extra_up, k + extra_down, k, depth, seed)
+        f1, f2 = bipartition(circ)
+        restitched = simulate(stitch(f1, f2, circ.n_qubits)).amplitudes
+        assert np.max(np.abs(simulate(uncut(circ)).amplitudes - restitched)) < 1e-10
+        up_only = [f1.parent_qubits[q] for q in f1.output_qubits]
+        down_only = [q for q in f2.parent_qubits if q not in f1.parent_qubits]
+        if up_only and down_only:
+            joined = circ.gates + (cnot(up_only[-1], down_only[0]),)
+            with pytest.raises(NotBipartite, match="into 1 component"):
+                bipartition(Circuit(circ.n_qubits, joined, circ.cuts))
+        with pytest.raises(NotBipartite, match="into 3 component"):
+            bipartition(Circuit(circ.n_qubits + 1, circ.gates, circ.cuts))
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: golden_ansatz(9, 3, 201),
+         "9e6a4818067d16bde6cadebc76681e1db65b9d62dfedf17fb8583166c5f69f2a"),
+        (lambda: multicut_circuit(4, 201),
+         "cd1888bf55d5aa857d9fa69cc2c0127eccd9e317e67c24e79c478633a93baaf2"),
+        (lambda: multicut_circuit(4, 501),
+         "101e61fe758cca2b65dec993caf1bde2a0943b8f9b97ef362e41cf00dcfc7bcc"),
+        (lambda: make_cut_circuit(5, 6, 4, 2, 3),
+         "3d53022b8ad92f3f6b674eab48ce6a253c662b368d6a24c9731bbd8c6e43209d"),
+    ])
+    def test_fragments_match_pinned_digest(self, make, digest):
+        # sha256 of each fragment's canonical JSON and interface tuples, as
+        # the union-find bipartition produced them
+        h = hashlib.sha256()
+        for f in bipartition(make()):
+            h.update(to_json(f.circuit).encode())
+            h.update(repr((f.upstream_cut_qubits, f.downstream_cut_qubits,
+                           f.output_qubits, f.parent_qubits)).encode())
+        assert h.hexdigest() == digest
 
     def test_cut_ids_unique_per_interface(self):
         circ = make_cut_circuit(3, 3, 2, 1, 5)

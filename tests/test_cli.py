@@ -249,6 +249,23 @@ class TestDetect:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_eps_that_is_negative_or_not_finite_is_config_error(self, tmp_path, eps, capsys):
+        # nan and -1 flagged nothing, inf flagged every basis, all with exit 0
+        circ = ansatz_path(tmp_path)
+        out = tmp_path / "detect.json"
+        capsys.readouterr()
+        assert main(["detect", "--circuit", str(circ), "--eps", eps, "--out", str(out)]) == 2
+        assert "eps must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_eps_is_legal(self, tmp_path, capsys):
+        circ = ansatz_path(tmp_path)
+        capsys.readouterr()
+        assert main(["detect", "--circuit", str(circ), "--eps", "0"]) == 0
+        rows = {row["basis"]: row for row in json.loads(capsys.readouterr().out)}
+        assert rows["Y"]["golden"] is True and rows["Z"]["golden"] is False
+
     def test_cutless_circuit_is_validation_error(self, tmp_path):
         path = tmp_path / "uncut.json"
         save(Circuit(2, (h(0),), ()), str(path))

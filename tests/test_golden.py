@@ -90,6 +90,19 @@ class TestExactDetection:
             detect_exact(a_shots)
 
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_eps_that_is_negative_or_not_finite_is_rejected(self, eps):
+        # NaN and -1 flagged nothing; inf flagged X, Y and Z
+        tensor, _ = upstream_tensor(golden_ansatz(5, 2, 3), ObservableSpec.distribution(()))
+        with pytest.raises(ValueError, match="^eps must be finite and at least 0"):
+            detect_exact(tensor, eps)
+
+    def test_zero_eps_flags_only_exact_zeros(self):
+        tensor, _ = upstream_tensor(golden_ansatz(5, 2, 3), ObservableSpec.distribution(()))
+        report = detect_exact(tensor, 0.0)
+        assert report.golden_pairs() == {(1, PauliOp.Y)}
+
+
 class TestPruningChangesNonGolden:
     def test_neglecting_a_live_basis_moves_the_value(self):
         # <XXX> on the GHZ state lives entirely in the X tuple, so dropping

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 import goldcut.golden as golden
 import goldcut.pipeline as pipeline
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
-from goldcut.errors import NotBipartite
+from goldcut.errors import NotBipartite, SupportMismatch
 from goldcut.fragmenter import run_fragment, upstream_variants
 from goldcut.golden import detect_statistical
 from goldcut.metrics import cut_counts
@@ -50,6 +50,26 @@ class TestSplitObservable:
         obs1, obs2 = split_observable(f1, f2, obs)
         assert obs1.bits == "0" and obs1.qubits == (0,)
         assert obs2.bits == "10" and obs2.qubits == (0, 1)
+
+
+class TestDistributionSupport:
+    @pytest.mark.parametrize("qubits", [[0], [4, 3, 2, 1, 0], [0, 9]])
+    def test_distribution_on_other_qubits_is_rejected(self, qubits):
+        # each of these used to return the full distribution in parent order
+        with pytest.raises(SupportMismatch, match="reads parent qubits 0..4 in order"):
+            reconstruct(golden_ansatz(5, 2, 7), ObservableSpec.distribution(qubits))
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    def test_full_range_equals_the_default(self, shots):
+        circ = golden_ansatz(5, 2, 7)
+        default = reconstruct(circ, shots=shots, seed=4, prune="exact")
+        full = reconstruct(circ, ObservableSpec.distribution(range(5)), shots=shots, seed=4,
+                           prune="exact")
+        assert np.array_equal(default.raw_distribution, full.raw_distribution)
+        assert np.array_equal(default.distribution, full.distribution)
+        if shots is None:
+            truth = ground_truth_distribution(circ)
+            assert np.max(np.abs(default.raw_distribution - truth)) < 1e-10
 
 
 def loop_permutation(f1, f2, n_parent):
