@@ -94,10 +94,15 @@ def _basis_magnitudes(tensor: FragmentTensor):
     return out
 
 
-def detect_exact(tensor: FragmentTensor, eps: float = ORACLE_EPS) -> GoldenReport:
-    """Flag the bases whose magnitude is at most eps in an infinite-shot upstream tensor."""
+def check_eps(eps: float) -> None:
+    """Raise ValueError unless eps is a finite magnitude bound of at least 0."""
     if not 0.0 <= eps < math.inf:
         raise ValueError("eps must be finite and at least 0, got %r" % eps)
+
+
+def detect_exact(tensor: FragmentTensor, eps: float = ORACLE_EPS) -> GoldenReport:
+    """Flag the bases whose magnitude is at most eps in an infinite-shot upstream tensor."""
+    check_eps(eps)
     if tensor.side != "upstream":
         raise WrongSide("golden detection inspects the upstream tensor")
     if tensor.source != "exact":

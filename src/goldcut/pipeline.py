@@ -23,6 +23,7 @@ from .golden import (
     DEFAULT_TAU,
     ORACLE_EPS,
     GoldenReport,
+    check_eps,
     detect_exact,
     detect_statistical,
 )
@@ -140,8 +141,10 @@ def upstream_report(f1: Fragment, obs: ObservableSpec = None, shots: int = None,
     None it is operator_tensor and the report detect_exact at eps;
     otherwise every setting runs through run_fragment on seed path (trial,
     SIDE_UPSTREAM) into build_tensor, and the report is detect_statistical
-    at alpha and tau.
+    at alpha and tau. An eps that is negative or not finite raises
+    ValueError on either path.
     """
+    check_eps(eps)
     if obs is None:
         obs = ObservableSpec.distribution(f1.output_qubits)
     if shots is None:

@@ -117,11 +117,16 @@ class FragmentTensor:
 
 def _output_weights(obs, out_bits):
     """Per-bitstring observable values over the output bits, or None in
-    distribution mode; a qubit that is not an output raises SupportMismatch."""
+    distribution mode; a qubit that is not an output, or a distribution
+    that names other than every output in local order (an empty support is
+    short for that), raises SupportMismatch."""
     for q in obs.qubits:
         if q not in out_bits:
             raise SupportMismatch("observable qubit %d is not a fragment output" % q)
     if obs.kind == "distribution":
+        if obs.qubits not in ((), tuple(out_bits)):
+            raise SupportMismatch("a distribution reads the fragment outputs %s in order, got %s"
+                                  % (list(out_bits), list(obs.qubits)))
         return None
     m = len(out_bits)
     idx = np.arange(2 ** m)

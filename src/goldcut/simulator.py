@@ -4,7 +4,12 @@ Everything here is an infinite-shot oracle except sample(), which returns
 the per-outcome counts of a multinomial draw from the exact Born
 distribution. Outcome indices follow the package-wide bitstring convention:
 qubit 0 is the most significant (leftmost) bit. apply_gates makes one
-matrix product per gate, the very product np.tensordot would make.
+matrix product per gate on a state narrower than FUSE_FROM qubits, the
+very product np.tensordot would make, so its amplitudes equal those of a
+tensordot loop to the bit. A wider state gets one product per block of up
+to FUSE_WIDTH qubits, whose matrix fuses the block's gates; its amplitudes
+agree with the tensordot loop to rounding (1e-12 in the tests), not to the
+bit.
 """
 from __future__ import annotations
 
@@ -24,6 +29,19 @@ from .seeding import stream
 
 MAX_QUBITS = 14
 _ATOL = 1e-10
+# Gate fusion (see _group). Timed with BLAS at 1 thread on a 2-vCPU x86
+# machine, OpenBLAS 0.3.31: a complex product costs 3-6 us at any size up
+# to 16 x 256, so folding a gate into a block matrix costs about as much as
+# applying it to a 10-qubit state, and fusion pays only on wider states.
+# Fused over unfused apply_gates, medians of 200-300 interleaved calls, on
+# 3-layer rx + CNOT-chain circuits over all n wires and on batched
+# downstream passes (multicut_circuit(K, 201) for K = 1..4 and three test
+# fragments at n = 11): 1.6-1.9 at n = 6..9, 1.3-1.5 at n = 10,
+# 1.1-1.35 at n = 11, 0.83-0.99 at n = 12, 0.63-0.68 at n = 13 and
+# 0.5-0.61 at n = 14. At n = 12 and 14, blocks of at most 4 qubits were as
+# fast as 5 and 6-10% faster than 3; blocks of 2 took 1.3-1.5x as long.
+FUSE_WIDTH = 4
+FUSE_FROM = 12
 
 
 @dataclass(frozen=True)
@@ -115,17 +133,60 @@ def simulate(circuit: Circuit, initial=None) -> StateVector:
 def apply_gates(state: StateVector, gates) -> StateVector:
     """Apply a gate sequence to any state; the input state is left intact.
 
-    Per gate, one np.dot on the state transposed to (gate qubits, the rest
-    ascending); order[i] is the qubit axis i holds until the final transpose.
+    A state of FUSE_FROM qubits or more (reference axes count) gets one
+    product per block of _group, a narrower one one product per gate.
     """
-    n, shape = state.n_qubits, (2,) * state.n_qubits
-    psi, order = state.amplitudes, list(range(n))
+    n = state.n_qubits
+    if n < FUSE_FROM:
+        ops = [(gate_matrix(g), g.qubits) for g in gates]
+    else:
+        ops = [(_block_matrix(qubits, members), qubits) for qubits, members in _group(gates)]
+    return StateVector(_apply(state.amplitudes, n, ops))
+
+
+def _apply(psi, n, ops):
+    """The kernel: per (matrix, qubits) op, one np.dot on the state
+    transposed to (op qubits, the rest ascending); order[i] is the qubit
+    axis i holds until the final transpose."""
+    shape, order = (2,) * n, list(range(n))
+    for u, qubits in ops:
+        front = [*qubits, *(q for q in range(n) if q not in qubits)]
+        psi = psi.reshape(shape).transpose([order.index(q) for q in front])
+        psi, order = np.dot(u, psi.reshape(2 ** len(qubits), -1)), front
+    return psi.reshape(shape).transpose(np.argsort(order)).reshape(-1)
+
+
+def _group(gates) -> list:
+    """The gates as (qubits, member gates) blocks, in one greedy pass.
+
+    A gate joins the latest block that touches any of its qubits, or the
+    last block if none does, when the union of qubits stays within
+    FUSE_WIDTH; otherwise it opens a new block. No later block touches its
+    qubits, so it commutes past them. Only a lone gate wider than
+    FUSE_WIDTH makes a wider block.
+    """
+    blocks, latest = [], {}
     for g in gates:
-        rest = [q for q in range(n) if q not in g.qubits]
-        axes = [order.index(q) for q in g.qubits + tuple(rest)]
-        psi = psi.reshape(shape).transpose(axes).reshape(2 ** len(g.qubits), -1)
-        psi, order = np.dot(gate_matrix(g), psi), list(g.qubits) + rest
-    return StateVector(psi.reshape(shape).transpose(np.argsort(order)).reshape(-1))
+        i = max((latest[q] for q in g.qubits if q in latest), default=len(blocks) - 1)
+        if i < 0 or len(set(blocks[i][0]) | set(g.qubits)) > FUSE_WIDTH:
+            i = len(blocks)
+            blocks.append(([], []))
+        qubits, members = blocks[i]
+        qubits += [q for q in g.qubits if q not in qubits]
+        members.append(g)
+        latest.update((q, i) for q in g.qubits)
+    return blocks
+
+
+def _block_matrix(qubits, members) -> np.ndarray:
+    """A block's matrix over its qubits, in their order: the kernel run on
+    the block's 2k-qubit identity, or a lone gate's gate_matrix."""
+    if len(members) == 1:
+        return gate_matrix(members[0])
+    k, local = len(qubits), {q: j for j, q in enumerate(qubits)}
+    u = _apply(np.eye(2 ** k, dtype=complex).reshape(-1), 2 * k,
+               [(gate_matrix(g), [local[q] for q in g.qubits]) for g in members])
+    return u.reshape(2 ** k, -1)
 
 
 def exact_distribution(state: StateVector, qubits) -> np.ndarray:

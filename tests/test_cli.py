@@ -259,6 +259,17 @@ class TestDetect:
         assert "eps must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_eps_is_checked_with_shots_too(self, tmp_path, eps, capsys):
+        # the statistical path never read eps: --eps nan --shots 10000 exited 0
+        circ = ansatz_path(tmp_path)
+        out = tmp_path / "detect.json"
+        capsys.readouterr()
+        assert main(["detect", "--circuit", str(circ), "--shots", "10000", "--eps", eps,
+                     "--out", str(out)]) == 2
+        assert "eps must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_eps_is_legal(self, tmp_path, capsys):
         circ = ansatz_path(tmp_path)
         capsys.readouterr()

@@ -72,6 +72,45 @@ class TestDistributionSupport:
             assert np.max(np.abs(default.raw_distribution - truth)) < 1e-10
 
 
+class TestFragmentDistributionSupport:
+    """A fragment-level distribution reads the fragment's outputs in local
+    order; upstream_report(f1, distribution([0])) used to return the full
+    (4, 4) tensor of outputs 0 and 1."""
+
+    def fragments(self):
+        f1, f2 = bipartition(golden_ansatz(5, 2, 7))
+        assert f1.output_qubits == (0, 1) and f2.output_qubits == (0, 1, 2)
+        return f1, f2
+
+    @pytest.mark.parametrize("qubits", [[0], [1, 0]])
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_upstream_report_rejects_other_supports(self, qubits, shots):
+        f1, _ = self.fragments()
+        with pytest.raises(SupportMismatch, match="reads the fragment outputs"):
+            upstream_report(f1, ObservableSpec.distribution(qubits), shots=shots)
+
+    @pytest.mark.parametrize("qubits", [[0], [1, 0]])
+    def test_every_builder_rejects_other_supports(self, qubits):
+        f1, f2 = self.fragments()
+        obs = ObservableSpec.distribution(qubits)
+        results = run_fragment(f1, upstream_variants(f1))
+        a = operator_tensor(f1, ObservableSpec.distribution(f1.output_qubits))
+        for call in (lambda: operator_tensor(f1, obs),
+                     lambda: build_tensor(results, obs, "upstream"),
+                     lambda: contract_operator(a, f2, ObservableSpec.distribution(qubits[::-1]))):
+            with pytest.raises(SupportMismatch, match="reads the fragment outputs"):
+                call()
+
+    def test_outputs_in_order_or_empty_read_the_full_tensor(self):
+        f1, _ = self.fragments()
+        full, _ = upstream_report(f1, ObservableSpec.distribution((0, 1)))
+        default, _ = upstream_report(f1)
+        empty, _ = upstream_report(f1, ObservableSpec.distribution(()))
+        assert full.entries.shape == (4, 4)
+        assert np.array_equal(full.entries, default.entries)
+        assert np.array_equal(full.entries, empty.entries)
+
+
 def loop_permutation(f1, f2, n_parent):
     """Bit-by-bit loop over every parent index: the reference that
     parent_permutation's vectorised form must equal."""

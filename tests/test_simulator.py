@@ -1,8 +1,10 @@
 """Statevector simulation, observables, sampling, and basis helpers."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import goldcut.fragmenter as fragmenter
+import goldcut.simulator as simulator
 from goldcut.circuits import (
     Circuit,
     CutPoint,
@@ -14,6 +16,7 @@ from goldcut.circuits import (
     gate_matrix,
     h,
     random_circuit,
+    rx,
     unitary,
 )
 from goldcut.errors import (
@@ -25,6 +28,7 @@ from goldcut.errors import (
 )
 from goldcut.fragmenter import PREP_LABELS, prep_state
 from goldcut.simulator import (
+    MAX_QUBITS,
     ObservableSpec,
     StateVector,
     apply_gates,
@@ -35,7 +39,13 @@ from goldcut.simulator import (
     simulate,
 )
 
-from conftest import embed_unitary, make_cut_circuit, ref_distribution, ref_state
+from conftest import (
+    embed_unitary,
+    load_perfbench,
+    make_cut_circuit,
+    ref_distribution,
+    ref_state,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -192,6 +202,119 @@ class TestKernel:
         want = tensordot_apply_gates(StateVector(start), circ.gates).amplitudes
         assert np.array_equal(simulate(circ, init).amplitudes, want)
         assert np.array_equal(simulate(Circuit(4, (), ()), init).amplitudes, start)
+
+
+class TestFusedKernel:
+    """From FUSE_FROM qubits up, apply_gates makes one product per block of
+    up to FUSE_WIDTH qubits, so it agrees with the reference to rounding,
+    not to the bit; below, it is the per-gate kernel of TestKernel."""
+
+    def check(self, state, gates):
+        before = state.amplitudes.copy()
+        got = apply_gates(state, gates).amplitudes
+        assert np.array_equal(state.amplitudes, before)  # input left intact
+        want = tensordot_apply_gates(state, gates).amplitudes
+        assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-12
+
+    def mixed_gates(self, rng, n, seed):
+        """A random circuit with reversed cnots, czs and opaque 2-, 3- and
+        5-qubit unitaries on unsorted targets spliced in."""
+        gates = list(random_circuit(n, 3, seed).gates)
+        spliced = [cnot(n - 1, 0), cz(n - 2, 1), cnot(3, 1),
+                   unitary(haar_unitary(rng, 2), n - 1, 2),
+                   unitary(haar_unitary(rng, 3), 4, 0, n - 3),
+                   unitary(haar_unitary(rng, 5), n - 2, 1, 5, 0, 3)]
+        for g in spliced:
+            i = int(rng.integers(len(gates) + 1))
+            gates[i:i] = [g]
+        return gates
+
+    @pytest.mark.parametrize("n", range(simulator.FUSE_FROM - 1, MAX_QUBITS + 1))
+    def test_random_circuits_match_the_reference(self, n):
+        rng = np.random.default_rng(300 + n)
+        self.check(random_state(rng, n), self.mixed_gates(rng, n, 300 + n))
+
+    @pytest.mark.parametrize("n", [simulator.FUSE_FROM, MAX_QUBITS])
+    def test_empty_gate_list(self, n):
+        state = random_state(np.random.default_rng(n), n)
+        assert np.array_equal(apply_gates(state, ()).amplitudes, state.amplitudes)
+
+    @pytest.mark.parametrize("n", range(max(simulator.FUSE_FROM - 3, 1), simulator.FUSE_FROM))
+    def test_narrower_states_are_bitwise_the_reference(self, n):
+        rng = np.random.default_rng(400 + n)
+        state, gates = random_state(rng, n), self.mixed_gates(rng, n, 400 + n)
+        want = tensordot_apply_gates(state, gates).amplitudes
+        assert np.array_equal(apply_gates(state, gates).amplitudes, want)
+
+    def test_fusion_is_on_from_the_threshold(self, monkeypatch):
+        group, seen = simulator._group, []
+        monkeypatch.setattr(simulator, "_group", lambda gates: seen.append(gates) or group(gates))
+        rng = np.random.default_rng(5)
+        wide = random_circuit(simulator.FUSE_FROM, 2, 5).gates
+        apply_gates(random_state(rng, simulator.FUSE_FROM - 1),
+                    random_circuit(simulator.FUSE_FROM - 1, 2, 5).gates)
+        apply_gates(random_state(rng, simulator.FUSE_FROM), wide)
+        assert seen == [wide]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_batched_multicut_downstream_state(self, k, monkeypatch):
+        _, f2 = bipartition(load_perfbench("workloads").multicut_circuit(k, 201))
+        seen = []
+
+        def checking_apply_gates(state, gates):
+            self.check(state, gates)
+            seen.append(state.n_qubits)
+            return apply_gates(state, gates)
+
+        monkeypatch.setattr(fragmenter, "apply_gates", checking_apply_gates)
+        fragmenter.cut_amplitudes(f2)
+        assert seen == [f2.circuit.n_qubits + k]
+
+
+@st.composite
+def gate_lists(draw):
+    """Up to 30 gates on n <= 7 qubits: h, rx, cnot, cz and opaque unitaries
+    of 1 to 6 qubits, on targets in any order."""
+    n = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    kinds = ("h", "rx", "unitary") + (("cnot", "cz") if n > 1 else ())
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        width = draw(st.integers(1, min(n, 6))) if kind == "unitary" else 1 + (kind[0] == "c")
+        targets = draw(st.permutations(range(n)))[:width]
+        if kind == "unitary":
+            gates.append(unitary(haar_unitary(rng, width), *targets))
+        elif kind == "rx":
+            gates.append(rx(float(rng.uniform(0.0, 6.28)), *targets))
+        else:
+            gates.append(Gate(kind, tuple(targets)))
+    return n, gates, seed
+
+
+class TestGrouping:
+    @given(gate_lists())
+    def test_blocks_in_order_equal_gates_in_order(self, case):
+        n, gates, seed = case
+        blocks = simulator._group(gates)
+        members = [g for _, block in blocks for g in block]
+        assert sorted(map(id, members)) == sorted(map(id, gates))
+        for qubits, block in blocks:
+            union = []
+            for g in block:
+                union += [q for q in g.qubits if q not in union]
+            assert list(qubits) == union
+            assert len(qubits) <= simulator.FUSE_WIDTH or len(block) == 1
+        # per qubit, the gates that touch it keep their order
+        for q in range(n):
+            assert ([id(g) for g in members if q in g.qubits]
+                    == [id(g) for g in gates if q in g.qubits])
+        state = random_state(np.random.default_rng(seed), n)
+        ops = [(simulator._block_matrix(qubits, block), qubits) for qubits, block in blocks]
+        got = simulator._apply(state.amplitudes, n, ops)
+        want = tensordot_apply_gates(state, gates).amplitudes
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestExactExpectation:
