@@ -57,7 +57,6 @@ from .reconstructor import (
 )
 from .simulator import (
     ObservableSpec,
-    StateVector,
     basis_rotation,
     exact_distribution,
     exact_expectation,
@@ -81,7 +80,7 @@ __all__ = [
     "FragmentTensor", "Reconstruction", "build_tensor",
     "contract_distribution", "contract_expectation", "contract_operator", "operator_tensor",
     "term_count",
-    "ObservableSpec", "StateVector", "basis_rotation", "exact_distribution",
+    "ObservableSpec", "basis_rotation", "exact_distribution",
     "exact_expectation", "sample", "simulate",
     "__version__",
 ]

@@ -37,8 +37,6 @@ from .errors import SupportMismatch, TooWide
 from .seeding import stream
 from .simulator import (
     MAX_QUBITS,
-    ObservableSpec,
-    StateVector,
     apply_gates,
     basis_rotation,
     exact_distribution,
@@ -65,8 +63,8 @@ _PREP_GATES = {
 
 def prep_state(label: str) -> np.ndarray:
     """The eigenstate vector the labeled prep gates produce from |0>."""
-    zero = StateVector(np.array([1.0, 0.0], dtype=complex))
-    return apply_gates(zero, [factory(0) for factory in _PREP_GATES[label]]).amplitudes
+    return apply_gates(np.array([1.0, 0.0], dtype=complex),
+                       [factory(0) for factory in _PREP_GATES[label]])
 
 
 # Per side: a cut's map from its computational bit to the amplitude rows of
@@ -147,10 +145,7 @@ def _cuts(fragment: Fragment, side: str) -> tuple:
 
 
 def _normalize_neglected(neglected):
-    out = set()
-    for cid, p in neglected or ():
-        out.add((_as_int(cid, "neglected cut id"), p if isinstance(p, PauliOp) else PauliOp(p)))
-    return frozenset(out)
+    return frozenset((_as_int(cid, "neglected cut id"), PauliOp(p)) for cid, p in neglected or ())
 
 
 def _neglected_by_cut(cut_ids, neglected):
@@ -172,22 +167,42 @@ def _kept_labels(side: str, dropped) -> tuple:
                  if lab[0] == "Z" or PauliOp(lab[0]) not in dropped)
 
 
-def _readout(outputs, obs) -> tuple:
-    """The (output qubit, "X" | "Y") pairs a Pauli obs rotates to a Z readout."""
-    readout = []
-    if obs is not None and obs.kind == "pauli":
-        for q, p in zip(obs.qubits, obs.paulis):
-            if q not in outputs:
-                raise SupportMismatch("observable qubit %d is not a fragment output" % q)
-            if p in (PauliOp.X, PauliOp.Y):
-                readout.append((q, p.value))
-    return tuple(readout)
+def _read(obs, outputs):
+    """How a fragment reads obs off its output qubits: (readout, weights).
+
+    readout is the (output qubit, "X" | "Y") pairs that obs's Pauli factors
+    rotate to a Z readout, in obs order; weights the observable's value per
+    bitstring over outputs (in their order), or None in distribution mode.
+    A qubit that is not an output, or a distribution that names other than
+    every output in order (an empty support is short for that), raises
+    SupportMismatch.
+    """
+    for q in obs.qubits:
+        if q not in outputs:
+            raise SupportMismatch("observable qubit %d is not a fragment output" % q)
+    if obs.kind == "distribution":
+        if obs.qubits not in ((), tuple(outputs)):
+            raise SupportMismatch("a distribution reads the fragment outputs %s in order, got %s"
+                                  % (list(outputs), list(obs.qubits)))
+        return (), None
+    m = len(outputs)
+    idx = np.arange(2 ** m)
+    readout, weights = [], np.ones(2 ** m)
+    for q, f in zip(obs.qubits, obs.bits if obs.kind == "projector" else obs.paulis):
+        have = (idx >> (m - 1 - outputs.index(q))) & 1
+        if obs.kind == "projector":
+            weights *= have == int(f)
+        elif f is not PauliOp.I:
+            weights *= 1.0 - 2.0 * have
+            if f is not PauliOp.Z:
+                readout.append((q, f.value))
+    return tuple(readout), weights
 
 
 def _variants(fragment: Fragment, side: str, neglected, obs) -> list:
     cut_ids = [cid for cid, _ in _cuts(fragment, side)]
     dropped = _neglected_by_cut(cut_ids, neglected)
-    readout = _readout(fragment.output_qubits, obs)
+    readout = () if obs is None else _read(obs, fragment.output_qubits)[0]
     allowed = [_kept_labels(side, dropped[cid]) for cid in cut_ids]
     return [VariantKey(side, tuple(zip(cut_ids, combo)), readout)
             for combo in itertools.product(*allowed)]
@@ -197,7 +212,8 @@ def upstream_variants(f1: Fragment, neglected=frozenset(), obs=None) -> list:
     """VariantKeys of every measurement setting kept for an upstream fragment.
 
     Each key measures every cut wire in its setting's basis and, when obs is
-    a Pauli string, reads its X/Y factors on output wires out in Z.
+    a Pauli string, reads its X/Y factors on output wires out in Z. An obs
+    the fragment cannot read (see _read) raises SupportMismatch.
     """
     return _variants(f1, "upstream", neglected, obs)
 
@@ -211,9 +227,10 @@ def downstream_variants(f2: Fragment, neglected=frozenset(), obs=None) -> list:
     return _variants(f2, "downstream", neglected, obs)
 
 
-def cut_amplitudes(fragment: Fragment, obs=None) -> np.ndarray:
+def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
     """The cut operator as amplitudes psi[b, x] from one pass of the body
-    (the fragment plus obs's readout rotations).
+    (the fragment plus the rotations of readout, (output qubit, "X" | "Y")
+    pairs as in VariantKey.readout).
 
     b is the cut bits (cut_id order, the first cut most significant) and x
     the other local qubits in order. Upstream psi is the final state, so
@@ -221,26 +238,29 @@ def cut_amplitudes(fragment: Fragment, obs=None) -> np.ndarray:
     x; downstream row b is the output on input |b> at the cut wires and |0>
     elsewhere, so that product is output x's response to |b><b'|. The
     downstream pass runs all 2^K inputs at once: K reference axes after the
-    body's own hold sum_b |b>|b>. A fragment without cut qubits raises
-    ValueError.
+    body's own hold sum_b |b>|b>, so it simulates n + K qubits: the
+    MAX_QUBITS cap bounds the fragment's n, not that pass. A fragment
+    without cut qubits, or a readout pair on a qubit that is not an output
+    or with another label, raises ValueError.
     """
     side = fragment.side
     wires = [q for _, q in _cuts(fragment, side)]
-    rotations = [g for q, p in _readout(fragment.output_qubits, obs)
-                 for g in basis_rotation(PauliOp(p), q)]
+    if any(q not in fragment.output_qubits or p not in ("X", "Y") for q, p in readout):
+        raise ValueError("readout %r does not fit the fragment outputs %s"
+                         % (tuple(readout), fragment.output_qubits))
+    rotations = [g for q, p in readout for g in basis_rotation(PauliOp(p), q)]
     body = Circuit(fragment.circuit.n_qubits, tuple(fragment.circuit.gates) + tuple(rotations), ())
     n, k = body.n_qubits, len(wires)
     if side == "upstream":
         order = wires + [q for q in range(n) if q not in wires]
-        return simulate(body).amplitudes.reshape((2,) * n).transpose(order).reshape(2 ** k, -1)
+        return simulate(body).reshape((2,) * n).transpose(order).reshape(2 ** k, -1)
     if n > MAX_QUBITS:
         raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
     inputs = np.arange(2 ** k)
     rows = sum(((inputs >> (k - 1 - j)) & 1) << (n - 1 - q) for j, q in enumerate(wires))
     psi = np.zeros((2 ** n, 2 ** k), dtype=complex)
     psi[rows, inputs] = 1.0
-    out = apply_gates(StateVector(psi.reshape(-1)), body.gates).amplitudes
-    return out.reshape(2 ** n, 2 ** k).T
+    return apply_gates(psi.reshape(-1), body.gates).reshape(2 ** n, 2 ** k).T
 
 
 def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=()):
@@ -249,8 +269,8 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     Keys are grouped by readout, and each group's states are mapped from
     one cut_amplitudes pass of its body; see the module docstring. Any list
     of keys of this fragment works, in any order; a key of another side,
-    with other cut ids, an unknown label or a readout qubit that is not an
-    output raises ValueError. shots None stores exact probability vectors
+    with other cut ids, an unknown label or a readout that cut_amplitudes
+    rejects raises ValueError. shots None stores exact probability vectors
     (result shots 0); otherwise each variant stores its draw divided by
     shots, sampled with its own RNG stream derived from (seed, *seed_path,
     index), index being its position in variants, so results are
@@ -267,9 +287,7 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     groups = {}
     for i, key in enumerate(variants):
         if (key.side != side or tuple(cid for cid, _ in key.assignment) != cut_ids
-                or any(lab not in labels for _, lab in key.assignment)
-                or any(q not in fragment.output_qubits or p not in ("X", "Y")
-                       for q, p in key.readout)):
+                or any(lab not in labels for _, lab in key.assignment)):
             raise ValueError("variant %r does not fit the %s fragment with cuts %s"
                              % (key, side, cut_ids))
         index = [labels.index(lab) for _, lab in key.assignment]
@@ -283,18 +301,16 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     results = [None] * len(variants)
     for readout, blocks in groups.items():
         # downstream psi is a transposed view: copied once here, not per block
-        psi = np.ascontiguousarray(cut_amplitudes(fragment, ObservableSpec.pauli_string(
-            [p for _, p in readout], [q for q, _ in readout])))
+        psi = np.ascontiguousarray(cut_amplitudes(fragment, readout))
         for first, members in blocks.items():
             maps = [table[per_label * j:per_label * (j + 1)] for j in first]
             phi = _map_cuts(maps + [table] * (len(cut_ids) - lead), psi).reshape(shape)
             states = np.array([phi[rows] for _, rows in members]).reshape((-1,) + (2,) * n)
             for (i, _), amplitudes in zip(members, states.transpose(back).reshape(len(members), -1)):
-                sv = StateVector(amplitudes)
                 if shots is None:
-                    probs, used = exact_distribution(sv, everything), 0
+                    probs, used = exact_distribution(amplitudes, everything), 0
                 else:
-                    draws = sample(sv, everything, shots, stream(seed, *seed_path, i))
+                    draws = sample(amplitudes, everything, shots, stream(seed, *seed_path, i))
                     probs, used = draws / shots, shots
                 results[i] = VariantResult(variants[i], probs, used, n,
                                            fragment.upstream_cut_qubits, fragment.output_qubits)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import PauliOp, _fmt
-from .errors import WrongSide
+from .errors import MissingVariant, WrongSide
 from .fragmenter import MEASURED_BASES
 from .reconstructor import _BASE_INDEX, FragmentTensor, build_tensor
 
@@ -131,21 +131,21 @@ def detect_statistical(results, obs, alpha: float = DEFAULT_ALPHA,
     contains zero (empirical magnitude within the radius). When the radius
     exceeds tau the data cannot support a decision and the entry is marked
     insufficient instead of raising. alpha outside (0, 1) and a tau that is
-    not finite and positive raise ValueError. tensor, if given, is
-    build_tensor(results, obs, "upstream") already built by the caller.
+    not finite and positive raise ValueError, and no results raises
+    MissingVariant. tensor, if given, is build_tensor(results, obs,
+    "upstream") already built by the caller.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be finite and above 0, got %r" % tau)
+    if not results:
+        raise MissingVariant("no variant results")
     for r in results:
         if r.shots == 0:
             raise ValueError("detect_statistical needs shot-mode results")
     tensor = build_tensor(results, obs, "upstream") if tensor is None else tensor
-    shots_by_setting = {
-        tuple(r.key.label(cid) for cid in tensor.cut_ids): r.shots for r in results
-    }
-    least = min(shots_by_setting.values())
+    least = min(r.shots for r in results)
     radius = hoeffding_radius(least, alpha)
     insufficient = radius > tau
     mags = _basis_magnitudes(tensor)

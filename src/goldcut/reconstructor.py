@@ -30,9 +30,9 @@ from functools import reduce
 import numpy as np
 
 from .circuits import PauliOp
-from .errors import ArityMismatch, GoldcutError, MissingVariant, SupportMismatch, WrongSide
+from .errors import ArityMismatch, GoldcutError, MissingVariant, WrongSide
 from .fragmenter import SIDE_LABELS, _cuts, _kept_labels, _map_cuts, _neglected_by_cut
-from .fragmenter import _readout, cut_amplitudes
+from .fragmenter import _read, cut_amplitudes
 from .metrics import closed_form_counts
 
 BASES = (PauliOp.I, PauliOp.X, PauliOp.Y, PauliOp.Z)
@@ -92,9 +92,7 @@ class FragmentTensor:
 
     def entry(self, labels):
         """Look up one basis tuple, given per-cut PauliOps in cut_id order."""
-        idx = tuple(_BASE_INDEX[p if isinstance(p, PauliOp) else PauliOp(p)]
-                    for p in labels)
-        return self.entries[idx]
+        return self.entries[tuple(_BASE_INDEX[PauliOp(p)] for p in labels)]
 
     def pruned(self, neglected) -> "FragmentTensor":
         """This tensor with the rows of the neglected (cut_id, basis) pairs
@@ -113,31 +111,6 @@ class FragmentTensor:
         mask = _kept(self.cut_ids, dropped)
         mask = mask.reshape(mask.shape + (1,) * (self.entries.ndim - self.n_cuts))
         return replace(self, entries=np.where(mask, self.entries, 0.0), neglected=neglected)
-
-
-def _output_weights(obs, out_bits):
-    """Per-bitstring observable values over the output bits, or None in
-    distribution mode; a qubit that is not an output, or a distribution
-    that names other than every output in local order (an empty support is
-    short for that), raises SupportMismatch."""
-    for q in obs.qubits:
-        if q not in out_bits:
-            raise SupportMismatch("observable qubit %d is not a fragment output" % q)
-    if obs.kind == "distribution":
-        if obs.qubits not in ((), tuple(out_bits)):
-            raise SupportMismatch("a distribution reads the fragment outputs %s in order, got %s"
-                                  % (list(out_bits), list(obs.qubits)))
-        return None
-    m = len(out_bits)
-    idx = np.arange(2 ** m)
-    w = np.ones(2 ** m)
-    for q, f in zip(obs.qubits, obs.bits if obs.kind == "projector" else obs.paulis):
-        have = (idx >> (m - 1 - out_bits.index(q))) & 1
-        if obs.kind == "projector":
-            w *= have == int(f)
-        elif f is not PauliOp.I:
-            w *= 1.0 - 2.0 * have
-    return w
 
 
 def _check_cuts(k: int):
@@ -167,13 +140,21 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     upstream_variants / downstream_variants keep for neglected must be
     present; others may be, and feed only pruned rows. For a repeated key
     the last result counts. Every result must be read out as obs needs (its
-    X/Y factors, in obs order); another readout raises ValueError.
+    X/Y factors, in obs order), share the first result's (n_bits, cut_bits,
+    output_bits) and hold 2^n_bits probabilities; otherwise ValueError.
     """
     if not results:
         raise MissingVariant("no variant results")
+    layout = (results[0].n_bits, results[0].cut_bits, results[0].output_bits)
     for r in results:
         if r.key.side != side:
             raise WrongSide("expected %s results, got %s" % (side, r.key.side))
+        if (r.n_bits, r.cut_bits, r.output_bits) != layout:
+            raise ValueError("result bits %s differ from the first result's %s"
+                             % ((r.n_bits, r.cut_bits, r.output_bits), layout))
+        if np.size(r.probs) != 2 ** r.n_bits:
+            raise ValueError("result holds %d probabilities for %d bits"
+                             % (np.size(r.probs), r.n_bits))
     exact = {r.shots == 0 for r in results}
     if len(exact) != 1:
         raise ValueError("mixed exact and shot results")
@@ -189,12 +170,10 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
 
     # Data per result: its probabilities with the measured cut bits first
     # (cut_id order) and the output bits after them, one axis per cut bit.
-    n = results[0].n_bits
-    pos = dict(results[0].cut_bits)
+    n, cut_bits, out_bits = layout
+    pos = dict(cut_bits)
     cut_axes = [pos[cid] for cid in measured]
-    out_bits = tuple(q for q in range(n) if q not in cut_axes)
-    weights = _output_weights(obs, out_bits)
-    readout = _readout(out_bits, obs)
+    readout, weights = _read(obs, out_bits)
     tail = (2 ** len(out_bits),) if dist else ()
     by_first = {}
     for r in results:
@@ -250,10 +229,8 @@ def operator_tensor(fragment, obs) -> FragmentTensor:
     cut_ids = tuple(cid for cid, _ in _cuts(fragment, side))
     k = len(cut_ids)
     _check_cuts(k)
-    measured = {q for _, q in fragment.upstream_cut_qubits}
-    out_bits = tuple(q for q in range(fragment.circuit.n_qubits) if q not in measured)
-    weights = _output_weights(obs, out_bits)
-    psi = cut_amplitudes(fragment, obs)
+    readout, weights = _read(obs, fragment.output_qubits)
+    psi = cut_amplitudes(fragment, readout)
     if weights is None:
         data = psi[:, None, :] * psi[None, :, :].conj()
     else:
@@ -261,7 +238,7 @@ def operator_tensor(fragment, obs) -> FragmentTensor:
     pairs = [a for j in range(k) for a in (j, k + j)]
     data = data.reshape((2,) * (2 * k) + (-1,)).transpose(pairs + [2 * k])
     return _tensor(side, cut_ids, obs, _map_cuts([OPERATOR_MAPS[side]] * k, data).real,
-                   "exact", out_bits)
+                   "exact", fragment.output_qubits)
 
 
 def combine_tensors(tensors, coeffs) -> FragmentTensor:
@@ -368,8 +345,8 @@ def contract_operator(a: FragmentTensor, fragment, obs) -> Reconstruction:
         raise ArityMismatch("contract_operator needs a %s-mode tensor" % mode)
     k = a.n_cuts
     _check_cuts(k)
-    weights = _output_weights(obs, tuple(range(fragment.circuit.n_qubits)))
-    psi = cut_amplitudes(fragment, obs)
+    readout, weights = _read(obs, fragment.output_qubits)
+    psi = cut_amplitudes(fragment, readout)
     if np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) > 1e-9:
         raise GoldcutError("downstream cut amplitudes are not unit-norm per input")
     # R_y with axes (y, b, b'): the map leaves each cut's (b, b') pair adjacent

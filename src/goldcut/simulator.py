@@ -1,15 +1,15 @@
 """Exact statevector simulation, observables, sampling, and basis helpers.
 
-Everything here is an infinite-shot oracle except sample(), which returns
-the per-outcome counts of a multinomial draw from the exact Born
-distribution. Outcome indices follow the package-wide bitstring convention:
-qubit 0 is the most significant (leftmost) bit. apply_gates makes one
-matrix product per gate on a state narrower than FUSE_FROM qubits, the
-very product np.tensordot would make, so its amplitudes equal those of a
-tensordot loop to the bit. A wider state gets one product per block of up
-to FUSE_WIDTH qubits, whose matrix fuses the block's gates; its amplitudes
-agree with the tensordot loop to rounding (1e-12 in the tests), not to the
-bit.
+A state is a plain complex vector of 2^n amplitudes. Everything here is an
+infinite-shot oracle except sample(), which returns the per-outcome counts
+of a multinomial draw from the exact Born distribution. Outcome indices
+follow the package-wide bitstring convention: qubit 0 is the most
+significant (leftmost) bit. apply_gates makes one matrix product per gate
+on a state narrower than FUSE_FROM qubits, the very product np.tensordot
+would make, so its amplitudes equal those of a tensordot loop to the bit.
+A wider state gets one product per block of up to FUSE_WIDTH qubits, whose
+matrix fuses the block's gates; its amplitudes agree with the tensordot
+loop to rounding (1e-12 in the tests), not to the bit.
 """
 from __future__ import annotations
 
@@ -45,21 +45,14 @@ FUSE_FROM = 12
 
 
 @dataclass(frozen=True)
-class StateVector:
-    amplitudes: np.ndarray
-
-    @property
-    def n_qubits(self) -> int:
-        return int(self.amplitudes.size).bit_length() - 1
-
-
-@dataclass(frozen=True)
 class ObservableSpec:
     """Observable on a subset of qubits.
 
     kind is one of "pauli" (one PauliOp per support qubit), "projector"
     (a target bitstring over the support), or "distribution" (marker for
-    the full bitstring distribution over the support).
+    the full bitstring distribution over the support). Pauli labels may be
+    given as PauliOp or its letter; they are stored as PauliOp, and an
+    unknown label raises ValueError.
     """
 
     kind: str
@@ -72,7 +65,7 @@ class ObservableSpec:
             raise ValueError("unknown observable kind %r" % (self.kind,))
         object.__setattr__(self, "qubits",
                            tuple(_as_int(q, "observable qubit") for q in self.qubits))
-        object.__setattr__(self, "paulis", tuple(self.paulis))
+        object.__setattr__(self, "paulis", tuple(PauliOp(p) for p in self.paulis))
         if len(set(self.qubits)) != len(self.qubits):
             raise SupportMismatch("repeated qubit in support")
         if self.kind == "pauli" and len(self.paulis) != len(self.qubits):
@@ -84,8 +77,7 @@ class ObservableSpec:
 
     @classmethod
     def pauli_string(cls, labels, qubits) -> "ObservableSpec":
-        paulis = tuple(p if isinstance(p, PauliOp) else PauliOp(p) for p in labels)
-        return cls("pauli", tuple(qubits), paulis=paulis)
+        return cls("pauli", tuple(qubits), paulis=labels)
 
     @classmethod
     def projector(cls, bits: str, qubits) -> "ObservableSpec":
@@ -96,6 +88,15 @@ class ObservableSpec:
         return cls("distribution", tuple(qubits))
 
 
+def _width(psi) -> int:
+    """The qubit count n of a 2^n amplitude vector; any other length
+    raises ValueError."""
+    n = int(psi.size).bit_length() - 1
+    if n < 0 or psi.size != 1 << n:
+        raise ValueError("a state has 2^n amplitudes, got %d" % psi.size)
+    return n
+
+
 def _check_support(n_qubits: int, qubits) -> None:
     if len(set(qubits)) != len(qubits):
         raise SupportMismatch("repeated qubit in support")
@@ -104,7 +105,7 @@ def _check_support(n_qubits: int, qubits) -> None:
             raise SupportMismatch("qubit %d outside width %d" % (q, n_qubits))
 
 
-def simulate(circuit: Circuit, initial=None) -> StateVector:
+def simulate(circuit: Circuit, initial=None) -> np.ndarray:
     """Apply the gate sequence to a product initial state.
 
     initial is None for all-|0>, or a sequence with one entry per qubit:
@@ -127,21 +128,21 @@ def simulate(circuit: Circuit, initial=None) -> StateVector:
             if abs(np.linalg.norm(vec) - 1.0) > _ATOL:
                 raise InvalidInitial("initial state on qubit %d is not normalized" % q)
         psi = np.multiply.outer(psi, vec).reshape(-1)
-    return apply_gates(StateVector(psi), circuit.gates)
+    return apply_gates(psi, circuit.gates)
 
 
-def apply_gates(state: StateVector, gates) -> StateVector:
+def apply_gates(psi: np.ndarray, gates) -> np.ndarray:
     """Apply a gate sequence to any state; the input state is left intact.
 
     A state of FUSE_FROM qubits or more (reference axes count) gets one
     product per block of _group, a narrower one one product per gate.
     """
-    n = state.n_qubits
+    n = _width(psi)
     if n < FUSE_FROM:
         ops = [(gate_matrix(g), g.qubits) for g in gates]
     else:
         ops = [(_block_matrix(qubits, members), qubits) for qubits, members in _group(gates)]
-    return StateVector(_apply(state.amplitudes, n, ops))
+    return _apply(psi, n, ops)
 
 
 def _apply(psi, n, ops):
@@ -189,16 +190,16 @@ def _block_matrix(qubits, members) -> np.ndarray:
     return u.reshape(2 ** k, -1)
 
 
-def exact_distribution(state: StateVector, qubits) -> np.ndarray:
+def exact_distribution(psi: np.ndarray, qubits) -> np.ndarray:
     """Marginal Born probabilities over the given qubits, in their order.
 
     The returned vector is indexed by bitstring with qubits[0] as the most
     significant bit.
     """
-    n = state.n_qubits
+    n = _width(psi)
     qubits = tuple(qubits)
     _check_support(n, qubits)
-    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
+    probs = np.abs(psi.reshape((2,) * n)) ** 2
     if not qubits:
         return np.array([probs.sum()])
     if qubits == tuple(range(n)):
@@ -209,26 +210,25 @@ def exact_distribution(state: StateVector, qubits) -> np.ndarray:
     ).sum(axis=1)
 
 
-def exact_expectation(state: StateVector, obs: ObservableSpec) -> float:
+def exact_expectation(psi: np.ndarray, obs: ObservableSpec) -> float:
     """tr(O rho) for rho = |psi><psi|; the imaginary residue is checked."""
-    n = state.n_qubits
-    _check_support(n, obs.qubits)
+    _check_support(_width(psi), obs.qubits)
     if obs.kind == "projector":
         if not obs.qubits:
             return 1.0
-        return float(exact_distribution(state, obs.qubits)[int(obs.bits, 2)])
+        return float(exact_distribution(psi, obs.qubits)[int(obs.bits, 2)])
     if obs.kind != "pauli":
         raise SupportMismatch("expectation needs a pauli or projector observable")
     if not obs.qubits:
         return 1.0
     flips = [Gate(p.value.lower(), (q,)) for q, p in zip(obs.qubits, obs.paulis) if p.value != "I"]
-    value = np.vdot(state.amplitudes, apply_gates(state, flips).amplitudes)
+    value = np.vdot(psi, apply_gates(psi, flips))
     if not abs(value.imag) <= _ATOL:
         raise GoldcutError("imaginary residue %g in a Pauli expectation" % value.imag)
     return float(value.real)
 
 
-def sample(state: StateVector, qubits, shots: int, seed) -> np.ndarray:
+def sample(psi: np.ndarray, qubits, shots: int, seed) -> np.ndarray:
     """Multinomial sampling of the exact distribution; deterministic in seed.
 
     Returns the integer count per outcome, indexed like exact_distribution
@@ -238,7 +238,7 @@ def sample(state: StateVector, qubits, shots: int, seed) -> np.ndarray:
     if _as_int(shots, "shots") < 1:
         raise ValueError("shots must be at least 1")
     rng = seed if isinstance(seed, np.random.Generator) else stream(int(seed))
-    p = exact_distribution(state, qubits)
+    p = exact_distribution(psi, qubits)
     p = np.clip(p, 0.0, None)
     return rng.multinomial(shots, p / p.sum())
 

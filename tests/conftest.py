@@ -19,7 +19,7 @@ from hypothesis import settings
 import goldcut.fragmenter as fragmenter
 from goldcut.circuits import Circuit, CutPoint, PauliOp, cnot, gate_matrix, random_circuit
 from goldcut.fragmenter import _PREP_GATES
-from goldcut.simulator import apply_gates, basis_rotation, simulate
+from goldcut.simulator import _width, apply_gates, basis_rotation, simulate
 
 settings.register_profile("goldcut", derandomize=True, deadline=None, max_examples=25)
 settings.load_profile("goldcut")
@@ -46,7 +46,7 @@ def count_execution(monkeypatch):
         return simulate(circuit, initial)
 
     def counting_apply_gates(state, gates):
-        calls.append(state.n_qubits)
+        calls.append(_width(state))
         return apply_gates(state, gates)
 
     monkeypatch.setattr(fragmenter, "simulate", counting_simulate)

@@ -332,18 +332,26 @@ class TestRunOnce:
         # the body from the computational inputs, to rounding (a column
         # may differ in the last ulp)
         frag = bipartition(circ)[1]
-        obs = xy_observable(frag.output_qubits[:2])
+        readout = tuple(zip(frag.output_qubits[:2], "XY"))
         body = Circuit(frag.circuit.n_qubits, tuple(frag.circuit.gates) + tuple(
-            g for q, p in zip(obs.qubits, obs.paulis) for g in basis_rotation(p, q)), ())
-        columns = cut_amplitudes(frag, obs)
+            g for q, p in readout for g in basis_rotation(PauliOp(p), q)), ())
+        columns = cut_amplitudes(frag, readout)
         wires = [q for _, q in frag.downstream_cut_qubits]
         assert columns.shape == (2 ** len(wires), 2 ** body.n_qubits)
         for b, bits in enumerate(itertools.product((0, 1), repeat=len(wires))):
             initial = [None] * body.n_qubits
             for q, bit in zip(wires, bits):
                 initial[q] = (0.0, 1.0) if bit else None
-            want = simulate(body, initial).amplitudes
+            want = simulate(body, initial)
             assert np.max(np.abs(columns[b] - want)) <= 1e-15
+
+    def test_cut_amplitudes_rejects_readout_off_the_outputs(self):
+        # the cut wire, a wire beyond the fragment, and a Z readout
+        f1, _ = bipartition(golden_ansatz(5, 2, 7))
+        assert f1.output_qubits == (0, 1)
+        for readout in (((2, "X"),), ((7, "Y"),), ((0, "Z"),)):
+            with pytest.raises(ValueError, match="does not fit the fragment outputs"):
+                cut_amplitudes(f1, readout)
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_foreign_key_rejected(self, side):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
-from goldcut.errors import WrongSide
+from goldcut.errors import MissingVariant, WrongSide
 from goldcut.fragmenter import (
     VariantResult,
     downstream_variants,
@@ -179,6 +179,15 @@ class TestStatisticalDetection:
             detect_statistical(sampled, obs, tau=tau)
         with pytest.raises(ValueError, match="tau must be finite"):
             reconstruct(golden_ansatz(5, 2, 7), shots=100, prune="statistical", tau=tau)
+
+    def test_rejects_empty_results(self):
+        # with a tensor given, min() over no shot counts raised
+        # "min() arg is an empty sequence"
+        obs = ObservableSpec.distribution((0,))
+        tensor, _ = upstream_tensor(fig1(), obs, shots=100)
+        for kwargs in ({}, {"tensor": tensor}):
+            with pytest.raises(MissingVariant, match="no variant results"):
+                detect_statistical([], obs, **kwargs)
 
     @pytest.mark.parametrize("exact_at", [(0, 1, 2), (1,)])
     def test_rejects_zero_shot_results(self, exact_at):

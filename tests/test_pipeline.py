@@ -7,7 +7,7 @@ import goldcut.golden as golden
 import goldcut.pipeline as pipeline
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
 from goldcut.errors import NotBipartite, SupportMismatch
-from goldcut.fragmenter import run_fragment, upstream_variants
+from goldcut.fragmenter import downstream_variants, run_fragment, upstream_variants
 from goldcut.golden import detect_statistical
 from goldcut.metrics import cut_counts
 from goldcut.reconstructor import (
@@ -91,11 +91,15 @@ class TestFragmentDistributionSupport:
 
     @pytest.mark.parametrize("qubits", [[0], [1, 0]])
     def test_every_builder_rejects_other_supports(self, qubits):
+        # the enumerators read the observable as the builders do, so they
+        # reject it before anything runs
         f1, f2 = self.fragments()
         obs = ObservableSpec.distribution(qubits)
         results = run_fragment(f1, upstream_variants(f1))
         a = operator_tensor(f1, ObservableSpec.distribution(f1.output_qubits))
-        for call in (lambda: operator_tensor(f1, obs),
+        for call in (lambda: upstream_variants(f1, obs=obs),
+                     lambda: downstream_variants(f2, obs=ObservableSpec.distribution(qubits[::-1])),
+                     lambda: operator_tensor(f1, obs),
                      lambda: build_tensor(results, obs, "upstream"),
                      lambda: contract_operator(a, f2, ObservableSpec.distribution(qubits[::-1]))):
             with pytest.raises(SupportMismatch, match="reads the fragment outputs"):

@@ -48,6 +48,7 @@ from goldcut.reconstructor import (
     term_count,
 )
 from goldcut.simulator import (
+    MAX_QUBITS,
     ObservableSpec,
     exact_distribution,
     exact_expectation,
@@ -373,6 +374,37 @@ class TestBoundaryChecks:
         got = build_tensor(x_read, x_obs, "upstream").entries
         assert np.max(np.abs(got - operator_tensor(f1, x_obs).entries)) <= 1e-12
 
+    def test_directly_built_pauli_labels_are_normalized(self):
+        # a str label stayed a str: operator_tensor read X as Z (off by
+        # 0.967 here), exact_expectation raised AttributeError, and an
+        # unknown label went through
+        f1, circ = self.fragment(), golden_ansatz(5, 2, 7)
+        direct = ObservableSpec("pauli", (0,), paulis=("X",))
+        built = ObservableSpec.pauli_string(["X"], [0])
+        assert direct == built
+        assert np.array_equal(operator_tensor(f1, direct).entries,
+                              operator_tensor(f1, built).entries)
+        want = [reconstruct(circ, built, shots=s, seed=3).expectation for s in (None, 1000)]
+        assert [reconstruct(circ, direct, shots=s, seed=3).expectation
+                for s in (None, 1000)] == want
+        assert abs(want[0] - exact_expectation(simulate(uncut(circ)), direct)) < 1e-10
+        with pytest.raises(ValueError):
+            ObservableSpec("pauli", (0,), paulis=("Q",))
+
+    def test_build_tensor_rejects_results_of_another_layout(self):
+        # upstream results of a 5- and a 7-qubit ansatz failed inside numpy
+        # ("cannot reshape array of size 16 into shape (2,2,2)")
+        r5 = run_fragment(self.fragment(), upstream_variants(self.fragment()))
+        f7, _ = bipartition(golden_ansatz(7, 2, 7))
+        r7 = run_fragment(f7, upstream_variants(f7))
+        for results in (r5 + r7[:1], r7[:1] + r5):
+            with pytest.raises(ValueError, match="differ from the first result's"):
+                build_tensor(results, DIST, "upstream")
+        r = r5[0]
+        short = VariantResult(r.key, r.probs[:-1], 0, r.n_bits, r.cut_bits, r.output_bits)
+        with pytest.raises(ValueError, match="holds 7 probabilities for 3 bits"):
+            build_tensor([short] + r5[1:], DIST, "upstream")
+
     @pytest.mark.parametrize("pair,message", [((1, "I"), "identity basis cannot be neglected"),
                                               ((9, "X"), "unknown cut 9")])
     def test_neglected_set_checked_as_the_enumerators_check_it(self, pair, message):
@@ -488,6 +520,15 @@ class TestGoldenPruning:
 class TestContractOperator:
     """contract_operator equals the contraction with the downstream
     operator_tensor pruned as A is, and rejects what that route rejects."""
+
+    def test_five_cut_pass_wider_than_the_fragment_cap(self):
+        # MAX_QUBITS bounds the fragment; the downstream pass adds one
+        # reference axis per cut: 11 + 5 = 16 qubits here
+        circ = load_perfbench("workloads").multicut_circuit(5, 201)
+        _, f2 = bipartition(circ)
+        assert f2.circuit.n_qubits <= MAX_QUBITS < f2.circuit.n_qubits + 5
+        want = exact_distribution(simulate(uncut(circ)), range(circ.n_qubits))
+        assert np.max(np.abs(reconstruct(circ).distribution - want)) <= 1e-10
 
     @staticmethod
     def observables(n, rng):
