@@ -438,7 +438,7 @@ def certified_ansatz(n_qubits: int, depth: int, seed: int):
     return circuit, report
 
 
-def _fmt(value: float) -> str:
+def format_float(value: float) -> str:
     """Format a float with 17 significant digits (exact round trip; -0.0
     keeps its point, since JSON reads "-0" as the integer 0)."""
     text = format(float(value), ".17g")
@@ -449,11 +449,11 @@ def _gate_json(g: Gate) -> str:
     parts = [
         '"kind": %s' % json.dumps(g.kind),
         '"qubits": [%s]' % ", ".join(str(q) for q in g.qubits),
-        '"params": [%s]' % ", ".join(_fmt(p) for p in g.params),
+        '"params": [%s]' % ", ".join(format_float(p) for p in g.params),
     ]
     if g.matrix is not None:
         flat = [v for row in g.matrix for v in row]
-        pairs = ", ".join("[%s, %s]" % (_fmt(v.real), _fmt(v.imag)) for v in flat)
+        pairs = ", ".join("[%s, %s]" % (format_float(v.real), format_float(v.imag)) for v in flat)
         parts.append('"matrix": [%s]' % pairs)
     return "{%s}" % ", ".join(parts)
 

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .circuits import PauliOp, _fmt, bipartition, certified_ansatz, save, validate
+from .circuits import PauliOp, bipartition, certified_ansatz, format_float, save, validate
 from .errors import GoldcutError
 from .golden import DEFAULT_ALPHA, DEFAULT_TAU, GENERATION_EPS
 from .metrics import CSV_COLUMNS, closed_form_counts, weighted_distance
@@ -73,7 +73,7 @@ def _csv(columns, rows):
         cells = []
         for col in columns:
             v = row[col]
-            cells.append(_fmt(v) if isinstance(v, float) else str(v))
+            cells.append(format_float(v) if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

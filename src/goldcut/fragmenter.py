@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -185,18 +186,18 @@ def _read(obs, outputs):
             raise SupportMismatch("a distribution reads the fragment outputs %s in order, got %s"
                                   % (list(outputs), list(obs.qubits)))
         return (), None
-    m = len(outputs)
-    idx = np.arange(2 ** m)
-    readout, weights = [], np.ones(2 ** m)
+    # weights: the outer product of one 2-vector per output, (1, -1) for a
+    # Pauli factor, (1, 0) or (0, 1) for a projector bit, else (1, 1)
+    readout, factors = [], {}
     for q, f in zip(obs.qubits, obs.bits if obs.kind == "projector" else obs.paulis):
-        have = (idx >> (m - 1 - outputs.index(q))) & 1
         if obs.kind == "projector":
-            weights *= have == int(f)
+            factors[q] = (f == "0", f == "1")
         elif f is not PauliOp.I:
-            weights *= 1.0 - 2.0 * have
+            factors[q] = (1.0, -1.0)
             if f is not PauliOp.Z:
                 readout.append((q, f.value))
-    return tuple(readout), weights
+    weights = reduce(np.multiply.outer, [factors.get(q, (1.0, 1.0)) for q in outputs], np.ones(()))
+    return tuple(readout), weights.reshape(-1)
 
 
 def _variants(fragment: Fragment, side: str, neglected, obs) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import PauliOp, _fmt
+from .circuits import PauliOp, format_float
 from .errors import MissingVariant, WrongSide
 from .fragmenter import MEASURED_BASES
 from .reconstructor import _BASE_INDEX, FragmentTensor, build_tensor
@@ -67,11 +67,11 @@ class GoldenReport:
             parts = [
                 '"cut": %d' % e.cut_id,
                 '"basis": %s' % json.dumps(e.basis),
-                '"magnitude": %s' % _fmt(e.magnitude),
+                '"magnitude": %s' % format_float(e.magnitude),
                 '"golden": %s' % ("true" if e.golden else "false"),
             ]
             if e.radius is not None:
-                parts.append('"radius": %s' % _fmt(e.radius))
+                parts.append('"radius": %s' % format_float(e.radius))
             if e.shots is not None:
                 parts.append('"shots": %d' % e.shots)
             rows.append("{%s}" % ", ".join(parts))
@@ -79,18 +79,14 @@ class GoldenReport:
 
 
 def _basis_magnitudes(tensor: FragmentTensor):
-    """Max |entry| for each (cut, basis), over other cuts and any output axis."""
+    """(cut_id, basis, max |entry|) in (cut id, X, Y, Z) order, the max
+    taken over the other cuts and any output axis."""
     k = tensor.n_cuts
-    flat_axes = tuple(range(k, tensor.entries.ndim))
-    mags = np.abs(tensor.entries)
-    if flat_axes:
-        mags = mags.max(axis=flat_axes)
-    out = {}
+    mags = np.abs(tensor.entries).reshape((4,) * k + (-1,)).max(axis=-1)
+    out = []
     for axis, cid in enumerate(tensor.cut_ids):
-        for p in MEASURED_BASES:
-            sl = [slice(None)] * k
-            sl[axis] = _BASE_INDEX[p]
-            out[(cid, p)] = float(mags[tuple(sl)].max())
+        per_basis = mags.max(axis=tuple(a for a in range(k) if a != axis))
+        out += [(cid, p, float(per_basis[_BASE_INDEX[p]])) for p in MEASURED_BASES]
     return out
 
 
@@ -108,12 +104,8 @@ def detect_exact(tensor: FragmentTensor, eps: float = ORACLE_EPS) -> GoldenRepor
     if tensor.source != "exact":
         raise ValueError("detect_exact needs an exact-mode tensor; "
                          "use detect_statistical for shot data")
-    mags = _basis_magnitudes(tensor)
-    entries = [
-        GoldenEntry(cid, p.value, mag, mag <= eps)
-        for (cid, p), mag in sorted(mags.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
-    ]
-    return GoldenReport(entries)
+    return GoldenReport([GoldenEntry(cid, p.value, mag, mag <= eps)
+                         for cid, p, mag in _basis_magnitudes(tensor)])
 
 
 def hoeffding_radius(shots: int, alpha: float) -> float:
@@ -148,11 +140,6 @@ def detect_statistical(results, obs, alpha: float = DEFAULT_ALPHA,
     least = min(r.shots for r in results)
     radius = hoeffding_radius(least, alpha)
     insufficient = radius > tau
-    mags = _basis_magnitudes(tensor)
-    entries = [
-        GoldenEntry(cid, p.value, mag,
-                    (not insufficient) and mag <= radius,
-                    radius, least, insufficient)
-        for (cid, p), mag in sorted(mags.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
-    ]
-    return GoldenReport(entries)
+    return GoldenReport([GoldenEntry(cid, p.value, mag, (not insufficient) and mag <= radius,
+                                     radius, least, insufficient)
+                         for cid, p, mag in _basis_magnitudes(tensor)])

@@ -60,24 +60,19 @@ def split_observable(f1: Fragment, f2: Fragment, obs: ObservableSpec):
                                   % (n - 1, list(obs.qubits)))
         return (ObservableSpec.distribution(f1.output_qubits),
                 ObservableSpec.distribution(f2.output_qubits))
-    ends1 = {f1.parent_qubits[q]: q for q in f1.output_qubits}
-    ends2 = {f2.parent_qubits[q]: q for q in f2.output_qubits}
-    part1, part2 = [], []
-    payload = obs.paulis if obs.kind == "pauli" else obs.bits
-    for q, item in zip(obs.qubits, payload):
-        if q in ends1:
-            part1.append((ends1[q], item))
-        elif q in ends2:
-            part2.append((ends2[q], item))
-        else:
+    ends = [{f.parent_qubits[q]: q for q in f.output_qubits} for f in (f1, f2)]
+    parts = ([], [])
+    for q, item in zip(obs.qubits, obs.paulis if obs.kind == "pauli" else obs.bits):
+        side = 0 if q in ends[0] else 1
+        if q not in ends[side]:
             raise SupportMismatch("parent qubit %d has no terminal output" % q)
-    part1.sort()
-    part2.sort()
-    if obs.kind == "pauli":
-        return (ObservableSpec.pauli_string([p for _, p in part1], [q for q, _ in part1]),
-                ObservableSpec.pauli_string([p for _, p in part2], [q for q, _ in part2]))
-    return (ObservableSpec.projector("".join(b for _, b in part1), [q for q, _ in part1]),
-            ObservableSpec.projector("".join(b for _, b in part2), [q for q, _ in part2]))
+        parts[side].append((ends[side][q], item))
+    split = []
+    for part in map(sorted, parts):
+        local, items = [q for q, _ in part], [x for _, x in part]
+        split.append(ObservableSpec.pauli_string(items, local) if obs.kind == "pauli"
+                     else ObservableSpec.projector("".join(items), local))
+    return tuple(split)
 
 
 def parent_permutation(f1: Fragment, f2: Fragment, n_parent: int) -> np.ndarray:
@@ -91,12 +86,8 @@ def parent_permutation(f1: Fragment, f2: Fragment, n_parent: int) -> np.ndarray:
     parent_of += [f2.parent_qubits[q] for q in f2.output_qubits]
     if sorted(parent_of) != list(range(n_parent)):
         raise SupportMismatch("fragment outputs do not cover the parent exactly once")
-    m = len(parent_of)
-    index = np.arange(2 ** n_parent, dtype=np.int64)
-    perm = np.zeros_like(index)
-    for j, q in enumerate(parent_of):
-        perm |= ((index >> (n_parent - 1 - q)) & 1) << (m - 1 - j)
-    return perm
+    return (np.arange(2 ** n_parent, dtype=np.int64).reshape((2,) * n_parent)
+            .transpose(np.argsort(parent_of)).reshape(-1))
 
 
 def ground_truth_distribution(circuit: Circuit) -> np.ndarray:

@@ -141,7 +141,8 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     present; others may be, and feed only pruned rows. For a repeated key
     the last result counts. Every result must be read out as obs needs (its
     X/Y factors, in obs order), share the first result's (n_bits, cut_bits,
-    output_bits) and hold 2^n_bits probabilities; otherwise ValueError.
+    output_bits), output_bits being the local bits other than the measured
+    cut bits in order, and hold 2^n_bits probabilities; otherwise ValueError.
     """
     if not results:
         raise MissingVariant("no variant results")
@@ -173,6 +174,9 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     n, cut_bits, out_bits = layout
     pos = dict(cut_bits)
     cut_axes = [pos[cid] for cid in measured]
+    if list(out_bits) != [q for q in range(n) if q not in cut_axes]:
+        raise ValueError("output bits %s are not the local bits other than the measured "
+                         "cut bits %s" % (list(out_bits), cut_axes))
     readout, weights = _read(obs, out_bits)
     tail = (2 ** len(out_bits),) if dist else ()
     by_first = {}

@@ -14,6 +14,7 @@ from goldcut.fragmenter import (
     SIDE_LABELS,
     VariantKey,
     _kept_labels,
+    _read,
     cut_amplitudes,
     downstream_variants,
     prep_state,
@@ -156,6 +157,49 @@ class TestVariantKey:
 
     def test_numpy_integer_cut_id_accepted(self):
         assert VariantKey("upstream", ((np.int64(1), "Z"),)).assignment == ((1, "Z"),)
+
+
+def loop_weights(obs, outputs):
+    """Bit-by-bit loop over every output bitstring: the reference that
+    _read's outer-product weights must equal."""
+    m = len(outputs)
+    idx = np.arange(2 ** m)
+    weights = np.ones(2 ** m)
+    for q, f in zip(obs.qubits, obs.bits if obs.kind == "projector" else obs.paulis):
+        have = (idx >> (m - 1 - outputs.index(q))) & 1
+        if obs.kind == "projector":
+            weights *= have == int(f)
+        elif f is not PauliOp.I:
+            weights *= 1.0 - 2.0 * have
+    return weights
+
+
+class TestReadWeights:
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("kind", ["pauli", "projector", "distribution"])
+    def test_equal_the_per_bit_loop(self, kind, m):
+        rng = np.random.default_rng(100 * m + len(kind))
+        for _ in range(25):
+            outputs = tuple(sorted(rng.choice(6, size=m, replace=False).tolist()))
+            support = [outputs[i] for i in rng.permutation(m)[:rng.integers(m + 1)]]
+            if kind == "pauli":
+                paulis = [PauliOp("IXYZ"[i]) for i in rng.integers(4, size=len(support))]
+                obs = ObservableSpec.pauli_string(paulis, support)
+                want_readout = tuple((q, p.value) for q, p in zip(support, paulis)
+                                     if p in (PauliOp.X, PauliOp.Y))
+            elif kind == "projector":
+                bits = "".join("01"[i] for i in rng.integers(2, size=len(support)))
+                obs = ObservableSpec.projector(bits, support)
+                want_readout = ()
+            else:
+                obs = ObservableSpec.distribution(outputs if rng.integers(2) else ())
+            readout, weights = _read(obs, outputs)
+            if kind == "distribution":
+                assert (readout, weights) == ((), None)
+                continue
+            assert readout == want_readout
+            assert weights.dtype == np.float64
+            assert np.array_equal(weights, loop_weights(obs, outputs))
 
 
 class TestRealization:

@@ -405,6 +405,18 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match="holds 7 probabilities for 3 bits"):
             build_tensor([short] + r5[1:], DIST, "upstream")
 
+    @pytest.mark.parametrize("side,outputs", [("upstream", (0, 1, 2)), ("upstream", (0,)),
+                                              ("upstream", (1, 0)), ("downstream", (0, 1))])
+    def test_build_tensor_rejects_output_bits_beside_the_cut_bits(self, side, outputs):
+        # output bits that also named the measured cut wire failed inside
+        # numpy ("axes don't match array")
+        f1, f2 = bipartition(golden_ansatz(5, 2, 7))
+        frag, enum = (f1, upstream_variants) if side == "upstream" else (f2, downstream_variants)
+        results = [VariantResult(r.key, r.probs, 0, r.n_bits, r.cut_bits, outputs)
+                   for r in run_fragment(frag, enum(frag))]
+        with pytest.raises(ValueError, match="not the local bits other than the measured cut"):
+            build_tensor(results, DIST, side)
+
     @pytest.mark.parametrize("pair,message", [((1, "I"), "identity basis cannot be neglected"),
                                               ((9, "X"), "unknown cut 9")])
     def test_neglected_set_checked_as_the_enumerators_check_it(self, pair, message):

@@ -66,3 +66,19 @@ def test_tracer_targets_resolve():
 def test_public_names_resolve():
     missing = [name for name in goldcut.__all__ if not hasattr(goldcut, name)]
     assert not missing, "goldcut.__all__ names goldcut lacks: %s" % missing
+
+
+def test_cli_reaches_no_private_name():
+    # the CLI is a client of the library: it imports no underscore-prefixed
+    # goldcut name, directly or as an attribute of an imported module
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("goldcut")):
+            found += ["%d %s" % (node.lineno, a.name) for a in node.names
+                      if a.name.startswith("_")]
+            modules |= {a.asname or a.name for a in node.names}
+    found += ["%d %s.%s" % (node.lineno, node.value.id, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")]
+    assert modules and not found, "cli.py reaches private goldcut names: %s" % found
