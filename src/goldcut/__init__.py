@@ -49,9 +49,8 @@ from .reconstructor import (
     FragmentTensor,
     Reconstruction,
     build_tensor,
-    contract_distribution,
-    contract_expectation,
     contract_operator,
+    contract_tensors,
     operator_tensor,
     term_count,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "CostReport", "cost_report", "weighted_distance",
     "reconstruct",
     "FragmentTensor", "Reconstruction", "build_tensor",
-    "contract_distribution", "contract_expectation", "contract_operator", "operator_tensor",
+    "contract_operator", "contract_tensors", "operator_tensor",
     "term_count",
     "ObservableSpec", "basis_rotation", "exact_distribution",
     "exact_expectation", "sample", "simulate",

@@ -34,7 +34,7 @@ from functools import reduce
 import numpy as np
 
 from .circuits import Circuit, Fragment, PauliOp, _as_int, h, s, x
-from .errors import SupportMismatch, TooWide
+from .errors import GoldcutError, SupportMismatch, TooWide
 from .seeding import stream
 from .simulator import (
     MAX_QUBITS,
@@ -46,6 +46,7 @@ from .simulator import (
 )
 
 MEASURED_BASES = (PauliOp.X, PauliOp.Y, PauliOp.Z)
+MAX_CUTS = 8
 
 PREP_LABELS = ("Zp", "Zm", "Xp", "Xm", "Yp", "Ym")
 
@@ -137,11 +138,19 @@ class VariantResult:
     output_bits: tuple
 
 
+def _check_cuts(k: int):
+    if k > MAX_CUTS:
+        raise GoldcutError("tensor capped at %d cuts, got %d" % (MAX_CUTS, k))
+
+
 def _cuts(fragment: Fragment, side: str) -> tuple:
+    """The fragment's (cut_id, qubit) pairs on side, read before anything
+    runs: none raises ValueError and more than MAX_CUTS GoldcutError."""
     cuts = (fragment.upstream_cut_qubits if side == "upstream"
             else fragment.downstream_cut_qubits)
     if not cuts:
         raise ValueError("fragment has no %s cut qubits" % side)
+    _check_cuts(len(cuts))
     return cuts
 
 

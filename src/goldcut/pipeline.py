@@ -31,9 +31,8 @@ from .metrics import CostReport, cost_report, cut_counts
 from .reconstructor import (
     Reconstruction,
     build_tensor,
-    contract_distribution,
-    contract_expectation,
     contract_operator,
+    contract_tensors,
     operator_tensor,
 )
 from .seeding import stream
@@ -206,8 +205,7 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
         b = build_tensor(run_fragment(f2, downstream_variants(f2, neglected, obs=obs2),
                                       shots=shots, seed=seed, seed_path=(trial, SIDE_DOWNSTREAM)),
                          obs2, "downstream", neglected)
-        contract = contract_distribution if obs.kind == "distribution" else contract_expectation
-        rec = contract(a, b)
+        rec = contract_tensors(a, b)
     expectation = distribution = raw_distribution = None
     if obs.kind == "distribution":
         perm = parent_permutation(f1, f2, circuit.n_qubits)

@@ -16,10 +16,11 @@ operator instead: the four pairs (b, b') of computational bits per cut,
 4^K data instead of 6^K variants, mapped by OPERATOR_MAPS. A neglected set
 is checked once, by fragmenter's rule, wherever it is read. The uncut
 expectation is (1/2^K) * sum over kept M of A[M] * B[M], and the uncut
-distribution applies the same contraction per output bitstring pair.
-contract_operator gives the exact result without building B: the sum over
-M moves onto A, which the transposed downstream OPERATOR_MAPS take to one
-cut operator per upstream output, contracted with the downstream psi.
+distribution the same sum per output bitstring pair; contract_tensors
+reads which from the tensors' mode. contract_operator gives the exact
+result without building B: the sum over M moves onto A, which the
+transposed downstream OPERATOR_MAPS take to one cut operator per upstream
+output, contracted with the downstream psi.
 """
 from __future__ import annotations
 
@@ -31,13 +32,12 @@ import numpy as np
 
 from .circuits import PauliOp
 from .errors import ArityMismatch, GoldcutError, MissingVariant, WrongSide
-from .fragmenter import SIDE_LABELS, _cuts, _kept_labels, _map_cuts, _neglected_by_cut
-from .fragmenter import _read, cut_amplitudes
+from .fragmenter import MAX_CUTS, SIDE_LABELS, _check_cuts, _cuts, _kept_labels, _map_cuts
+from .fragmenter import _neglected_by_cut, _read, cut_amplitudes
 from .metrics import closed_form_counts
 
 BASES = (PauliOp.I, PauliOp.X, PauliOp.Y, PauliOp.Z)
 _BASE_INDEX = {p: i for i, p in enumerate(BASES)}
-MAX_CUTS = 8
 
 # Per side: the variant labels per cut, the data columns per label (one
 # per outcome bit of the cut wire), and the 4x6 map from a cut's columns,
@@ -111,11 +111,6 @@ class FragmentTensor:
         mask = _kept(self.cut_ids, dropped)
         mask = mask.reshape(mask.shape + (1,) * (self.entries.ndim - self.n_cuts))
         return replace(self, entries=np.where(mask, self.entries, 0.0), neglected=neglected)
-
-
-def _check_cuts(k: int):
-    if k > MAX_CUTS:
-        raise GoldcutError("tensor capped at %d cuts, got %d" % (MAX_CUTS, k))
 
 
 def _tensor(side, cut_ids, obs, entries, source, out_bits) -> FragmentTensor:
@@ -232,7 +227,6 @@ def operator_tensor(fragment, obs) -> FragmentTensor:
     side = fragment.side
     cut_ids = tuple(cid for cid, _ in _cuts(fragment, side))
     k = len(cut_ids)
-    _check_cuts(k)
     readout, weights = _read(obs, fragment.output_qubits)
     psi = cut_amplitudes(fragment, readout)
     if weights is None:
@@ -281,74 +275,59 @@ def _kept(cut_ids, dropped):
     return reduce(np.multiply.outer, rows[1:], rows[0])
 
 
-def _kept_rows(a: FragmentTensor, b: FragmentTensor, mode: str):
-    """Both tensors' entries over the basis tuples that avoid their
-    neglected set, one row per tuple, after the checks the contractions
-    share."""
-    if a.side != "upstream" or b.side != "downstream":
-        raise WrongSide("contract takes (upstream, downstream) tensors")
-    if a.cut_ids != b.cut_ids:
-        raise ArityMismatch("cut interfaces differ: %s vs %s" % (a.cut_ids, b.cut_ids))
-    if a.neglected != b.neglected:
-        raise ArityMismatch("tensors were built with different neglected sets")
-    if a.mode != mode or b.mode != mode:
-        raise ArityMismatch("contract_%s needs %s-mode tensors" % (mode, mode))
-    mask = _kept(a.cut_ids, _neglected_by_cut(a.cut_ids, a.neglected)).reshape(-1)
-    return a.entries.reshape(mask.size, -1)[mask], b.entries.reshape(mask.size, -1)[mask]
+def _check_pair(a: FragmentTensor, side, cut_ids, mode):
+    """Raise unless a is an upstream tensor that contracts with a downstream
+    side of these cut ids and this mode."""
+    if a.side != "upstream" or side != "downstream":
+        raise WrongSide("contract takes an upstream tensor and a downstream side")
+    if a.cut_ids != cut_ids:
+        raise ArityMismatch("cut interfaces differ: %s vs %s" % (a.cut_ids, cut_ids))
+    if a.mode != mode:
+        raise ArityMismatch("contract needs a %s-mode upstream tensor, not %s" % (mode, a.mode))
 
 
-def _reconstruction(mode, raw, terms, neglected) -> Reconstruction:
-    """The Reconstruction of a contracted raw result. A distribution's value
-    clamps negatives and renormalizes; raw keeps the unclamped
-    quasi-distribution for diagnostics."""
-    if mode == "expectation":
-        value = float(raw)
-        return Reconstruction(mode, value, value, terms, neglected)
+def _reconstruction(raw, a: FragmentTensor) -> Reconstruction:
+    """The Reconstruction of raw, contracted from the upstream tensor a,
+    which gives its mode, neglected set and kept-tuple count. A
+    distribution's value clamps negatives and renormalizes; raw keeps the
+    unclamped quasi-distribution for diagnostics."""
+    terms = int(_kept(a.cut_ids, _neglected_by_cut(a.cut_ids, a.neglected)).sum())
+    if a.mode == "expectation":
+        value = raw.item()
+        return Reconstruction(a.mode, value, value, terms, a.neglected)
     clamped = np.clip(raw, 0.0, None)
     total = clamped.sum()
     value = clamped / total if total > 0 else clamped
-    return Reconstruction(mode, value, raw, terms, neglected)
+    return Reconstruction(a.mode, value, raw, terms, a.neglected)
 
 
-def contract_expectation(a: FragmentTensor, b: FragmentTensor) -> Reconstruction:
-    """(1/2^K) * sum of A[M]*B[M] over tuples avoiding the tensors' neglected bases."""
-    av, bv = _kept_rows(a, b, "expectation")
-    return _reconstruction("expectation", (av * bv).sum() / 2 ** a.n_cuts, len(av),
-                           a.neglected)
-
-
-def contract_distribution(a: FragmentTensor, b: FragmentTensor) -> Reconstruction:
-    """Per-bitstring contraction; value clamps negatives and renormalizes.
-
-    The result covers concatenated bitstrings, upstream output bits first.
-    raw keeps the unclamped quasi-distribution for diagnostics.
-    """
-    av, bv = _kept_rows(a, b, "distribution")
-    return _reconstruction("distribution", (av.T @ bv).reshape(-1) / 2 ** a.n_cuts,
-                           len(av), a.neglected)
+def contract_tensors(a: FragmentTensor, b: FragmentTensor) -> Reconstruction:
+    """(1/2^K) * sum of A[M]*B[M] over the tuples M that avoid the tensors'
+    neglected bases, in the tensors' mode: one value, or one entry per pair
+    of output bitstrings, upstream bits first."""
+    _check_pair(a, b.side, b.cut_ids, b.mode)
+    if a.neglected != b.neglected:
+        raise ArityMismatch("tensors were built with different neglected sets")
+    mask = _kept(a.cut_ids, _neglected_by_cut(a.cut_ids, a.neglected)).reshape(-1)
+    av, bv = (t.entries.reshape(mask.size, -1)[mask] for t in (a, b))
+    return _reconstruction((av.T @ bv).reshape(-1) / 2 ** a.n_cuts, a)
 
 
 def contract_operator(a: FragmentTensor, fragment, obs) -> Reconstruction:
-    """What contract_distribution or contract_expectation gives on A and
-    operator_tensor(fragment, obs).pruned(a.neglected), without building
-    that downstream tensor. B[M, x] sums prod_c P_M_c[b_c, b'_c] psi[b, x]
-    conj(psi[b', x]) over (b, b'), so the sum over M moves onto A as one cut
-    operator per upstream output, R_y = 2^-K sum_M A[M, y] prod_c P_M_c;
+    """What contract_tensors gives on A and operator_tensor(fragment,
+    obs).pruned(a.neglected), without building that downstream tensor.
+    B[M, x] sums prod_c P_M_c[b_c, b'_c] psi[b, x] conj(psi[b', x]) over
+    (b, b'), so the sum over M moves onto A as one cut operator per
+    upstream output, R_y = 2^-K sum_M A[M, y] prod_c P_M_c;
     then raw[y, x] = sum_b psi[b, x] (R_y conj(psi))[b, x], weighted over x
     outside distribution mode. Input rows of psi (cut_amplitudes) that are
     not unit-norm, the condition bounding every B[M] by 2^K, raise
     GoldcutError.
     """
-    if a.side != "upstream" or fragment.side != "downstream":
-        raise WrongSide("contract takes an upstream tensor and a downstream fragment")
-    cut_ids = tuple(cid for cid, _ in _cuts(fragment, "downstream"))
-    if a.cut_ids != cut_ids:
-        raise ArityMismatch("cut interfaces differ: %s vs %s" % (a.cut_ids, cut_ids))
-    mode = "distribution" if obs.kind == "distribution" else "expectation"
-    if a.mode != mode:
-        raise ArityMismatch("contract_operator needs a %s-mode tensor" % mode)
+    # the cuts of the fragment's own side, so that an upstream one raises WrongSide
+    _check_pair(a, fragment.side, tuple(cid for cid, _ in _cuts(fragment, fragment.side)),
+                "distribution" if obs.kind == "distribution" else "expectation")
     k = a.n_cuts
-    _check_cuts(k)
     readout, weights = _read(obs, fragment.output_qubits)
     psi = cut_amplitudes(fragment, readout)
     if np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) > 1e-9:
@@ -360,9 +339,7 @@ def contract_operator(a: FragmentTensor, fragment, obs) -> Reconstruction:
     ops = ops.reshape(-1, 2 ** k) / 2 ** k
     raw = np.einsum("ybx,bx->yx", (ops @ psi.conj()).reshape((-1,) + psi.shape), psi)
     raw = raw.real.reshape(-1)
-    terms = int(_kept(a.cut_ids, _neglected_by_cut(a.cut_ids, a.neglected)).sum())
-    return _reconstruction(mode, raw if weights is None else raw @ weights, terms,
-                           a.neglected)
+    return _reconstruction(raw if weights is None else raw @ weights, a)
 
 
 def term_count(k_regular: int, k_golden: int):

@@ -237,7 +237,7 @@ def sample(psi: np.ndarray, qubits, shots: int, seed) -> np.ndarray:
     """
     if _as_int(shots, "shots") < 1:
         raise ValueError("shots must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else stream(int(seed))
+    rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
     p = exact_distribution(psi, qubits)
     p = np.clip(p, 0.0, None)
     return rng.multinomial(shots, p / p.sum())

@@ -77,6 +77,12 @@ class TestGenerate:
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        # numpy's SeedSequence rejected it with a message naming no value
+        assert main(["generate", "--qubits", "3", "--seed", "-1",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert "integer of at least 0, got -1" in capsys.readouterr().err
+
 
 class TestRun:
     def test_csv_deterministic_and_well_formed(self, tmp_path):
@@ -155,6 +161,14 @@ class TestRun:
         circ = ansatz_path(tmp_path)
         assert main(["run", "--circuit", str(circ), "--trials", "1", "--shots", "100",
                      "--prune", "statistical", "--tau", "nan"]) == 2
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        circ = ansatz_path(tmp_path)
+        out = tmp_path / "run.csv"
+        assert main(["run", "--circuit", str(circ), "--trials", "1", "--shots", "100",
+                     "--seed", "-1", "--out", str(out)]) == 2
+        assert "integer of at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_circuit_without_cuts_is_validation_error(self, tmp_path):
         path = tmp_path / "uncut.json"

@@ -1,6 +1,7 @@
 """Variant enumeration and fragment execution."""
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,8 @@ from goldcut.fragmenter import (
     run_fragment,
     upstream_variants,
 )
+from goldcut.errors import GoldcutError
+from goldcut.pipeline import reconstruct
 from goldcut.seeding import stream
 from goldcut.simulator import (
     ObservableSpec,
@@ -36,9 +39,12 @@ from conftest import count_execution, load_perfbench, make_cut_circuit, variant_
 multicut_circuit = load_perfbench("workloads").multicut_circuit
 
 
+def bell_circuit():
+    return Circuit(3, (h(0), cnot(0, 1), cnot(1, 2)), (CutPoint(1, 1, 1),))
+
+
 def bell_fragments():
-    circ = Circuit(3, (h(0), cnot(0, 1), cnot(1, 2)), (CutPoint(1, 1, 1),))
-    return bipartition(circ)
+    return bipartition(bell_circuit())
 
 
 class TestVariantCounts:
@@ -261,6 +267,45 @@ class TestRunFragment:
         assert r.cut_bits == ((1, 1),)
         assert r.output_bits == (0,)
         assert set(dict(r.cut_bits).values()).isdisjoint(r.output_bits)
+
+
+    def test_cut_cap_raises_before_anything_runs(self, monkeypatch):
+        # the cap was raised only by build_tensor, after all 3^9 = 19,683
+        # upstream settings had run
+        circ = make_cut_circuit(9, 9, 9, 1, 0)
+        f1, f2 = bipartition(circ)
+        calls = count_execution(monkeypatch)
+        with pytest.raises(GoldcutError, match="capped at 8 cuts"):
+            reconstruct(circ, shots=10, prune="statistical")
+        with pytest.raises(GoldcutError, match="capped at 8 cuts"):
+            upstream_variants(f1)
+        with pytest.raises(GoldcutError, match="capped at 8 cuts"):
+            downstream_variants(f2)
+        assert calls == []
+
+
+class TestSeedBoundary:
+    """A seed or trial is a Python or numpy integer of at least 0; int()
+    made 1.9 and True act as 1, and a negative one failed inside numpy."""
+
+    @pytest.mark.parametrize("bad", [1.9, True, -1, np.float64(2.0)])
+    def test_rejected_wherever_it_enters(self, bad):
+        f1, _ = bell_fragments()
+        with pytest.raises(ValueError, match=re.escape("at least 0, got %r" % (bad,))):
+            stream(bad)
+        for call in (lambda: reconstruct(bell_circuit(), shots=100, seed=bad),
+                     lambda: reconstruct(bell_circuit(), shots=100, trial=bad),
+                     lambda: run_fragment(f1, upstream_variants(f1), shots=10, seed_path=(bad,)),
+                     lambda: sample(simulate(f1.circuit), range(2), 10, bad),
+                     lambda: golden_ansatz(5, 2, bad)):
+            with pytest.raises(ValueError, match="integer of at least 0"):
+                call()
+
+    @pytest.mark.parametrize("seed", [0, np.int64(7), np.uint64(2 ** 63 + 5), 2 ** 100])
+    def test_python_and_numpy_integers_keep_working(self, seed):
+        assert np.array_equal(stream(seed, np.int32(1)).integers(1 << 30, size=4),
+                              stream(int(seed), 1).integers(1 << 30, size=4))
+        reconstruct(bell_circuit(), shots=10, seed=seed, trial=np.int8(1))
 
 
 def multicut_fragments(k):

@@ -15,7 +15,7 @@ from goldcut.metrics import (
     cut_counts,
     weighted_distance,
 )
-from goldcut.reconstructor import FragmentTensor, contract_expectation
+from goldcut.reconstructor import FragmentTensor, contract_tensors
 
 from conftest import load_perfbench, make_cut_circuit
 
@@ -101,7 +101,7 @@ class TestCutCounts:
             a, b = (FragmentTensor(side, cut_ids, "expectation", np.zeros((4,) * k),
                                    "exact", neglected)
                     for side in ("upstream", "downstream"))
-            assert contract_expectation(a, b).terms_evaluated == counts.basis_tuples
+            assert contract_tensors(a, b).terms_evaluated == counts.basis_tuples
             for prune in ("off", "known", "exact", "statistical"):
                 up = full if prune == "statistical" else counts
                 assert implied_counts(cut_ids, neglected, prune) == (

@@ -12,8 +12,8 @@ from goldcut.golden import detect_statistical
 from goldcut.metrics import cut_counts
 from goldcut.reconstructor import (
     build_tensor,
-    contract_distribution,
     contract_operator,
+    contract_tensors,
     operator_tensor,
 )
 from goldcut.pipeline import (
@@ -379,7 +379,7 @@ class TestOracleReuse:
 
         # shot mode contracts A with B; exact mode contracts A through the
         # downstream cut operator
-        for contract in (contract_distribution, contract_operator):
+        for contract in (contract_tensors, contract_operator):
             def recording(a, *rest, contract=contract):
                 contracted.append(a)
                 return contract(a, *rest)

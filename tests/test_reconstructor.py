@@ -41,9 +41,8 @@ from goldcut.reconstructor import (
     Reconstruction,
     build_tensor,
     combine_tensors,
-    contract_distribution,
-    contract_expectation,
     contract_operator,
+    contract_tensors,
     operator_tensor,
     term_count,
 )
@@ -448,7 +447,7 @@ class TestContractExpectation:
     def test_pass_through_value(self):
         obs = ObservableSpec.pauli_string([PauliOp.Z], [0])
         _, _, a, b = exact_tensors(pass_through(), IDENTITY_OBS, obs)
-        rec = contract_expectation(a, b)
+        rec = contract_tensors(a, b)
         assert abs(rec.value - 1.0) < 1e-12
         assert rec.terms_evaluated == 4
 
@@ -456,7 +455,7 @@ class TestContractExpectation:
         obs_a = ObservableSpec.pauli_string([PauliOp.Z], [0])
         obs_b = ObservableSpec.pauli_string([PauliOp.Z], [1])
         _, _, a, b = exact_tensors(fig1(), obs_a, obs_b)
-        rec = contract_expectation(a, b)
+        rec = contract_tensors(a, b)
         assert abs(rec.value - 1.0) < 1e-10
 
     @pytest.mark.parametrize("seed", range(6))
@@ -469,7 +468,7 @@ class TestContractExpectation:
         obs = ObservableSpec.pauli_string(paulis, range(n))
         obs_a, obs_b = split_observable(f1, f2, obs)
         _, _, a, b = exact_tensors(circ, obs_a, obs_b)
-        rec = contract_expectation(a, b)
+        rec = contract_tensors(a, b)
         want = exact_expectation(simulate(uncut(circ)), obs)
         assert abs(rec.value - want) < 1e-10
 
@@ -481,7 +480,7 @@ class TestContractDistribution:
         n_up, n_down, k = dims
         circ = make_cut_circuit(n_up, n_down, k, 2, seed)
         f1, f2, a, b = exact_tensors(circ, DIST, DIST)
-        rec = contract_distribution(a, b)
+        rec = contract_tensors(a, b)
         n = circ.n_qubits
         perm = parent_permutation(f1, f2, n)
         want = exact_distribution(simulate(uncut(circ)), range(n))
@@ -489,7 +488,7 @@ class TestContractDistribution:
 
     def test_exact_raw_sums_to_one(self):
         _, _, a, b = exact_tensors(fig1(), DIST, DIST)
-        rec = contract_distribution(a, b)
+        rec = contract_tensors(a, b)
         assert abs(np.sum(rec.raw) - 1.0) < 1e-10
 
     def test_shot_mode_clamps_and_renormalizes(self):
@@ -499,7 +498,7 @@ class TestContractDistribution:
         b = build_tensor(run_fragment(f2, downstream_variants(f2), shots=50, seed=3,
                                       seed_path=(1,)),
                          DIST, "downstream")
-        rec = contract_distribution(a, b)
+        rec = contract_tensors(a, b)
         value = np.asarray(rec.value)
         raw = np.asarray(rec.raw)
         assert np.all(value >= 0.0)
@@ -514,8 +513,8 @@ class TestGoldenPruning:
         neglected = frozenset({(1, PauliOp.Y)})
         _, _, a_full, b_full = exact_tensors(circ, DIST, DIST)
         _, _, a_cut, b_cut = exact_tensors(circ, DIST, DIST, neglected)
-        full = contract_distribution(a_full, b_full)
-        pruned = contract_distribution(a_cut, b_cut)
+        full = contract_tensors(a_full, b_full)
+        pruned = contract_tensors(a_cut, b_cut)
         assert np.max(np.abs(np.asarray(full.raw) - np.asarray(pruned.raw))) < 1e-12
         assert full.terms_evaluated == 4
         assert pruned.terms_evaluated == 3
@@ -566,9 +565,8 @@ class TestContractOperator:
             if k == 0:
                 assert golden
             for neglected in (frozenset(), golden, other):
-                want = (contract_distribution if obs.kind == "distribution"
-                        else contract_expectation)(
-                    a.pruned(neglected), operator_tensor(f2, obs2).pruned(neglected))
+                want = contract_tensors(a.pruned(neglected),
+                                        operator_tensor(f2, obs2).pruned(neglected))
                 got = contract_operator(a.pruned(neglected), f2, obs2)
                 assert (got.mode, got.terms_evaluated, got.neglected) == (
                     want.mode, want.terms_evaluated, want.neglected)
@@ -667,14 +665,14 @@ class TestFailureModes:
         obs = ObservableSpec.pauli_string([PauliOp.Z], [0])
         _, _, a, b = exact_tensors(pass_through(), IDENTITY_OBS, obs)
         with pytest.raises(WrongSide):
-            contract_expectation(b, a)
+            contract_tensors(b, a)
 
     def test_contract_cut_arity_mismatch(self):
         _, _, a1, _ = exact_tensors(fig1(), IDENTITY_OBS, IDENTITY_OBS)
         circ = make_cut_circuit(2, 2, 2, 1, 0)
         _, _, _, b2 = exact_tensors(circ, IDENTITY_OBS, IDENTITY_OBS)
         with pytest.raises(ArityMismatch):
-            contract_expectation(a1, b2)
+            contract_tensors(a1, b2)
 
     def test_contract_neglect_mismatch(self):
         circ = golden_ansatz(3, 1, 0)
@@ -682,12 +680,16 @@ class TestFailureModes:
         _, _, a, _ = exact_tensors(circ, DIST, DIST, neglected)
         _, _, _, b = exact_tensors(circ, DIST, DIST)
         with pytest.raises(ArityMismatch):
-            contract_distribution(a, b)
+            contract_tensors(a, b)
 
     def test_contract_mode_mismatch(self):
+        # tensors of two different modes do not contract, in either order
         _, _, a, b = exact_tensors(fig1(), IDENTITY_OBS, IDENTITY_OBS)
-        with pytest.raises(ArityMismatch):
-            contract_distribution(a, b)
+        _, _, a_dist, b_dist = exact_tensors(fig1(), DIST, DIST)
+        with pytest.raises(ArityMismatch, match="distribution-mode"):
+            contract_tensors(a, b_dist)
+        with pytest.raises(ArityMismatch, match="expectation-mode"):
+            contract_tensors(a_dist, b)
 
 
 class TestFiniteShots:
@@ -702,5 +704,5 @@ class TestFiniteShots:
             run_fragment(f2, downstream_variants(f2, obs=obs_b), shots=100000,
                          seed=11, seed_path=(1,)),
             obs_b, "downstream")
-        rec = contract_expectation(a, b)
+        rec = contract_tensors(a, b)
         assert abs(rec.value - 1.0) < 0.05

@@ -82,3 +82,36 @@ def test_cli_reaches_no_private_name():
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in modules and node.attr.startswith("_")]
     assert modules and not found, "cli.py reaches private goldcut names: %s" % found
+
+
+def _dotted(node):
+    """"a.b.c" for a chain of attributes on a name, else ""."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else ""
+
+
+def test_randomness_comes_from_stream():
+    # the README promises that all randomness derives from the root seed
+    # through seeding.stream's named substreams, so no other module draws
+    # or seeds on its own; type references such as np.random.Generator in
+    # an isinstance check stay allowed
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "seeding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                names = [_dotted(node.func)]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["%s.%s" % (node.module, a.name) for a in node.names]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
+                      if name.split(".")[0] == "random"
+                      or name.split(".")[:2] in (["np", "random"], ["numpy", "random"])]
+    assert not found, "randomness outside seeding.stream: %s" % ", ".join(found)
