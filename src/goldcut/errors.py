@@ -9,10 +9,6 @@ class TooWide(GoldcutError):
     """Circuit exceeds the simulable width cap."""
 
 
-class InvalidInitial(GoldcutError):
-    """A per-qubit initial state is malformed or not normalized."""
-
-
 class SupportMismatch(GoldcutError):
     """Observable support does not fit the state or fragment it is applied to."""
 

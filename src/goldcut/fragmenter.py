@@ -112,30 +112,22 @@ class VariantKey:
         object.__setattr__(self, "readout", tuple(
             (_as_int(q, "readout qubit"), str(p)) for q, p in self.readout))
 
-    def label(self, cut_id: int) -> str:
-        for cid, lab in self.assignment:
-            if cid == cut_id:
-                return lab
-        raise KeyError(cut_id)
-
 
 @dataclass
 class VariantResult:
     """Execution record for one variant.
 
-    probs is indexed by bitstring over the fragment's local qubits, bit
-    position i being local qubit i: the exact Born probabilities when shots
-    is 0, otherwise the frequencies of that many shots. cut_bits names which
-    positions are measured cut wires, so they stay distinguishable from
-    output bits.
+    probs is indexed by bitstring over the fragment's n local qubits (its
+    length is 2^n), bit position i being local qubit i: the exact Born
+    probabilities when shots is 0, otherwise the frequencies of that many
+    shots. cut_bits lists the (cut_id, position) pairs of the measured cut
+    wires, by cut id; the other positions are the output bits, in order.
     """
 
     key: VariantKey
     probs: np.ndarray
     shots: int
-    n_bits: int
     cut_bits: tuple
-    output_bits: tuple
 
 
 def _check_cuts(k: int):
@@ -152,6 +144,18 @@ def _cuts(fragment: Fragment, side: str) -> tuple:
         raise ValueError("fragment has no %s cut qubits" % side)
     _check_cuts(len(cuts))
     return cuts
+
+
+def _key_index(key: VariantKey, side: str, cut_ids) -> list:
+    """The index in SIDE_LABELS[side] of key's label at each cut; a key of
+    another side, with other cut ids than the tuple cut_ids or with a label
+    its side lacks raises ValueError."""
+    labels = SIDE_LABELS[side]
+    if (key.side != side or tuple(cid for cid, _ in key.assignment) != cut_ids
+            or any(lab not in labels for _, lab in key.assignment)):
+        raise ValueError("variant %r does not fit the %s fragment with cuts %s"
+                         % (key, side, cut_ids))
+    return [labels.index(lab) for _, lab in key.assignment]
 
 
 def _normalize_neglected(neglected):
@@ -296,11 +300,7 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     lead = max(len(cut_ids) - 2, 0)
     groups = {}
     for i, key in enumerate(variants):
-        if (key.side != side or tuple(cid for cid, _ in key.assignment) != cut_ids
-                or any(lab not in labels for _, lab in key.assignment)):
-            raise ValueError("variant %r does not fit the %s fragment with cuts %s"
-                             % (key, side, cut_ids))
-        index = [labels.index(lab) for _, lab in key.assignment]
+        index = _key_index(key, side, cut_ids)
         rows = (slice(None),) * lead + tuple(x for j in index[lead:] for x in (j, slice(None)))
         groups.setdefault(key.readout, {}).setdefault(tuple(index[:lead]), []).append((i, rows))
     table = AMPLITUDE_MAPS[side]
@@ -322,6 +322,5 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
                 else:
                     draws = sample(amplitudes, everything, shots, stream(seed, *seed_path, i))
                     probs, used = draws / shots, shots
-                results[i] = VariantResult(variants[i], probs, used, n,
-                                           fragment.upstream_cut_qubits, fragment.output_qubits)
+                results[i] = VariantResult(variants[i], probs, used, fragment.upstream_cut_qubits)
     return results

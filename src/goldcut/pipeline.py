@@ -35,8 +35,8 @@ from .reconstructor import (
     contract_tensors,
     operator_tensor,
 )
-from .seeding import stream
-from .simulator import ObservableSpec, exact_distribution, exact_expectation, sample, simulate
+from .seeding import check_seed, stream
+from .simulator import ObservableSpec, exact_distribution, sample, simulate
 
 SIDE_UPSTREAM = 0
 SIDE_DOWNSTREAM = 1
@@ -95,10 +95,6 @@ def ground_truth_distribution(circuit: Circuit) -> np.ndarray:
     return exact_distribution(state, range(circuit.n_qubits))
 
 
-def ground_truth_expectation(circuit: Circuit, obs: ObservableSpec) -> float:
-    return exact_expectation(simulate(uncut(circuit)), obs)
-
-
 def uncut_sampled_distribution(circuit: Circuit, shots: int, seed: int,
                                trial: int = 0) -> np.ndarray:
     """Empirical distribution of the uncut circuit at the same shot budget."""
@@ -131,10 +127,11 @@ def upstream_report(f1: Fragment, obs: ObservableSpec = None, shots: int = None,
     None it is operator_tensor and the report detect_exact at eps;
     otherwise every setting runs through run_fragment on seed path (trial,
     SIDE_UPSTREAM) into build_tensor, and the report is detect_statistical
-    at alpha and tau. An eps that is negative or not finite raises
-    ValueError on either path.
+    at alpha and tau. An eps that is negative or not finite, or a seed or
+    trial that seeding.check_seed rejects, raises ValueError on either path.
     """
     check_eps(eps)
+    check_seed(seed, trial)
     if obs is None:
         obs = ObservableSpec.distribution(f1.output_qubits)
     if shots is None:
@@ -156,7 +153,8 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     no variant (operator_tensor upstream, contract_operator through the
     downstream cut operator), though run.cost counts what a device would
     run; otherwise every executed variant is sampled with shots drawn from
-    its own seeded stream and both tensors are contracted. Pruning modes:
+    its own seeded stream and both tensors are contracted. A seed or trial
+    that seeding.check_seed rejects raises ValueError first. Pruning modes:
 
     * "off": no neglected bases.
     * "known": neglect exactly the pairs passed in neglect, which every
@@ -166,6 +164,7 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     * "statistical": run every upstream setting at the shot budget, neglect
       what the Hoeffding test flags, and prune only the downstream side.
     """
+    check_seed(seed, trial)
     if prune not in PRUNE_MODES:
         raise ValueError("unknown prune mode %r" % prune)
     if prune == "statistical" and shots is None:

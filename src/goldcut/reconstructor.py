@@ -32,29 +32,30 @@ import numpy as np
 
 from .circuits import PauliOp
 from .errors import ArityMismatch, GoldcutError, MissingVariant, WrongSide
-from .fragmenter import MAX_CUTS, SIDE_LABELS, _check_cuts, _cuts, _kept_labels, _map_cuts
-from .fragmenter import _neglected_by_cut, _read, cut_amplitudes
+from .fragmenter import MAX_CUTS, SIDE_LABELS, _check_cuts, _cuts, _kept_labels, _key_index
+from .fragmenter import _map_cuts, _neglected_by_cut, _read, cut_amplitudes
 from .metrics import closed_form_counts
+from .simulator import _width
 
 BASES = (PauliOp.I, PauliOp.X, PauliOp.Y, PauliOp.Z)
 _BASE_INDEX = {p: i for i, p in enumerate(BASES)}
 
-# Per side: the variant labels per cut, the data columns per label (one
-# per outcome bit of the cut wire), and the 4x6 map from a cut's columns,
-# label-major as in the module docstring, to the basis rows I, X, Y, Z.
+# Per side: the 4x6 map from a cut's data columns, label-major in
+# fragmenter.SIDE_LABELS order with one column per outcome bit of the cut
+# wire (two upstream, one downstream), to the basis rows I, X, Y, Z.
 SIDE_MAPS = {
-    "upstream": (SIDE_LABELS["upstream"], 2, np.array([
+    "upstream": np.array([
         [0, 0, 0, 0, 1, 1],
         [1, -1, 0, 0, 0, 0],
         [0, 0, 1, -1, 0, 0],
         [0, 0, 0, 0, 1, -1],
-    ], dtype=float)),
-    "downstream": (SIDE_LABELS["downstream"], 1, np.array([
+    ], dtype=float),
+    "downstream": np.array([
         [1, 1, 0, 0, 0, 0],
         [0, 0, 1, -1, 0, 0],
         [0, 0, 0, 0, 1, -1],
         [1, -1, 0, 0, 0, 0],
-    ], dtype=float)),
+    ], dtype=float),
 }
 
 # Per side: the 4x4 map from a cut's pairs (b, b') of computational bits,
@@ -134,48 +135,48 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     (cut_id, basis) pairs in neglected. The variants that
     upstream_variants / downstream_variants keep for neglected must be
     present; others may be, and feed only pruned rows. For a repeated key
-    the last result counts. Every result must be read out as obs needs (its
-    X/Y factors, in obs order), share the first result's (n_bits, cut_bits,
-    output_bits), output_bits being the local bits other than the measured
-    cut bits in order, and hold 2^n_bits probabilities; otherwise ValueError.
+    the last result counts. A result of the other side raises WrongSide;
+    a key that breaks run_fragment's rule (_key_index) for the cuts of the
+    first result's cut_bits (upstream) or key (downstream), a readout other
+    than obs needs (its X/Y factors, in obs order), or cut_bits or a count
+    of 2^n probabilities other than the first result's raise ValueError.
+    The output bits are the local bits other than the cut bits, in order.
     """
     if not results:
         raise MissingVariant("no variant results")
-    layout = (results[0].n_bits, results[0].cut_bits, results[0].output_bits)
     for r in results:
         if r.key.side != side:
             raise WrongSide("expected %s results, got %s" % (side, r.key.side))
-        if (r.n_bits, r.cut_bits, r.output_bits) != layout:
-            raise ValueError("result bits %s differ from the first result's %s"
-                             % ((r.n_bits, r.cut_bits, r.output_bits), layout))
-        if np.size(r.probs) != 2 ** r.n_bits:
-            raise ValueError("result holds %d probabilities for %d bits"
-                             % (np.size(r.probs), r.n_bits))
     exact = {r.shots == 0 for r in results}
     if len(exact) != 1:
         raise ValueError("mixed exact and shot results")
     source = "exact" if exact == {True} else "shots"
 
-    cut_ids = tuple(sorted(cid for cid, _ in results[0].key.assignment))
+    first = results[0]
+    n = _width(first.probs)
+    cut_ids = tuple(cid for cid, _ in (first.cut_bits if side == "upstream"
+                                       else first.key.assignment))
     k = len(cut_ids)
     _check_cuts(k)
     dropped = _neglected_by_cut(cut_ids, neglected)
-    labels, per_label, side_map = SIDE_MAPS[side]
-    measured = cut_ids if side == "upstream" else ()
+    labels, side_map = SIDE_LABELS[side], SIDE_MAPS[side]
+    per_label = side_map.shape[1] // len(labels)
     dist = obs.kind == "distribution"
 
     # Data per result: its probabilities with the measured cut bits first
     # (cut_id order) and the output bits after them, one axis per cut bit.
-    n, cut_bits, out_bits = layout
-    pos = dict(cut_bits)
-    cut_axes = [pos[cid] for cid in measured]
-    if list(out_bits) != [q for q in range(n) if q not in cut_axes]:
-        raise ValueError("output bits %s are not the local bits other than the measured "
-                         "cut bits %s" % (list(out_bits), cut_axes))
+    cut_axes = [q for _, q in first.cut_bits]
+    out_bits = tuple(q for q in range(n) if q not in cut_axes)
+    if len(out_bits) + len(cut_axes) != n:
+        raise ValueError("cut bits %s are not distinct bits of %d" % (first.cut_bits, n))
     readout, weights = _read(obs, out_bits)
     tail = (2 ** len(out_bits),) if dist else ()
     by_first = {}
     for r in results:
+        head, *rest = _key_index(r.key, side, cut_ids)
+        if (r.cut_bits, np.size(r.probs)) != (first.cut_bits, 2 ** n):
+            raise ValueError("result cut bits and length %s differ from the first result's %s"
+                             % ((r.cut_bits, np.size(r.probs)), (first.cut_bits, 2 ** n)))
         if r.key.readout != readout:
             raise ValueError("variant read out as %s, the observable needs %s"
                              % (r.key.readout, readout))
@@ -183,35 +184,34 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
         data = data.reshape(per_label ** k, -1)
         if not dist:
             data = data @ weights
-        key = tuple(r.key.label(cid) for cid in cut_ids)
-        by_first.setdefault(key[0], {})[key[1:]] = data.reshape((per_label,) * k + tail)
-    for key in itertools.product(*(_kept_labels(side, dropped[cid]) for cid in cut_ids)):
-        if key[1:] not in by_first.get(key[0], ()):
-            raise MissingVariant("missing %s variant %s" % (side, key))
+        by_first.setdefault(head, {})[tuple(rest)] = data.reshape((per_label,) * k + tail)
+    for combo in itertools.product(*(_kept_labels(side, dropped[cid]) for cid in cut_ids)):
+        head, *rest = (labels.index(lab) for lab in combo)
+        if tuple(rest) not in by_first.get(head, ()):
+            raise MissingVariant("missing %s variant %s" % (side, combo))
 
     # Mode products one column of the first cut at a time, so that only a
     # 6^(K-1) block of data is held, never all 6^K columns at once.
     entries = np.zeros((4, 4 ** (k - 1) * int(np.prod(tail))))
     shape = (len(labels), per_label) * (k - 1) + tail
     for col in range(side_map.shape[1]):
-        first, bit = divmod(col, per_label)
-        if labels[first] in by_first:
-            block = _map_cuts([side_map] * (k - 1),
-                              _block(by_first[labels[first]], bit, labels, shape))
+        head, bit = divmod(col, per_label)
+        if head in by_first:
+            block = _map_cuts([side_map] * (k - 1), _block(by_first[head], bit, shape))
             for basis in np.flatnonzero(side_map[:, col]):
                 entries[basis] += side_map[basis, col] * block.reshape(-1)
             del block  # freed before the next block is mapped
     return _tensor(side, cut_ids, obs, entries, source, out_bits).pruned(neglected)
 
 
-def _block(rows, bit, labels, shape):
+def _block(rows, bit, shape):
     """The data of cuts 2..K at one outcome bit of the first cut, from
-    {labels of cuts 2..K: data}: one axis per cut, split as (label, outcome
-    bit) so that its columns are ordered as the side's map. Passed straight
-    to _map_cuts, which then holds its only reference."""
+    {label indices of cuts 2..K: data}: one axis per cut, split as (label,
+    outcome bit) so that its columns are ordered as the side's map. Passed
+    straight to _map_cuts, which then holds its only reference."""
     block = np.zeros(shape)
     for rest, data in rows.items():
-        block[tuple(x for lab in rest for x in (labels.index(lab), slice(None)))] = data[bit]
+        block[tuple(x for j in rest for x in (j, slice(None)))] = data[bit]
     return block
 
 

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate, PauliOp, _as_int, gate_matrix, h, sdg
-from .errors import (
-    GoldcutError,
-    IdentityBasisRequested,
-    InvalidInitial,
-    SupportMismatch,
-    TooWide,
-)
+from .errors import GoldcutError, IdentityBasisRequested, SupportMismatch, TooWide
 from .seeding import stream
 
 MAX_QUBITS = 14
@@ -105,29 +99,15 @@ def _check_support(n_qubits: int, qubits) -> None:
             raise SupportMismatch("qubit %d outside width %d" % (q, n_qubits))
 
 
-def simulate(circuit: Circuit, initial=None) -> np.ndarray:
-    """Apply the gate sequence to a product initial state.
-
-    initial is None for all-|0>, or a sequence with one entry per qubit:
-    None for |0> or a normalized length-2 amplitude pair.
-    """
+def simulate(circuit: Circuit) -> np.ndarray:
+    """The state the circuit's gates make from |0...0>."""
     n = circuit.n_qubits
     if n > MAX_QUBITS:
         raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
     if circuit.cuts:
         raise ValueError("simulate takes plain circuits; bipartition cut circuits first")
-    if initial is not None and len(initial) != n:
-        raise InvalidInitial("initial has %d entries for %d qubits" % (len(initial), n))
-
-    zero = np.array([1.0, 0.0], dtype=complex)
-    psi = np.array([1.0], dtype=complex)
-    for q in range(n):
-        vec = zero
-        if initial is not None and initial[q] is not None:
-            vec = np.asarray(initial[q], dtype=complex).reshape(2)
-            if abs(np.linalg.norm(vec) - 1.0) > _ATOL:
-                raise InvalidInitial("initial state on qubit %d is not normalized" % q)
-        psi = np.multiply.outer(psi, vec).reshape(-1)
+    psi = np.zeros(2 ** n, dtype=complex)
+    psi[0] = 1.0
     return apply_gates(psi, circuit.gates)
 
 

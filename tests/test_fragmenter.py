@@ -1,4 +1,5 @@
 """Variant enumeration and fragment execution."""
+import dataclasses
 import itertools
 import math
 import re
@@ -18,16 +19,14 @@ from goldcut.fragmenter import (
     _read,
     cut_amplitudes,
     downstream_variants,
-    prep_state,
     run_fragment,
     upstream_variants,
 )
 from goldcut.errors import GoldcutError
-from goldcut.pipeline import reconstruct
+from goldcut.pipeline import reconstruct, upstream_report
 from goldcut.seeding import stream
 from goldcut.simulator import (
     ObservableSpec,
-    basis_rotation,
     exact_distribution,
     exact_expectation,
     sample,
@@ -67,7 +66,7 @@ class TestVariantCounts:
         # removes a tensor entry but not an execution
         f1, _ = bell_fragments()
         variants = upstream_variants(f1, {(1, PauliOp.Z)})
-        labels = {key.label(1) for key in variants}
+        labels = {dict(key.assignment)[1] for key in variants}
         assert labels == {"X", "Y", "Z"}
 
     def test_downstream_unpruned(self):
@@ -78,13 +77,13 @@ class TestVariantCounts:
         _, f2 = bell_fragments()
         variants = downstream_variants(f2, {(1, PauliOp.Y)})
         assert len(variants) == 4
-        labels = {key.label(1) for key in variants}
+        labels = {dict(key.assignment)[1] for key in variants}
         assert labels == {"Zp", "Zm", "Xp", "Xm"}
 
     def test_downstream_two_neglected(self):
         _, f2 = bell_fragments()
         variants = downstream_variants(f2, {(1, PauliOp.Y), (1, PauliOp.X)})
-        assert {key.label(1) for key in variants} == {"Zp", "Zm"}
+        assert {dict(key.assignment)[1] for key in variants} == {"Zp", "Zm"}
 
     def test_downstream_neglecting_z_keeps_six(self):
         _, f2 = bell_fragments()
@@ -95,8 +94,8 @@ class TestVariantCounts:
         # preparations, so dropping X, Y and Z keeps exactly those
         f1, f2 = bell_fragments()
         dropped = {(1, PauliOp.X), (1, PauliOp.Y), (1, PauliOp.Z)}
-        assert {key.label(1) for key in upstream_variants(f1, dropped)} == {"Z"}
-        assert {key.label(1) for key in downstream_variants(f2, dropped)} == {"Zp", "Zm"}
+        assert {dict(key.assignment)[1] for key in upstream_variants(f1, dropped)} == {"Z"}
+        assert {dict(key.assignment)[1] for key in downstream_variants(f2, dropped)} == {"Zp", "Zm"}
 
     def test_neglected_pairs_read_like_reconstruct(self):
         # a basis label counts as its PauliOp, and a cut id must be an integer
@@ -140,7 +139,7 @@ class TestVariantKey:
     def test_assignment_sorted_by_cut(self):
         key = VariantKey("upstream", ((2, "X"), (1, "Z")))
         assert key.assignment == ((1, "Z"), (2, "X"))
-        assert key.label(2) == "X"
+        assert dict(key.assignment)[2] == "X"
 
     def test_hashable(self):
         a = VariantKey("upstream", ((1, "Z"),))
@@ -217,22 +216,21 @@ class TestRealization:
         results = run_fragment(f1, upstream_variants(f1))
         pos = dict(f1.upstream_cut_qubits)[1]
         for r in results:
-            p = r.probs.reshape((2,) * r.n_bits)
-            marginal = p.sum(axis=tuple(a for a in range(r.n_bits) if a != pos))
+            n = f1.circuit.n_qubits
+            p = r.probs.reshape((2,) * n)
+            marginal = p.sum(axis=tuple(a for a in range(n) if a != pos))
             signed = marginal[0] - marginal[1]
-            basis = PauliOp(r.key.label(1))
+            basis = PauliOp(dict(r.key.assignment)[1])
             want = exact_expectation(state, ObservableSpec.pauli_string([basis], (pos,)))
             assert abs(signed - want) < 1e-10
 
     @pytest.mark.parametrize("label", PREP_LABELS)
     def test_preparation_matches_initial_state_bitwise(self, label):
         _, f2 = bell_fragments()
-        variants = [key for key in downstream_variants(f2) if key.label(1) == label]
+        variants = [key for key in downstream_variants(f2) if dict(key.assignment)[1] == label]
         assert len(variants) == 1
         got = run_fragment(f2, variants)[0].probs
-        init = [None] * f2.circuit.n_qubits
-        init[dict(f2.downstream_cut_qubits)[1]] = prep_state(label)
-        want = exact_distribution(simulate(f2.circuit, init),
+        want = exact_distribution(simulate(variant_circuit(f2, variants[0])),
                                   range(f2.circuit.n_qubits))
         assert np.array_equal(got, want)
 
@@ -265,8 +263,11 @@ class TestRunFragment:
         f1, _ = bell_fragments()
         r = run_fragment(f1, upstream_variants(f1))[0]
         assert r.cut_bits == ((1, 1),)
-        assert r.output_bits == (0,)
-        assert set(dict(r.cut_bits).values()).isdisjoint(r.output_bits)
+        # the output bits are the local bits other than the cut bits
+        assert [f.name for f in dataclasses.fields(r)] == ["key", "probs", "shots", "cut_bits"]
+        outputs = tuple(q for q in range(f1.circuit.n_qubits) if q not in dict(r.cut_bits).values())
+        assert outputs == f1.output_qubits == (0,)
+        assert np.size(r.probs) == 2 ** f1.circuit.n_qubits
 
 
     def test_cut_cap_raises_before_anything_runs(self, monkeypatch):
@@ -300,6 +301,22 @@ class TestSeedBoundary:
                      lambda: golden_ansatz(5, 2, bad)):
             with pytest.raises(ValueError, match="integer of at least 0"):
                 call()
+
+    @pytest.mark.parametrize("bad", [{"seed": 1.9}, {"seed": True}, {"trial": 0.5},
+                                     {"seed": -5, "trial": True, "prune": "exact"}])
+    def test_rejected_in_every_mode_before_anything_runs(self, bad, monkeypatch):
+        # exact mode draws no stream, so these passed silently there
+        circ = golden_ansatz(3, 1, 0)
+        f1, _ = bipartition(circ)
+        seeds = {"seed": bad.get("seed", 0), "trial": bad.get("trial", 0)}
+        calls = count_execution(monkeypatch)
+        for call in (lambda: reconstruct(circ, **bad),
+                     lambda: reconstruct(circ, shots=100, **bad),
+                     lambda: upstream_report(f1, **seeds),
+                     lambda: upstream_report(f1, shots=100, **seeds)):
+            with pytest.raises(ValueError, match="integer of at least 0"):
+                call()
+        assert calls == []
 
     @pytest.mark.parametrize("seed", [0, np.int64(7), np.uint64(2 ** 63 + 5), 2 ** 100])
     def test_python_and_numpy_integers_keep_working(self, seed):
@@ -418,20 +435,17 @@ class TestRunOnce:
     ])
     def test_batched_columns_equal_per_input_simulations(self, circ):
         # the one batched pass gives the same states as 2^K simulations of
-        # the body from the computational inputs, to rounding (a column
-        # may differ in the last ulp)
+        # the body from the computational inputs (the Zp/Zm device circuits),
+        # to rounding (a column may differ in the last ulp)
         frag = bipartition(circ)[1]
         readout = tuple(zip(frag.output_qubits[:2], "XY"))
-        body = Circuit(frag.circuit.n_qubits, tuple(frag.circuit.gates) + tuple(
-            g for q, p in readout for g in basis_rotation(PauliOp(p), q)), ())
         columns = cut_amplitudes(frag, readout)
-        wires = [q for _, q in frag.downstream_cut_qubits]
-        assert columns.shape == (2 ** len(wires), 2 ** body.n_qubits)
-        for b, bits in enumerate(itertools.product((0, 1), repeat=len(wires))):
-            initial = [None] * body.n_qubits
-            for q, bit in zip(wires, bits):
-                initial[q] = (0.0, 1.0) if bit else None
-            want = simulate(body, initial)
+        cut_ids = [cid for cid, _ in frag.downstream_cut_qubits]
+        assert columns.shape == (2 ** len(cut_ids), 2 ** frag.circuit.n_qubits)
+        for b, signs in enumerate(itertools.product("pm", repeat=len(cut_ids))):
+            key = VariantKey("downstream", tuple(zip(cut_ids, ("Z" + s for s in signs))),
+                             readout)
+            want = simulate(variant_circuit(frag, key))
             assert np.max(np.abs(columns[b] - want)) <= 1e-15
 
     def test_cut_amplitudes_rejects_readout_off_the_outputs(self):
@@ -454,8 +468,8 @@ class TestRunOnce:
         foreign = {
             "side": other_enum(other)[0],
             "too few cuts": VariantKey(frag.side, key.assignment[:1]),
-            "unknown cut": VariantKey(frag.side, key.assignment + ((3, key.label(1)),)),
-            "unknown label": VariantKey(frag.side, ((1, wrong_label), (2, key.label(2)))),
+            "unknown cut": VariantKey(frag.side, key.assignment + ((3, dict(key.assignment)[1]),)),
+            "unknown label": VariantKey(frag.side, ((1, wrong_label), key.assignment[1])),
             "readout qubit": VariantKey(frag.side, key.assignment, ((not_output, "X"),)),
             "readout label": VariantKey(frag.side, key.assignment, ((output, "Z"),)),
         }

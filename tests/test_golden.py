@@ -255,7 +255,7 @@ class TestStatisticalDetection:
         results = run_fragment(f1, upstream_variants(f1), shots=100, seed=0)
         for i in exact_at:
             r = results[i]
-            results[i] = VariantResult(r.key, r.probs, 0, r.n_bits, r.cut_bits, r.output_bits)
+            results[i] = VariantResult(r.key, r.probs, 0, r.cut_bits)
         with pytest.raises(ValueError, match="shot-mode"):
             detect_statistical(results, obs)
 
@@ -264,7 +264,7 @@ class TestStatisticalDetection:
         # "math domain error"
         obs = ObservableSpec.pauli_string([], [])
         f1, _ = bipartition(fig1())
-        results = [VariantResult(r.key, r.probs, -100, r.n_bits, r.cut_bits, r.output_bits)
+        results = [VariantResult(r.key, r.probs, -100, r.cut_bits)
                    for r in run_fragment(f1, upstream_variants(f1), shots=100, seed=0)]
         with pytest.raises(ValueError, match="shot-mode"):
             detect_statistical(results, obs)

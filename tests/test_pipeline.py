@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import goldcut.golden as golden
 import goldcut.pipeline as pipeline
-from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h
+from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h, uncut
 from goldcut.errors import NotBipartite, SupportMismatch
 from goldcut.fragmenter import downstream_variants, run_fragment, upstream_variants
 from goldcut.golden import detect_statistical
@@ -18,14 +18,13 @@ from goldcut.reconstructor import (
 )
 from goldcut.pipeline import (
     ground_truth_distribution,
-    ground_truth_expectation,
     parent_permutation,
     reconstruct,
     split_observable,
     uncut_sampled_distribution,
     upstream_report,
 )
-from goldcut.simulator import ObservableSpec
+from goldcut.simulator import ObservableSpec, exact_expectation, simulate
 
 from conftest import count_execution, make_cut_circuit
 
@@ -176,7 +175,7 @@ class TestExactReconstruction:
         obs = ObservableSpec.pauli_string([PauliOp.X, PauliOp.Z, PauliOp.Y,
                                            PauliOp.I], [0, 1, 2, 3])
         run = reconstruct(circ, obs=obs)
-        assert abs(run.expectation - ground_truth_expectation(circ, obs)) < 1e-10
+        assert abs(run.expectation - exact_expectation(simulate(uncut(circ)), obs)) < 1e-10
 
 
 class TestPruneModes:
@@ -309,7 +308,7 @@ class TestExecutedCounts:
         obs = ObservableSpec.pauli_string("XYZXYZXYZ", range(9))
         run = reconstruct(circ, obs, prune="exact")
         assert run.neglected == {(1, PauliOp.X), (1, PauliOp.Y), (1, PauliOp.Z)}
-        assert abs(run.expectation - ground_truth_expectation(circ, obs)) < 1e-12
+        assert abs(run.expectation - exact_expectation(simulate(uncut(circ)), obs)) < 1e-12
         assert (run.cost.variants_executed, run.cost.basis_tuples_contracted) == (3, 1)
         stat = reconstruct(circ, obs, shots=10_000, seed=0, prune="statistical")
         assert stat.neglected == run.neglected
@@ -464,4 +463,4 @@ class TestReconstructProperty:
         paulis = np.random.default_rng(seed).choice(list("IXYZ"), n)
         obs = ObservableSpec.pauli_string(list(paulis), range(n))
         got = reconstruct(circ, obs).expectation
-        assert abs(got - ground_truth_expectation(circ, obs)) <= 1e-10
+        assert abs(got - exact_expectation(simulate(uncut(circ)), obs)) <= 1e-10

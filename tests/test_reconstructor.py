@@ -1,5 +1,6 @@
 """Signed tensor assembly and contraction against independent oracles."""
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from goldcut.errors import (
 from goldcut.fragmenter import (
     AMPLITUDE_MAPS,
     MEASURED_BASES,
+    VariantKey,
     VariantResult,
     cut_amplitudes,
     downstream_variants,
@@ -136,8 +138,7 @@ class TestProjectorBound:
         f1, _ = bipartition(fig1())
         results = run_fragment(f1, upstream_variants(f1))
         build_tensor(results, obs, "upstream")
-        inflated = [VariantResult(r.key, 10.0 * r.probs, 0, r.n_bits,
-                                  r.cut_bits, r.output_bits) for r in results]
+        inflated = [VariantResult(r.key, 10.0 * r.probs, 0, r.cut_bits) for r in results]
         with pytest.raises(GoldcutError):
             build_tensor(inflated, obs, "upstream")
 
@@ -155,7 +156,7 @@ REF_BASES = (PauliOp.I, PauliOp.X, PauliOp.Y, PauliOp.Z)
 
 def ref_data(result, cut_ids, obs):
     """{cut outcome bits: output vector or observable value} of one result."""
-    n = result.n_bits
+    n = len(result.probs).bit_length() - 1
     pos = dict(result.cut_bits)
     cut_pos = [pos[cid] for cid in cut_ids]
     outputs = [q for q in range(n) if q not in cut_pos]
@@ -181,7 +182,7 @@ def ref_tensor(results, obs, side):
     cut_ids = tuple(sorted(cid for cid, _ in results[0].key.assignment))
     k = len(cut_ids)
     measured = cut_ids if side == "upstream" else ()
-    table = {tuple(r.key.label(cid) for cid in cut_ids): ref_data(r, measured, obs)
+    table = {tuple(dict(r.key.assignment)[cid] for cid in cut_ids): ref_data(r, measured, obs)
              for r in results}
     out = {}
     for combo in itertools.product(REF_BASES, repeat=k):
@@ -235,29 +236,28 @@ class TestReferenceDefinition:
         f1, f2 = bipartition(circ)
         up = run_fragment(f1, upstream_variants(f1))
         down = run_fragment(f2, downstream_variants(f2))
-        no_y1 = [r for r in up if r.key.label(1) != "Y"]
+        no_y1 = [r for r in up if dict(r.key.assignment)[1] != "Y"]
         build_tensor(no_y1, IDENTITY_OBS, "upstream", {(1, PauliOp.Y)})
         for neglected in (frozenset(), {(2, PauliOp.Y)}):
             with pytest.raises(MissingVariant):
                 build_tensor(no_y1, IDENTITY_OBS, "upstream", neglected)
         # the identity row reads the Z setting, so neglecting Z keeps it needed
-        no_z1 = [r for r in up if r.key.label(1) != "Z"]
+        no_z1 = [r for r in up if dict(r.key.assignment)[1] != "Z"]
         with pytest.raises(MissingVariant):
             build_tensor(no_z1, IDENTITY_OBS, "upstream", {(1, PauliOp.Z)})
-        no_yp2 = [r for r in down if r.key.label(2) != "Yp"]
+        no_yp2 = [r for r in down if dict(r.key.assignment)[2] != "Yp"]
         build_tensor(no_yp2, IDENTITY_OBS, "downstream", {(2, PauliOp.Y)})
         for neglected in (frozenset(), {(1, PauliOp.Y)}):
             with pytest.raises(MissingVariant):
                 build_tensor(no_yp2, IDENTITY_OBS, "downstream", neglected)
-        no_zm1 = [r for r in down if r.key.label(1) != "Zm"]
+        no_zm1 = [r for r in down if dict(r.key.assignment)[1] != "Zm"]
         with pytest.raises(MissingVariant):
             build_tensor(no_zm1, IDENTITY_OBS, "downstream", {(1, PauliOp.Z)})
 
     def test_repeated_key_last_result_counts(self):
         f1, _ = bipartition(fig1())
         results = run_fragment(f1, upstream_variants(f1))
-        doubled = [VariantResult(r.key, 0.5 * r.probs, 0, r.n_bits,
-                                 r.cut_bits, r.output_bits) for r in results]
+        doubled = [VariantResult(r.key, 0.5 * r.probs, 0, r.cut_bits) for r in results]
         twice = build_tensor(results + doubled, DIST, "upstream")
         once = build_tensor(results, DIST, "upstream")
         assert np.allclose(twice.entries, 0.5 * once.entries, atol=1e-15)
@@ -314,7 +314,7 @@ class TestOperatorTensor:
         table = AMPLITUDE_MAPS[side]
         assert table.shape == (6, 2)
         pairs = (table[:, :, None] * table[:, None, :].conj()).reshape(6, 4)
-        assert np.max(np.abs(SIDE_MAPS[side][2] @ pairs - OPERATOR_MAPS[side])) <= 1e-15
+        assert np.max(np.abs(SIDE_MAPS[side] @ pairs - OPERATOR_MAPS[side])) <= 1e-15
 
     def test_cut_cap_raises(self):
         for frag in bipartition(make_cut_circuit(9, 9, 9, 1, 0)):
@@ -400,21 +400,40 @@ class TestBoundaryChecks:
             with pytest.raises(ValueError, match="differ from the first result's"):
                 build_tensor(results, DIST, "upstream")
         r = r5[0]
-        short = VariantResult(r.key, r.probs[:-1], 0, r.n_bits, r.cut_bits, r.output_bits)
-        with pytest.raises(ValueError, match="holds 7 probabilities for 3 bits"):
+        short = VariantResult(r.key, r.probs[:-1], 0, r.cut_bits)
+        with pytest.raises(ValueError, match="2\\^n amplitudes, got 7"):
             build_tensor([short] + r5[1:], DIST, "upstream")
+        with pytest.raises(ValueError, match="differ from the first result's"):
+            build_tensor(r5 + [short], DIST, "upstream")
 
-    @pytest.mark.parametrize("side,outputs", [("upstream", (0, 1, 2)), ("upstream", (0,)),
-                                              ("upstream", (1, 0)), ("downstream", (0, 1))])
-    def test_build_tensor_rejects_output_bits_beside_the_cut_bits(self, side, outputs):
-        # output bits that also named the measured cut wire failed inside
-        # numpy ("axes don't match array")
-        f1, f2 = bipartition(golden_ansatz(5, 2, 7))
-        frag, enum = (f1, upstream_variants) if side == "upstream" else (f2, downstream_variants)
-        results = [VariantResult(r.key, r.probs, 0, r.n_bits, r.cut_bits, outputs)
-                   for r in run_fragment(frag, enum(frag))]
-        with pytest.raises(ValueError, match="not the local bits other than the measured cut"):
-            build_tensor(results, DIST, side)
+    @pytest.mark.parametrize("cut_bits", [((1, 7),), ((1, 2), (2, 2))])
+    def test_build_tensor_rejects_cut_bits_off_the_local_bits(self, cut_bits):
+        # a cut wire beyond the width failed inside numpy ("axes don't match")
+        results = [VariantResult(r.key, r.probs, 0, cut_bits)
+                   for r in run_fragment(self.fragment(), upstream_variants(self.fragment()))]
+        with pytest.raises(ValueError, match="are not distinct bits of 3"):
+            build_tensor(results, DIST, "upstream")
+
+    @pytest.mark.parametrize("side,assignment", [
+        ("upstream", ((1, "X"), (2, "Y"))),
+        ("upstream", ((1, "Q"),)),
+        ("upstream", ((2, "X"),)),
+        ("downstream", ((1, "X"),)),
+    ])
+    def test_build_tensor_rejects_foreign_keys(self, side, assignment):
+        # these were ignored, or raised KeyError inside the assembly when the
+        # key lacked cut 1; now the key rule of run_fragment applies, with the
+        # upstream cut ids read from the cut bits, in either result order
+        frag = bipartition(golden_ansatz(5, 2, 7))[side == "downstream"]
+        enum = upstream_variants if side == "upstream" else downstream_variants
+        results = run_fragment(frag, enum(frag))
+        r = results[0]
+        bad = VariantResult(VariantKey(side, assignment), r.probs, 0, r.cut_bits)
+        with pytest.raises(ValueError, match="does not fit"):
+            run_fragment(frag, [bad.key])
+        for listed in ([bad] + results, results + [bad]):
+            with pytest.raises(ValueError, match=re.escape(repr(bad.key))):
+                build_tensor(listed, DIST, side)
 
     @pytest.mark.parametrize("pair,message", [((1, "I"), "identity basis cannot be neglected"),
                                               ((9, "X"), "unknown cut 9")])
@@ -651,15 +670,21 @@ class TestFailureModes:
         f1, _ = bipartition(fig1())
         mixed = run_fragment(f1, upstream_variants(f1), shots=10, seed=0)
         r = mixed[1]
-        mixed[1] = VariantResult(r.key, r.probs, 0, r.n_bits, r.cut_bits, r.output_bits)
+        mixed[1] = VariantResult(r.key, r.probs, 0, r.cut_bits)
         with pytest.raises(ValueError, match="mixed exact and shot"):
             build_tensor(mixed, IDENTITY_OBS, "upstream")
 
     def test_wrong_side_results(self):
-        f1, _ = bipartition(fig1())
+        f1, f2 = bipartition(fig1())
         results = run_fragment(f1, upstream_variants(f1))
         with pytest.raises(WrongSide):
             build_tensor(results, IDENTITY_OBS, "downstream")
+        # one result of the other side, first or last
+        down = run_fragment(f2, downstream_variants(f2))
+        for side, own, other in (("upstream", results, down[0]), ("downstream", down, results[0])):
+            for listed in ([other] + own, own + [other]):
+                with pytest.raises(WrongSide):
+                    build_tensor(listed, IDENTITY_OBS, side)
 
     def test_contract_sides_swapped(self):
         obs = ObservableSpec.pauli_string([PauliOp.Z], [0])

@@ -22,7 +22,6 @@ from goldcut.circuits import (
 from goldcut.errors import (
     GoldcutError,
     IdentityBasisRequested,
-    InvalidInitial,
     SupportMismatch,
     TooWide,
 )
@@ -76,15 +75,6 @@ class TestSimulate:
         want = ref_state(circ)
         assert np.max(np.abs(got - want)) < 1e-10
 
-    def test_custom_initial_matches_reference(self):
-        circ = random_circuit(3, 2, 21)
-        init = [None,
-                np.array([0.6, 0.8j]),
-                np.array([INV_SQRT2, -INV_SQRT2])]
-        got = simulate(circ, init)
-        want = ref_state(circ, init)
-        assert np.max(np.abs(got - want)) < 1e-10
-
     def test_norm_preserved(self):
         for seed in range(5):
             psi = simulate(random_circuit(5, 4, seed))
@@ -97,16 +87,6 @@ class TestSimulate:
     def test_rejects_cut_circuits(self):
         with pytest.raises(ValueError):
             simulate(Circuit(1, (), (CutPoint(0, -1, 1),)))
-
-    def test_invalid_initial(self):
-        with pytest.raises(InvalidInitial):
-            simulate(Circuit(1, (), ()), [np.array([1.0, 1.0])])
-
-    @pytest.mark.parametrize("initial", [[None], [None, None, None]])
-    def test_initial_length_must_match_width(self, initial):
-        # one entry per qubit, so no wire is left unset or silently dropped
-        with pytest.raises(InvalidInitial):
-            simulate(Circuit(2, (), ()), initial)
 
     @pytest.mark.parametrize("size", [0, 3, 6])
     def test_state_length_must_be_a_power_of_two(self, size):
@@ -203,15 +183,14 @@ class TestKernel:
         assert seen == [f2.circuit.n_qubits + k]
 
     def test_simulate_start_state_is_the_kron_chain(self):
+        # |0...0>, bitwise; a product start is the device circuit's job
         circ = random_circuit(4, 3, 9)
-        init = [np.array([0.6, 0.8j]), None,
-                np.array([INV_SQRT2, -INV_SQRT2]), np.array([0.8, -0.6])]
         start = np.array([1.0], dtype=complex)
-        for vec in init:
-            start = np.kron(start, np.array([1.0, 0.0]) if vec is None else vec.astype(complex))
+        for _ in range(4):
+            start = np.kron(start, np.array([1.0, 0.0]))
         want = tensordot_apply_gates(start, circ.gates)
-        assert np.array_equal(simulate(circ, init), want)
-        assert np.array_equal(simulate(Circuit(4, (), ()), init), start)
+        assert np.array_equal(simulate(circ), want)
+        assert np.array_equal(simulate(Circuit(4, (), ())), start)
 
 
 class TestFusedKernel:
@@ -537,8 +516,7 @@ class TestBasisRotation:
 
     @pytest.mark.parametrize("p", [PauliOp.X, PauliOp.Y, PauliOp.Z])
     def test_plus_eigenstate_reads_bit_zero(self, p):
-        circ = Circuit(1, tuple(basis_rotation(p, 0)), ())
-        psi = simulate(circ, [prep_state(p.value + "p")])
+        psi = apply_gates(prep_state(p.value + "p"), basis_rotation(p, 0))
         assert abs(abs(psi[0]) - 1.0) < 1e-12
 
     def test_identity_refused(self):
