@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -178,8 +178,17 @@ class CutPoint:
     cut_id: int
 
 
+class _Derived:
+    """A frozen dataclass that keeps data derived from its fields in its
+    __dict__ as functools.cached_property does, for as long as it lives;
+    ==, hash, repr, pickles and copies read the fields alone."""
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class Circuit:
+class Circuit(_Derived):
     n_qubits: int
     gates: tuple = ()
     cuts: tuple = ()
@@ -199,7 +208,7 @@ def uncut(circuit: Circuit) -> Circuit:
 
 
 @dataclass(frozen=True)
-class Fragment:
+class Fragment(_Derived):
     """One side of a bipartitioned circuit.
 
     local qubit i of the fragment corresponds to parent_qubits[i] in the
@@ -307,10 +316,13 @@ def bipartition(circuit: Circuit):
     components, with every cut oriented the same way: all pre-cut segments
     upstream, all post-cut segments downstream.
 
-    Returns (f1, f2) with f1 the upstream fragment.
+    Returns (f1, f2) with f1 the upstream fragment, kept on the circuit
+    object from the first call; an error is raised anew on every call.
     """
     if not circuit.cuts:
         raise ValueError("bipartition needs at least one cut")
+    if "_fragments" in vars(circuit):
+        return vars(circuit)["_fragments"]
     report = validate(circuit)
     if not report.ok:
         raise ValueError("invalid circuit: %s" % "; ".join(report.violations))
@@ -359,7 +371,8 @@ def bipartition(circuit: Circuit):
             return Fragment(sub, pairs, (), outputs, tuple(wires))
         return Fragment(sub, (), pairs, tuple(range(len(wires))), tuple(wires))
 
-    return build(True), build(False)
+    fragments = vars(circuit)["_fragments"] = build(True), build(False)
+    return fragments
 
 
 def random_circuit(n_qubits: int, depth: int, seed: int) -> Circuit:

@@ -13,18 +13,14 @@ import argparse
 import json
 import sys
 
-from .circuits import PauliOp, bipartition, certified_ansatz, format_float, save, validate
+from .circuits import PauliOp, bipartition, certified_ansatz, format_float, save, uncut, validate
 from .errors import GoldcutError
 from .golden import DEFAULT_ALPHA, DEFAULT_TAU, GENERATION_EPS
 from .metrics import CSV_COLUMNS, closed_form_counts, weighted_distance
-from .pipeline import (
-    PRUNE_MODES,
-    ground_truth_distribution,
-    reconstruct,
-    uncut_sampled_distribution,
-    upstream_report,
-)
+from .pipeline import PRUNE_MODES, reconstruct, uncut_sampled_distribution, upstream_report
 from .reconstructor import MAX_CUTS, term_count
+from .seeding import check_seed
+from .simulator import exact_distribution, simulate
 from . import circuits
 
 
@@ -100,14 +96,15 @@ def cmd_run(args) -> int:
     if args.prune == "known" and not args.neglect:
         raise ValueError("--prune known needs at least one --neglect CUT:BASIS")
     neglect = _parse_neglect(args.neglect)
-    truth = ground_truth_distribution(circ)
-    rows = []
-    reports = []
+    check_seed(args.seed)
+    state = simulate(uncut(circ))
+    truth = exact_distribution(state, range(circ.n_qubits))
+    rows, reports = [], []
     for trial in range(args.trials):
         res = reconstruct(circ, shots=args.shots, seed=args.seed, trial=trial,
                           prune=args.prune, neglect=neglect,
                           alpha=args.alpha, tau=args.tau)
-        sampled = uncut_sampled_distribution(circ, args.shots, args.seed, trial)
+        sampled = uncut_sampled_distribution(state, args.shots, args.seed, trial)
         rows.append({
             "trial": trial,
             "seed": args.seed,

@@ -40,6 +40,7 @@ from .simulator import (
     MAX_QUBITS,
     apply_gates,
     basis_rotation,
+    evolve,
     exact_distribution,
     sample,
     simulate,
@@ -255,15 +256,21 @@ def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
     body's own hold sum_b |b>|b>, so it simulates n + K qubits: the
     MAX_QUBITS cap bounds the fragment's n, not that pass. A fragment
     without cut qubits, or a readout pair on a qubit that is not an output
-    or with another label, raises ValueError.
+    or with another label, raises ValueError. The body is kept on the
+    fragment per readout, and its program on the body (simulator.evolve).
     """
     side = fragment.side
     wires = [q for _, q in _cuts(fragment, side)]
+    readout = tuple(map(tuple, readout))
     if any(q not in fragment.output_qubits or p not in ("X", "Y") for q, p in readout):
         raise ValueError("readout %r does not fit the fragment outputs %s"
-                         % (tuple(readout), fragment.output_qubits))
-    rotations = [g for q, p in readout for g in basis_rotation(PauliOp(p), q)]
-    body = Circuit(fragment.circuit.n_qubits, tuple(fragment.circuit.gates) + tuple(rotations), ())
+                         % (readout, fragment.output_qubits))
+    bodies = vars(fragment).setdefault("_bodies", {})
+    if readout not in bodies:
+        rotations = [g for q, p in readout for g in basis_rotation(PauliOp(p), q)]
+        bodies[readout] = Circuit(fragment.circuit.n_qubits,
+                                  fragment.circuit.gates + tuple(rotations), ())
+    body = bodies[readout]
     n, k = body.n_qubits, len(wires)
     if side == "upstream":
         order = wires + [q for q in range(n) if q not in wires]
@@ -274,7 +281,7 @@ def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
     rows = sum(((inputs >> (k - 1 - j)) & 1) << (n - 1 - q) for j, q in enumerate(wires))
     psi = np.zeros((2 ** n, 2 ** k), dtype=complex)
     psi[rows, inputs] = 1.0
-    return apply_gates(psi.reshape(-1), body.gates).reshape(2 ** n, 2 ** k).T
+    return evolve(psi.reshape(-1), body).reshape(2 ** n, 2 ** k).T
 
 
 def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=()):

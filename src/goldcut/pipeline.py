@@ -36,7 +36,7 @@ from .reconstructor import (
     operator_tensor,
 )
 from .seeding import check_seed, stream
-from .simulator import ObservableSpec, exact_distribution, sample, simulate
+from .simulator import ObservableSpec, _width, exact_distribution, sample, simulate
 
 SIDE_UPSTREAM = 0
 SIDE_DOWNSTREAM = 1
@@ -91,16 +91,14 @@ def parent_permutation(f1: Fragment, f2: Fragment, n_parent: int) -> np.ndarray:
 
 def ground_truth_distribution(circuit: Circuit) -> np.ndarray:
     """Exact bitstring distribution of the uncut circuit, parent order."""
-    state = simulate(uncut(circuit))
-    return exact_distribution(state, range(circuit.n_qubits))
+    return exact_distribution(simulate(uncut(circuit)), range(circuit.n_qubits))
 
 
-def uncut_sampled_distribution(circuit: Circuit, shots: int, seed: int,
+def uncut_sampled_distribution(state: np.ndarray, shots: int, seed: int,
                                trial: int = 0) -> np.ndarray:
-    """Empirical distribution of the uncut circuit at the same shot budget."""
-    state = simulate(uncut(circuit))
-    rng = stream(seed, trial, SIDE_UNCUT)
-    return sample(state, range(circuit.n_qubits), shots, rng) / shots
+    """Empirical distribution of the uncut circuit's state at the same shot
+    budget, drawn on stream (seed, trial, SIDE_UNCUT)."""
+    return sample(state, range(_width(state)), shots, stream(seed, trial, SIDE_UNCUT)) / shots
 
 
 @dataclass

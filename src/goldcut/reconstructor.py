@@ -25,6 +25,7 @@ output, contracted with the downstream psi.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -137,9 +138,10 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     present; others may be, and feed only pruned rows. For a repeated key
     the last result counts. A result of the other side raises WrongSide;
     a key that breaks run_fragment's rule (_key_index) for the cuts of the
-    first result's cut_bits (upstream) or key (downstream), a readout other
-    than obs needs (its X/Y factors, in obs order), or cut_bits or a count
-    of 2^n probabilities other than the first result's raise ValueError.
+    first result's cut_bits (upstream) or of most keys (downstream, the
+    first such in a tie), a readout other than obs needs (its X/Y factors,
+    in obs order), or cut_bits or a count of 2^n probabilities other than
+    the first result's raise ValueError.
     The output bits are the local bits other than the cut bits, in order.
     """
     if not results:
@@ -154,8 +156,9 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
 
     first = results[0]
     n = _width(first.probs)
-    cut_ids = tuple(cid for cid, _ in (first.cut_bits if side == "upstream"
-                                       else first.key.assignment))
+    # downstream results carry no cut bits: there, the cut ids most keys have
+    cut_ids = (tuple(cid for cid, _ in first.cut_bits) if side == "upstream" else Counter(
+        tuple(cid for cid, _ in r.key.assignment) for r in results).most_common(1)[0][0])
     k = len(cut_ids)
     _check_cuts(k)
     dropped = _neglected_by_cut(cut_ids, neglected)

@@ -4,12 +4,12 @@ A state is a plain complex vector of 2^n amplitudes. Everything here is an
 infinite-shot oracle except sample(), which returns the per-outcome counts
 of a multinomial draw from the exact Born distribution. Outcome indices
 follow the package-wide bitstring convention: qubit 0 is the most
-significant (leftmost) bit. apply_gates makes one matrix product per gate
-on a state narrower than FUSE_FROM qubits, the very product np.tensordot
-would make, so its amplitudes equal those of a tensordot loop to the bit.
-A wider state gets one product per block of up to FUSE_WIDTH qubits, whose
-matrix fuses the block's gates; its amplitudes agree with the tensordot
-loop to rounding (1e-12 in the tests), not to the bit.
+significant (leftmost) bit. A gate program (_compile; evolve keeps one per
+circuit) makes one matrix product per gate on a state narrower than
+FUSE_FROM qubits, the very product np.tensordot would make, so its
+amplitudes equal a tensordot loop's to the bit. A wider state gets one
+product per block of up to FUSE_WIDTH qubits, whose matrix fuses the
+block's gates; its amplitudes agree to rounding (1e-12 in the tests).
 """
 from __future__ import annotations
 
@@ -106,35 +106,55 @@ def simulate(circuit: Circuit) -> np.ndarray:
         raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
     if circuit.cuts:
         raise ValueError("simulate takes plain circuits; bipartition cut circuits first")
-    psi = np.zeros(2 ** n, dtype=complex)
-    psi[0] = 1.0
-    return apply_gates(psi, circuit.gates)
+    return evolve(np.eye(1, 2 ** n, dtype=complex)[0], circuit)
+
+
+def evolve(psi: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """apply_gates(psi, circuit.gates) by the program compiled on first use
+    for this circuit object and state width, and kept on the circuit."""
+    n = _width(psi)
+    programs = vars(circuit).setdefault("_programs", {})
+    if n not in programs:
+        programs[n] = _compile(circuit.gates, n)
+    return _apply(psi, programs[n])
 
 
 def apply_gates(psi: np.ndarray, gates) -> np.ndarray:
-    """Apply a gate sequence to any state; the input state is left intact.
+    """Apply a gate sequence to any state, compiled anew on every call; the
+    input state is left intact."""
+    return _apply(psi, _compile(gates, _width(psi)))
 
-    A state of FUSE_FROM qubits or more (reference axes count) gets one
-    product per block of _group, a narrower one one product per gate.
-    """
-    n = _width(psi)
+
+def _compile(gates, n):
+    """The program of gates on an n-qubit state (reference axes count): a
+    product per gate below FUSE_FROM qubits, per block of _group from it."""
     if n < FUSE_FROM:
         ops = [(gate_matrix(g), g.qubits) for g in gates]
     else:
         ops = [(_block_matrix(qubits, members), qubits) for qubits, members in _group(gates)]
-    return _apply(psi, n, ops)
+    return _plan(ops, n)
 
 
-def _apply(psi, n, ops):
-    """The kernel: per (matrix, qubits) op, one np.dot on the state
-    transposed to (op qubits, the rest ascending); order[i] is the qubit
-    axis i holds until the final transpose."""
-    shape, order = (2,) * n, list(range(n))
+def _plan(ops, n):
+    """(matrix, qubits) ops as a program (steps, back): per op its matrix,
+    made read-only, and the transpose from the previous op's axes to (its
+    qubits, the rest ascending); back restores qubit order at the end."""
+    steps, order = [], list(range(n))
     for u, qubits in ops:
         front = [*qubits, *(q for q in range(n) if q not in qubits)]
-        psi = psi.reshape(shape).transpose([order.index(q) for q in front])
-        psi, order = np.dot(u, psi.reshape(2 ** len(qubits), -1)), front
-    return psi.reshape(shape).transpose(np.argsort(order)).reshape(-1)
+        u.setflags(write=False)
+        steps.append((u, [order.index(q) for q in front]))
+        order = front
+    return steps, sorted(range(n), key=order.__getitem__)
+
+
+def _apply(psi, program):
+    """The kernel: per step, one np.dot on the state as the step transposes it."""
+    steps, back = program
+    shape = (2,) * len(back)
+    for u, axes in steps:
+        psi = np.dot(u, psi.reshape(shape).transpose(axes).reshape(len(u), -1))
+    return psi.reshape(shape).transpose(back).reshape(-1)
 
 
 def _group(gates) -> list:
@@ -165,8 +185,8 @@ def _block_matrix(qubits, members) -> np.ndarray:
     if len(members) == 1:
         return gate_matrix(members[0])
     k, local = len(qubits), {q: j for j, q in enumerate(qubits)}
-    u = _apply(np.eye(2 ** k, dtype=complex).reshape(-1), 2 * k,
-               [(gate_matrix(g), [local[q] for q in g.qubits]) for g in members])
+    u = _apply(np.eye(2 ** k, dtype=complex).reshape(-1),
+               _plan([(gate_matrix(g), [local[q] for q in g.qubits]) for g in members], 2 * k))
     return u.reshape(2 ** k, -1)
 
 

@@ -19,7 +19,7 @@ from hypothesis import settings
 import goldcut.fragmenter as fragmenter
 from goldcut.circuits import Circuit, CutPoint, PauliOp, cnot, gate_matrix, random_circuit
 from goldcut.fragmenter import _PREP_GATES
-from goldcut.simulator import _width, apply_gates, basis_rotation, simulate
+from goldcut.simulator import _width, basis_rotation, evolve, simulate
 
 settings.register_profile("goldcut", derandomize=True, deadline=None, max_examples=25)
 settings.load_profile("goldcut")
@@ -38,19 +38,19 @@ def load_perfbench(name):
 
 def count_execution(monkeypatch):
     """Record the fragmenter's simulate calls as "simulate" and its
-    apply_gates calls by the width of the state they act on."""
+    evolve calls by the width of the state they act on."""
     calls = []
 
     def counting_simulate(circuit):
         calls.append("simulate")
         return simulate(circuit)
 
-    def counting_apply_gates(state, gates):
+    def counting_evolve(state, circuit):
         calls.append(_width(state))
-        return apply_gates(state, gates)
+        return evolve(state, circuit)
 
     monkeypatch.setattr(fragmenter, "simulate", counting_simulate)
-    monkeypatch.setattr(fragmenter, "apply_gates", counting_apply_gates)
+    monkeypatch.setattr(fragmenter, "evolve", counting_evolve)
     return calls
 
 

@@ -1,12 +1,16 @@
 """Circuit representation, validation, bipartition, and generators."""
+import copy
+import dataclasses
 import hashlib
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import goldcut.circuits as circuits
 from goldcut.circuits import (
     Circuit,
     CutPoint,
@@ -27,7 +31,8 @@ from goldcut.circuits import (
     validate,
 )
 from goldcut.errors import CyclicCut, NotBipartite
-from goldcut.simulator import simulate
+from goldcut.pipeline import reconstruct
+from goldcut.simulator import ObservableSpec, simulate
 
 from conftest import load_perfbench, make_cut_circuit, stitch
 
@@ -281,6 +286,63 @@ class TestBipartition:
         down_ids = [cid for cid, _ in f2.downstream_cut_qubits]
         assert sorted(up_ids) == sorted(set(up_ids))
         assert sorted(up_ids) == sorted(down_ids)
+
+
+class TestKeptPerObject:
+    """bipartition keeps the fragments on the circuit object, the fragments
+    their bodies, the bodies their programs; nothing else sees it."""
+
+    def test_fragments_are_computed_once_per_object(self, monkeypatch):
+        circ = make_cut_circuit(4, 3, 2, 2, 11)
+        checked = []
+        check = circuits.validate
+        monkeypatch.setattr(circuits, "validate", lambda c: checked.append(c) or check(c))
+        first = bipartition(circ)
+        assert bipartition(circ) is first and checked == [circ]
+        twin = bipartition(Circuit(circ.n_qubits, circ.gates, circ.cuts))
+        assert twin == first and twin is not first and len(checked) == 2
+
+    @pytest.mark.parametrize("circ,error", [
+        (Circuit(2, (h(0), cnot(0, 5)), (CutPoint(0, 0, 1),)), ValueError),
+        (Circuit(3, (h(0), cnot(0, 1), cnot(1, 2), cnot(0, 2)), (CutPoint(1, 1, 1),)),
+         NotBipartite),
+    ])
+    def test_errors_are_raised_on_every_call(self, circ, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                bipartition(circ)
+        assert "_fragments" not in vars(circ)
+
+    def test_cutting_changes_no_view_of_the_fields(self):
+        circ = make_cut_circuit(4, 4, 2, 2, 9)
+        twin = Circuit(circ.n_qubits, circ.gates, circ.cuts)
+
+        def views(obj):
+            return obj == twin, hash(obj), repr(obj), to_json(obj), pickle.dumps(obj)
+
+        before = views(circ)
+        f1, f2 = bipartition(circ)
+        frags = [pickle.dumps(f) for f in (f1, f2)]
+        xyz = ObservableSpec.pauli_string("XYZ", f1.parent_qubits[:1] + f2.parent_qubits[:2])
+        reconstruct(circ)
+        reconstruct(circ, xyz, shots=100)
+        assert "_fragments" in vars(circ) and vars(f2)["_bodies"]
+        assert views(circ) == before
+        assert [pickle.dumps(f) for f in (f1, f2)] == frags
+
+    def test_copies_start_cold(self):
+        circ = golden_ansatz(5, 2, 7)
+        reconstruct(circ)
+        f1, _ = bipartition(circ)
+        fields = {f.name for f in dataclasses.fields(Circuit)}
+        for other in (pickle.loads(pickle.dumps(circ)), copy.copy(circ), copy.deepcopy(circ),
+                      dataclasses.replace(circ), from_json(to_json(circ))):
+            assert other == circ and set(vars(other)) == fields
+            assert bipartition(other) == (f1, bipartition(circ)[1])
+            assert bipartition(other)[0] is not f1
+        assert set(vars(uncut(circ))) == fields
+        assert set(vars(pickle.loads(pickle.dumps(f1)))) == {
+            f.name for f in dataclasses.fields(f1)}
 
 
 class TestGenerators:

@@ -5,6 +5,7 @@ import pytest
 
 import goldcut.cli as cli
 import goldcut.pipeline as pipeline
+import goldcut.simulator as simulator
 from goldcut.circuits import (
     Circuit,
     CutPoint,
@@ -15,11 +16,14 @@ from goldcut.circuits import (
     h,
     load,
     save,
+    uncut,
 )
 from goldcut.cli import main
 from goldcut.golden import GENERATION_EPS
-from goldcut.metrics import CSV_COLUMNS, cut_counts
-from goldcut.pipeline import reconstruct, upstream_report
+from goldcut.metrics import CSV_COLUMNS, cut_counts, weighted_distance
+from goldcut.pipeline import ground_truth_distribution, reconstruct, upstream_report
+from goldcut.seeding import stream
+from goldcut.simulator import sample, simulate
 
 
 def ansatz_path(tmp_path, name="circ.json", seed=0):
@@ -169,6 +173,48 @@ class TestRun:
                      "--seed", "-1", "--out", str(out)]) == 2
         assert "integer of at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_is_rejected_before_any_simulation(self, tmp_path, monkeypatch):
+        # the uncut ground truth was simulated before reconstruct rejected it
+        circ = ansatz_path(tmp_path)
+        calls = []
+        kernel = simulator._apply
+        monkeypatch.setattr(simulator, "_apply", lambda *a: calls.append(a) or kernel(*a))
+        assert main(["run", "--circuit", str(circ), "--trials", "1", "--shots", "100",
+                     "--seed", "-1"]) == 2
+        assert calls == []
+
+    def test_uncut_circuit_is_simulated_once(self, tmp_path, monkeypatch):
+        # once for the truth and once per trial before
+        path = ansatz_path(tmp_path)
+        want, seen = uncut(load(str(path))), []
+        evolve = simulator.evolve
+        monkeypatch.setattr(simulator, "evolve", lambda psi, c: seen.append(c) or evolve(psi, c))
+        assert main(["run", "--circuit", str(path), "--trials", "3", "--shots", "100",
+                     "--out", str(tmp_path / "run.csv")]) == 0
+        assert [c for c in seen if c == want] == [want]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_those_of_a_fresh_uncut_state_per_trial(self, tmp_path, fmt):
+        # the previous version simulated the uncut circuit anew for the truth
+        # and for every trial's sample; one state gives the same bytes
+        path = ansatz_path(tmp_path)
+        circ, out = load(str(path)), tmp_path / ("run." + fmt)
+        assert main(["run", "--circuit", str(path), "--trials", "3", "--shots", "500",
+                     "--seed", "4", "--prune", "exact", "--format", fmt, "--out", str(out)]) == 0
+        if fmt == "csv":
+            lines = out.read_text().strip().split("\n")[1:]
+            rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in lines]
+        else:
+            rows = json.loads(out.read_text())["trials"]
+        truth = ground_truth_distribution(circ)
+        assert len(rows) == 3
+        for trial, row in enumerate(rows):
+            uncut_state = simulate(uncut(circ))
+            sampled = sample(uncut_state, range(3), 500, stream(4, trial, 2)) / 500
+            run = reconstruct(circ, shots=500, seed=4, trial=trial, prune="exact")
+            assert float(row["d_w_uncut"]) == weighted_distance(sampled, truth)
+            assert float(row["d_w_cut"]) == weighted_distance(run.distribution, truth)
 
     def test_circuit_without_cuts_is_validation_error(self, tmp_path):
         path = tmp_path / "uncut.json"

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import goldcut.circuits as circuits
 import goldcut.golden as golden
 import goldcut.pipeline as pipeline
+import goldcut.simulator as simulator
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h, uncut
 from goldcut.errors import NotBipartite, SupportMismatch
 from goldcut.fragmenter import downstream_variants, run_fragment, upstream_variants
@@ -26,7 +28,7 @@ from goldcut.pipeline import (
 )
 from goldcut.simulator import ObservableSpec, exact_expectation, simulate
 
-from conftest import count_execution, make_cut_circuit
+from conftest import count_execution, load_perfbench, make_cut_circuit
 
 
 def fig1():
@@ -427,12 +429,12 @@ class TestDeterminism:
         assert not np.array_equal(a.distribution, b.distribution)
 
     def test_uncut_sampling_deterministic(self):
-        circ = golden_ansatz(3, 1, 1)
-        a = uncut_sampled_distribution(circ, 1000, 8, trial=0)
-        b = uncut_sampled_distribution(circ, 1000, 8, trial=0)
+        state = simulate(uncut(golden_ansatz(3, 1, 1)))
+        a = uncut_sampled_distribution(state, 1000, 8, trial=0)
+        b = uncut_sampled_distribution(state, 1000, 8, trial=0)
         assert np.array_equal(a, b)
         assert abs(a.sum() - 1.0) < 1e-12
-        assert not np.array_equal(a, uncut_sampled_distribution(circ, 1000, 8,
+        assert not np.array_equal(a, uncut_sampled_distribution(state, 1000, 8,
                                                                 trial=1))
 
 
@@ -464,3 +466,67 @@ class TestReconstructProperty:
         obs = ObservableSpec.pauli_string(list(paulis), range(n))
         got = reconstruct(circ, obs).expectation
         assert abs(got - exact_expectation(simulate(uncut(circ)), obs)) <= 1e-10
+
+
+def run_bytes(run):
+    """Every output of a run, as bytes."""
+    rec = run.reconstruction
+    return (np.asarray(rec.raw).tobytes(), np.asarray(rec.value).tobytes(),
+            rec.terms_evaluated, run.neglected, vars(run.cost), run.k_golden,
+            run.golden.to_json())
+
+
+class TestComputedOnce:
+    """Cutting and compiling happen once per circuit object; every call still
+    simulates both fragments and does all the numeric work."""
+
+    def test_two_calls_cut_and_compile_once(self, monkeypatch):
+        made = load_perfbench("workloads").multicut_circuit(4, 201)
+        circ = Circuit(made.n_qubits, made.gates, made.cuts)  # not yet cut
+        truth = ground_truth_distribution(circ)
+        counts = {"validate": [], "_group": [], "_block_matrix": []}
+        for module, name in ((circuits, "validate"), (simulator, "_group"),
+                             (simulator, "_block_matrix")):
+            def counting(*args, real=getattr(module, name), seen=counts[name]):
+                seen.append(real(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(module, name, counting)
+        calls = count_execution(monkeypatch)
+        runs = [reconstruct(circ, prune="off"), reconstruct(circ, prune="exact")]
+        (blocks,) = counts["_group"]
+        assert len(counts["validate"]) == 1 and len(counts["_block_matrix"]) == len(blocks)
+        # one upstream simulation and one batched 10 + 4 qubit downstream pass per call
+        assert calls == ["simulate", 14] * 2
+        for run in runs:
+            assert np.max(np.abs(run.raw_distribution - truth)) <= 1e-10
+
+    @given(k=st.integers(1, 3), extra_up=st.integers(0, 2), extra_down=st.integers(0, 2),
+           seed=st.integers(0, 10 ** 6), shots=st.sampled_from([None, 200]),
+           prune=st.sampled_from(["off", "exact"]), pauli=st.booleans())
+    def test_repeated_and_fresh_calls_are_byte_identical(
+            self, k, extra_up, extra_down, seed, shots, prune, pauli):
+        circ = make_cut_circuit(k + extra_up, k + extra_down, k, 2, seed)
+        n = circ.n_qubits
+        obs = ObservableSpec.pauli_string(("XYZ" * n)[:n], range(n)) if pauli else None
+
+        def run(c):
+            return run_bytes(reconstruct(c, obs, shots=shots, seed=seed, prune=prune))
+
+        first = run(circ)
+        assert run(circ) == first
+        assert run(Circuit(circ.n_qubits, circ.gates, circ.cuts)) == first
+
+    def test_stored_matrices_are_read_only(self):
+        circ = make_cut_circuit(5, 4, 2, 2, 3)
+        obs = ObservableSpec.pauli_string("XY", (0, circ.n_qubits - 1))
+        reconstruct(circ, obs)
+        reconstruct(circ, shots=50)
+        bodies = [b for f in bipartition(circ) for b in vars(f)["_bodies"].values()]
+        assert len(bodies) == 4  # a readout and none, per fragment
+        for body in bodies:
+            (steps, _), = vars(body)["_programs"].values()
+            assert steps
+            for u, _ in steps:
+                with pytest.raises(ValueError, match="read-only"):
+                    u[0, 0] = 0.0

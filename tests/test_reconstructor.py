@@ -419,11 +419,14 @@ class TestBoundaryChecks:
         ("upstream", ((1, "Q"),)),
         ("upstream", ((2, "X"),)),
         ("downstream", ((1, "X"),)),
+        ("downstream", ((2, "Zp"),)),
     ])
     def test_build_tensor_rejects_foreign_keys(self, side, assignment):
         # these were ignored, or raised KeyError inside the assembly when the
         # key lacked cut 1; now the key rule of run_fragment applies, with the
-        # upstream cut ids read from the cut bits, in either result order
+        # upstream cut ids read from the cut bits and the downstream ones
+        # from most keys, so the error names the foreign key in either
+        # result order (downstream, a foreign first key named the next one)
         frag = bipartition(golden_ansatz(5, 2, 7))[side == "downstream"]
         enum = upstream_variants if side == "upstream" else downstream_variants
         results = run_fragment(frag, enum(frag))

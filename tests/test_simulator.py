@@ -32,6 +32,7 @@ from goldcut.simulator import (
     _width,
     apply_gates,
     basis_rotation,
+    evolve,
     exact_distribution,
     exact_expectation,
     sample,
@@ -173,12 +174,12 @@ class TestKernel:
         _, f2 = bipartition(make_cut_circuit(4, 4, k, 2, 60 + k))
         seen = []
 
-        def checking_apply_gates(state, gates):
-            self.check(state, gates)
+        def checking_evolve(state, circuit):
+            self.check(state, circuit.gates)
             seen.append(_width(state))
-            return apply_gates(state, gates)
+            return evolve(state, circuit)
 
-        monkeypatch.setattr(fragmenter, "apply_gates", checking_apply_gates)
+        monkeypatch.setattr(fragmenter, "evolve", checking_evolve)
         fragmenter.cut_amplitudes(f2)
         assert seen == [f2.circuit.n_qubits + k]
 
@@ -250,12 +251,12 @@ class TestFusedKernel:
         _, f2 = bipartition(load_perfbench("workloads").multicut_circuit(k, 201))
         seen = []
 
-        def checking_apply_gates(state, gates):
-            self.check(state, gates)
+        def checking_evolve(state, circuit):
+            self.check(state, circuit.gates)
             seen.append(_width(state))
-            return apply_gates(state, gates)
+            return evolve(state, circuit)
 
-        monkeypatch.setattr(fragmenter, "apply_gates", checking_apply_gates)
+        monkeypatch.setattr(fragmenter, "evolve", checking_evolve)
         fragmenter.cut_amplitudes(f2)
         assert seen == [f2.circuit.n_qubits + k]
 
@@ -282,6 +283,36 @@ def gate_lists(draw):
     return n, gates, seed
 
 
+class TestKeptPrograms:
+    """evolve compiles a circuit once per state width and keeps the program
+    on the circuit; apply_gates compiles on every call, by the same step."""
+
+    @pytest.mark.parametrize("n", [simulator.FUSE_FROM - 1, simulator.FUSE_FROM])
+    def test_evolve_is_apply_gates_compiled_once(self, n, monkeypatch):
+        circ = random_circuit(n - 1, 2, n)
+        compiled = []
+        compile_ = simulator._compile
+        monkeypatch.setattr(simulator, "_compile",
+                            lambda gates, width: compiled.append(width) or compile_(gates, width))
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            wide, narrow = random_state(rng, n), random_state(rng, n - 1)
+            assert np.array_equal(evolve(wide, circ), apply_gates(wide, circ.gates))
+            assert np.array_equal(evolve(narrow, circ), apply_gates(narrow, circ.gates))
+        # evolve compiles once per width, apply_gates on every call
+        assert compiled == [n, n, n - 1, n - 1, n, n - 1]
+        assert sorted(vars(circ)["_programs"]) == [n - 1, n]
+
+    def test_simulate_keeps_the_program_on_the_circuit(self):
+        circ = random_circuit(4, 3, 2)
+        assert np.array_equal(simulate(circ), tensordot_apply_gates(
+            np.eye(16, dtype=complex)[0], circ.gates))
+        (steps, _), = vars(circ)["_programs"].values()
+        assert len(steps) == len(circ.gates)
+        assert all(not u.flags.writeable for u, _ in steps)
+        assert np.array_equal(simulate(circ), simulate(Circuit(4, circ.gates, ())))
+
+
 class TestGrouping:
     @given(gate_lists())
     def test_blocks_in_order_equal_gates_in_order(self, case):
@@ -301,7 +332,7 @@ class TestGrouping:
                     == [id(g) for g in gates if q in g.qubits])
         state = random_state(np.random.default_rng(seed), n)
         ops = [(simulator._block_matrix(qubits, block), qubits) for qubits, block in blocks]
-        got = simulator._apply(state, n, ops)
+        got = simulator._apply(state, simulator._plan(ops, n))
         want = tensordot_apply_gates(state, gates)
         assert np.max(np.abs(got - want)) < 1e-12
 

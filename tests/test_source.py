@@ -21,6 +21,25 @@ def test_no_assert_statements():
     assert not found, "assert statements in goldcut: %s" % ", ".join(found)
 
 
+def test_no_module_level_caches():
+    # what is derived from a circuit lives on that object (bipartition,
+    # simulator.evolve), as long as it does; a functools cache keyed by
+    # argument would keep it for as long as the process
+    banned = {"functools.lru_cache", "functools.cache"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = ["functools." + a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [_dotted(node)]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
+                      if name in banned]
+    assert not found, "module-level caches in goldcut: %s" % ", ".join(found)
+
+
 def _perfbench_trees():
     paths = sorted(PERFBENCH.glob("*.py"))
     assert paths, "no benchmark sources under %s" % PERFBENCH
