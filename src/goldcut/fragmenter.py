@@ -178,8 +178,8 @@ def _kept_labels(side: str, dropped) -> tuple:
     """The labels a cut keeps when the bases in dropped are neglected: each
     label goes with its basis, except that Z labels stay, since the
     identity row is read from them."""
-    return tuple(lab for lab in SIDE_LABELS[side]
-                 if lab[0] == "Z" or PauliOp(lab[0]) not in dropped)
+    letters = {p.value for p in dropped}
+    return tuple(lab for lab in SIDE_LABELS[side] if lab[0] == "Z" or lab[0] not in letters)
 
 
 def _read(obs, outputs):

@@ -113,9 +113,17 @@ def cut_counts(cut_ids, neglected=frozenset(), shots_each: int = 0) -> CostLedge
     return CostLedger(upstream, downstream, tuples, shots_each)
 
 
+def cost_ledgers(cut_ids, neglected=frozenset(), shots_each: int = 0):
+    """(pruned, baseline): cut_counts with and without the neglected pairs,
+    the baseline read off once: every label and basis at each cut."""
+    k = len(cut_ids)
+    baseline = [len(_kept_labels(side, ())) ** k for side in ("upstream", "downstream")]
+    return cut_counts(cut_ids, neglected, shots_each), CostLedger(*baseline, 4 ** k, shots_each)
+
+
 def closed_form_counts(k_regular: int, k_golden: int):
     """Exact integer counts for K = k_regular + k_golden cuts where each
-    golden cut neglects one non-Z basis (cut_counts with Y dropped at the
+    golden cut neglects one non-Z basis (cost_ledgers with Y dropped at the
     last k_golden cuts).
 
     Returns (pruned, baseline) CostLedgers with variant and tuple counts
@@ -125,4 +133,4 @@ def closed_form_counts(k_regular: int, k_golden: int):
         raise ValueError("cut counts must be non-negative")
     cut_ids = range(1, k_regular + k_golden + 1)
     golden = {(cid, PauliOp.Y) for cid in cut_ids[k_regular:]}
-    return cut_counts(cut_ids, golden), cut_counts(cut_ids)
+    return cost_ledgers(cut_ids, golden)

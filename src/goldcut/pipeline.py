@@ -27,7 +27,7 @@ from .golden import (
     detect_exact,
     detect_statistical,
 )
-from .metrics import CostReport, cost_report, cut_counts
+from .metrics import CostReport, cost_ledgers, cost_report
 from .reconstructor import (
     Reconstruction,
     build_tensor,
@@ -44,21 +44,24 @@ SIDE_UNCUT = 2
 
 PRUNE_MODES = ("off", "known", "exact", "statistical")
 
+# Every fragment output (an empty support to fragmenter._read), built once.
+_EVERY_OUTPUT = ObservableSpec.distribution(())
+
 
 def split_observable(f1: Fragment, f2: Fragment, obs: ObservableSpec):
     """Split a parent-qubit observable into per-fragment observables.
 
     Every parent wire terminates in exactly one fragment output, so the
     observable factorizes across fragments up to qubit reordering. A
-    distribution reads every parent qubit in order: there are no marginals.
+    distribution reads every parent qubit in order, so each fragment reads
+    every output: there are no marginals.
     """
     if obs.kind == "distribution":
         n = len(f1.output_qubits) + len(f2.output_qubits)
         if obs.qubits != tuple(range(n)):
             raise SupportMismatch("a distribution reads parent qubits 0..%d in order, got %s"
                                   % (n - 1, list(obs.qubits)))
-        return (ObservableSpec.distribution(f1.output_qubits),
-                ObservableSpec.distribution(f2.output_qubits))
+        return _EVERY_OUTPUT, _EVERY_OUTPUT
     ends = [{f.parent_qubits[q]: q for q in f.output_qubits} for f in (f1, f2)]
     parts = ([], [])
     for q, item in zip(obs.qubits, obs.paulis if obs.kind == "pauli" else obs.bits):
@@ -130,8 +133,7 @@ def upstream_report(f1: Fragment, obs: ObservableSpec = None, shots: int = None,
     """
     check_eps(eps)
     check_seed(seed, trial)
-    if obs is None:
-        obs = ObservableSpec.distribution(f1.output_qubits)
+    obs = _EVERY_OUTPUT if obs is None else obs
     if shots is None:
         tensor = operator_tensor(f1, obs)
         return tensor, detect_exact(tensor, eps)
@@ -170,9 +172,7 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     if neglect and prune != "known":
         raise ValueError("neglect is read only with prune='known', not %r" % prune)
     f1, f2 = bipartition(circuit)
-    if obs is None:
-        obs = ObservableSpec.distribution(range(circuit.n_qubits))
-    obs1, obs2 = split_observable(f1, f2, obs)
+    obs1, obs2 = (_EVERY_OUTPUT,) * 2 if obs is None else split_observable(f1, f2, obs)
 
     # Every mode but statistical reports exact detection; the reported
     # tensor is the upstream tensor unless shots rerun the pruned set.
@@ -187,8 +187,7 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
 
     cut_ids = [cid for cid, _ in f1.upstream_cut_qubits]
     used = 0 if shots is None else shots
-    ledger = cut_counts(cut_ids, neglected, used)
-    baseline = cut_counts(cut_ids, shots_each=used)
+    ledger, baseline = cost_ledgers(cut_ids, neglected, used)
     if prune == "statistical":
         ledger.upstream_variants = baseline.upstream_variants  # all ran for detection
     elif shots is not None:
@@ -204,7 +203,7 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
                          obs2, "downstream", neglected)
         rec = contract_tensors(a, b)
     expectation = distribution = raw_distribution = None
-    if obs.kind == "distribution":
+    if rec.mode == "distribution":
         perm = parent_permutation(f1, f2, circuit.n_qubits)
         distribution, raw_distribution = rec.value[perm], rec.raw[perm]
     else:

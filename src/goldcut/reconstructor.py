@@ -246,12 +246,18 @@ def combine_tensors(tensors, coeffs) -> FragmentTensor:
     """Linear combination of tensors built from the same variants.
 
     Tensors are linear in the observable, so an observable like a half-sum
-    of Pauli strings can be assembled from per-string tensors.
+    of Pauli strings can be assembled from per-string tensors. No tensors
+    raise ValueError; tensors that differ in side, cut ids, mode, neglected
+    set or output bits, or in count from coeffs, raise ArityMismatch.
     """
+    if not tensors:
+        raise ValueError("combine_tensors needs at least one tensor")
+    if len(coeffs) != len(tensors):
+        raise ArityMismatch("%d coefficients for %d tensors" % (len(coeffs), len(tensors)))
     first = tensors[0]
     for t in tensors[1:]:
-        if (t.side, t.cut_ids, t.mode, t.neglected) != (
-            first.side, first.cut_ids, first.mode, first.neglected
+        if (t.side, t.cut_ids, t.mode, t.neglected, t.output_bits) != (
+            first.side, first.cut_ids, first.mode, first.neglected, first.output_bits
         ):
             raise ArityMismatch("tensors disagree in shape or metadata")
     entries = sum(c * t.entries for c, t in zip(coeffs, tensors))

@@ -4,12 +4,12 @@ A state is a plain complex vector of 2^n amplitudes. Everything here is an
 infinite-shot oracle except sample(), which returns the per-outcome counts
 of a multinomial draw from the exact Born distribution. Outcome indices
 follow the package-wide bitstring convention: qubit 0 is the most
-significant (leftmost) bit. A gate program (_compile; evolve keeps one per
-circuit) makes one matrix product per gate on a state narrower than
-FUSE_FROM qubits, the very product np.tensordot would make, so its
-amplitudes equal a tensordot loop's to the bit. A wider state gets one
-product per block of up to FUSE_WIDTH qubits, whose matrix fuses the
-block's gates; its amplitudes agree to rounding (1e-12 in the tests).
+significant (leftmost) bit. A program evolve keeps (per circuit object
+and state width; simulate's too) makes one product per block of up to
+FUSE_WIDTH qubits, whose matrix fuses the block's gates, so it agrees with
+a tensordot loop to rounding (1e-12 in the tests). apply_gates compiles on
+every call, one product per gate, the very product np.tensordot makes, so
+it equals a tensordot loop to the bit.
 """
 from __future__ import annotations
 
@@ -23,19 +23,16 @@ from .seeding import stream
 
 MAX_QUBITS = 14
 _ATOL = 1e-10
-# Gate fusion (see _group). Timed with BLAS at 1 thread on a 2-vCPU x86
-# machine, OpenBLAS 0.3.31: a complex product costs 3-6 us at any size up
-# to 16 x 256, so folding a gate into a block matrix costs about as much as
-# applying it to a 10-qubit state, and fusion pays only on wider states.
-# Fused over unfused apply_gates, medians of 200-300 interleaved calls, on
-# 3-layer rx + CNOT-chain circuits over all n wires and on batched
-# downstream passes (multicut_circuit(K, 201) for K = 1..4 and three test
-# fragments at n = 11): 1.6-1.9 at n = 6..9, 1.3-1.5 at n = 10,
-# 1.1-1.35 at n = 11, 0.83-0.99 at n = 12, 0.63-0.68 at n = 13 and
-# 0.5-0.61 at n = 14. At n = 12 and 14, blocks of at most 4 qubits were as
-# fast as 5 and 6-10% faster than 3; blocks of 2 took 1.3-1.5x as long.
+# Gate fusion (see _group). Timed with BLAS at 1 thread on a 2-vCPU Xeon,
+# OpenBLAS 0.3.31, on 3-layer rx + CNOT-chain circuits over all n wires:
+# a kept per-gate program over the kept fused one, medians of 60-400
+# calls, is 15-24x at n = 3-4 (one block), 11x at 5, 5-7.6x at 6-8,
+# 4-4.4x at 9-11 and 2.9-4.4x at 12-14. Compiling the fused program costs
+# 0.16 ms at n = 3 to 1.1 ms at n = 14, at most two per-gate apply_gates
+# calls, so it pays from a kept circuit's second or third call. At n = 12
+# and 14, blocks of at most 4 qubits were as fast as 5 and 6-10% faster
+# than 3; blocks of 2 took 1.3-1.5x as long.
 FUSE_WIDTH = 4
-FUSE_FROM = 12
 
 
 @dataclass(frozen=True)
@@ -110,29 +107,19 @@ def simulate(circuit: Circuit) -> np.ndarray:
 
 
 def evolve(psi: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """apply_gates(psi, circuit.gates) by the program compiled on first use
-    for this circuit object and state width, and kept on the circuit."""
+    """apply_gates(psi, circuit.gates) to rounding, by the fused program kept
+    on the circuit per state width, compiled on first use."""
     n = _width(psi)
     programs = vars(circuit).setdefault("_programs", {})
     if n not in programs:
-        programs[n] = _compile(circuit.gates, n)
+        programs[n] = _plan([(_block_matrix(q, m), q) for q, m in _group(circuit.gates)], n)
     return _apply(psi, programs[n])
 
 
 def apply_gates(psi: np.ndarray, gates) -> np.ndarray:
-    """Apply a gate sequence to any state, compiled anew on every call; the
-    input state is left intact."""
-    return _apply(psi, _compile(gates, _width(psi)))
-
-
-def _compile(gates, n):
-    """The program of gates on an n-qubit state (reference axes count): a
-    product per gate below FUSE_FROM qubits, per block of _group from it."""
-    if n < FUSE_FROM:
-        ops = [(gate_matrix(g), g.qubits) for g in gates]
-    else:
-        ops = [(_block_matrix(qubits, members), qubits) for qubits, members in _group(gates)]
-    return _plan(ops, n)
+    """Apply a gate sequence to any state, one product per gate, compiled
+    anew on every call; the input state is left intact."""
+    return _apply(psi, _plan([(gate_matrix(g), g.qubits) for g in gates], _width(psi)))
 
 
 def _plan(ops, n):

@@ -398,21 +398,25 @@ class TestRunOnce:
             want = exact_distribution(simulate(circ), range(circ.n_qubits))
             assert np.max(np.abs(r.probs - want)) <= 1e-12
 
-    def test_upstream_shot_counts_equal_own_circuit_draws(self):
-        # upstream states map the cut amplitudes where a full simulation of
-        # each variant rotates the cut wires; the two agree closely enough
-        # that its own circuit's draws come back. The golden ansatz has real
-        # amplitudes, so Y's conditional probabilities sit at exactly 1/2,
-        # where one ulp would swap whole counts
+    def test_upstream_shot_counts_are_draws_of_its_exact_probabilities(self):
+        # a seeded draw reads every last bit of a probability: numpy's
+        # multinomial swaps whole counts where a conditional probability
+        # sits at 1/2, as Y's do on the golden ansatz's real amplitudes. So
+        # the draws are checked against run_fragment's own exact
+        # probabilities, and those against each variant's own circuit
         golden = bipartition(golden_ansatz(5, 2, 7))[0]
         for frag, k in ((multicut_fragments(2)[0], 2), (golden, 1)):
             variants, _ = variant_lists(frag, k)["mixed"]
+            exact = run_fragment(frag, variants)
             results = run_fragment(frag, variants, shots=500, seed=7, seed_path=(3, 1))
-            for i, (key, r) in enumerate(zip(variants, results)):
+            for i, (key, e, r) in enumerate(zip(variants, exact, results)):
                 circ = variant_circuit(frag, key)
-                want = sample(simulate(circ), range(circ.n_qubits), 500, stream(7, 3, 1, i))
-                assert r.key == key and r.shots == 500
-                assert np.array_equal(r.probs, want / 500)
+                own = exact_distribution(simulate(circ), range(circ.n_qubits))
+                assert np.max(np.abs(e.probs - own)) <= 1e-12
+                p = np.clip(e.probs, 0.0, None)
+                draws = stream(7, 3, 1, i).multinomial(500, p / p.sum())
+                assert r.key == e.key == key and r.shots == 500
+                assert np.array_equal(r.probs, draws / 500)
 
     def test_downstream_shot_counts_follow_seed_path_and_index(self):
         # downstream probabilities may differ from a full simulation in the

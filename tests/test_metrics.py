@@ -11,6 +11,7 @@ from goldcut.fragmenter import downstream_variants, upstream_variants
 from goldcut.metrics import (
     CSV_COLUMNS,
     closed_form_counts,
+    cost_ledgers,
     cost_report,
     cut_counts,
     weighted_distance,
@@ -91,6 +92,11 @@ class TestCutCounts:
             counts = cut_counts(range(1, k + 1), neglected)
             assert counts.upstream_variants == len(upstream_variants(f1, neglected))
             assert counts.downstream_variants == len(downstream_variants(f2, neglected))
+            pruned, baseline = cost_ledgers(range(1, k + 1), neglected, 7)
+            assert pruned == cut_counts(range(1, k + 1), neglected, 7)
+            assert (baseline.upstream_variants, baseline.downstream_variants,
+                    baseline.basis_tuples, baseline.shots_each) == (
+                len(upstream_variants(f1)), len(downstream_variants(f2)), 4 ** k, 7)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_formula_matches_contraction_and_benchmark(self, k):

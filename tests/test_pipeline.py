@@ -493,9 +493,13 @@ class TestComputedOnce:
 
             monkeypatch.setattr(module, name, counting)
         calls = count_execution(monkeypatch)
-        runs = [reconstruct(circ, prune="off"), reconstruct(circ, prune="exact")]
-        (blocks,) = counts["_group"]
-        assert len(counts["validate"]) == 1 and len(counts["_block_matrix"]) == len(blocks)
+        runs = [reconstruct(circ, prune="off")]
+        # one _group per fragment body, one block matrix per block
+        assert len(counts["validate"]) == 1 and len(counts["_group"]) == 2
+        assert len(counts["_block_matrix"]) == sum(map(len, counts["_group"]))
+        compiled = {name: len(seen) for name, seen in counts.items()}
+        runs.append(reconstruct(circ, prune="exact"))
+        assert {name: len(seen) for name, seen in counts.items()} == compiled
         # one upstream simulation and one batched 10 + 4 qubit downstream pass per call
         assert calls == ["simulate", 14] * 2
         for run in runs:
@@ -516,6 +520,19 @@ class TestComputedOnce:
         first = run(circ)
         assert run(circ) == first
         assert run(Circuit(circ.n_qubits, circ.gates, circ.cuts)) == first
+
+    def test_distribution_mode_builds_no_observable(self, monkeypatch):
+        # no observable and the full parent distribution give the same bytes
+        # in exact, shot and statistical mode, and neither builds a fragment one
+        circ = golden_ansatz(5, 2, 7)
+        parent = ObservableSpec.distribution(range(5))
+        built, post_init = [], ObservableSpec.__post_init__
+        monkeypatch.setattr(ObservableSpec, "__post_init__",
+                            lambda spec: built.append(spec) or post_init(spec))
+        modes = [(None, "exact"), (300, "off"), (2000, "statistical")]
+        runs = [run_bytes(reconstruct(circ, obs, shots=shots, seed=4, prune=prune))
+                for obs in (None, parent) for shots, prune in modes]
+        assert built == [] and runs[:3] == runs[3:]
 
     def test_stored_matrices_are_read_only(self):
         circ = make_cut_circuit(5, 4, 2, 2, 3)

@@ -115,6 +115,30 @@ class TestUpstreamEntries:
         assert abs(a.entry([PauliOp.I]) - 1.0) < 1e-12
 
 
+class TestCombineTensors:
+    def test_coefficient_count_must_equal_tensor_count(self):
+        # zip used to drop the tensor without a coefficient: 0.5 t came back
+        t = operator_tensor(bipartition(fig1())[0], IDENTITY_OBS)
+        for coeffs in ([0.5], [0.5, 0.5, 0.5]):
+            with pytest.raises(ArityMismatch, match="%d coefficients for 2 tensors" % len(coeffs)):
+                combine_tensors([t, t], coeffs)
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one tensor"):
+            combine_tensors([], [])
+
+    def test_distributions_over_other_output_bits_rejected(self):
+        # the same cut ids and shape, but the output is local bit 0 in one
+        # fragment and local bit 1 in the other
+        mirrored = Circuit(3, (h(1), cnot(1, 0), cnot(0, 2)), (CutPoint(0, 1, 1),))
+        a, b = (operator_tensor(bipartition(c)[0], DIST) for c in (fig1(), mirrored))
+        assert (a.cut_ids, a.entries.shape) == (b.cut_ids, b.entries.shape)
+        assert a.output_bits != b.output_bits
+        with pytest.raises(ArityMismatch, match="disagree"):
+            combine_tensors([a, b], [0.5, 0.5])
+        assert combine_tensors([a, a], [0.5, 0.5]).output_bits == a.output_bits
+
+
 class TestDownstreamEntries:
     def test_pass_through_z_observable(self):
         obs = ObservableSpec.pauli_string([PauliOp.Z], [0])

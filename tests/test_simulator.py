@@ -194,57 +194,57 @@ class TestKernel:
         assert np.array_equal(simulate(Circuit(4, (), ())), start)
 
 
+def mixed_gates(rng, n, seed):
+    """A random circuit with reversed cnots, czs and opaque 2-, 3- and
+    5-qubit unitaries on unsorted targets spliced in, those that fit n."""
+    gates = list(random_circuit(n, 3, seed).gates)
+    spliced = [(cnot, (n - 1, 0)), (cz, (n - 2, 1)), (cnot, (3, 1)),
+               (2, (n - 1, 2)), (3, (4, 0, n - 3)), (5, (n - 2, 1, 5, 0, 3))]
+    spliced = [make(*qubits) if callable(make) else unitary(haar_unitary(rng, make), *qubits)
+               for make, qubits in spliced
+               if len(set(qubits)) == len(qubits) and 0 <= min(qubits) and max(qubits) < n]
+    for g in spliced:
+        i = int(rng.integers(len(gates) + 1))
+        gates[i:i] = [g]
+    return gates
+
+
 class TestFusedKernel:
-    """From FUSE_FROM qubits up, apply_gates makes one product per block of
-    up to FUSE_WIDTH qubits, so it agrees with the reference to rounding,
-    not to the bit; below, it is the per-gate kernel of TestKernel."""
+    """A kept program (evolve, simulate) makes one product per block of up
+    to FUSE_WIDTH qubits at every width, so it agrees with the reference to
+    rounding, not to the bit; apply_gates of the same gates, one product
+    per gate, is the reference to the bit at every width."""
 
     def check(self, state, gates):
         before = state.copy()
-        got = apply_gates(state, gates)
+        got = evolve(state, Circuit(_width(state), tuple(gates), ()))
         assert np.array_equal(state, before)  # input left intact
         want = tensordot_apply_gates(state, gates)
         assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-12
-
-    def mixed_gates(self, rng, n, seed):
-        """A random circuit with reversed cnots, czs and opaque 2-, 3- and
-        5-qubit unitaries on unsorted targets spliced in."""
-        gates = list(random_circuit(n, 3, seed).gates)
-        spliced = [cnot(n - 1, 0), cz(n - 2, 1), cnot(3, 1),
-                   unitary(haar_unitary(rng, 2), n - 1, 2),
-                   unitary(haar_unitary(rng, 3), 4, 0, n - 3),
-                   unitary(haar_unitary(rng, 5), n - 2, 1, 5, 0, 3)]
-        for g in spliced:
-            i = int(rng.integers(len(gates) + 1))
-            gates[i:i] = [g]
-        return gates
-
-    @pytest.mark.parametrize("n", range(simulator.FUSE_FROM - 1, MAX_QUBITS + 1))
-    def test_random_circuits_match_the_reference(self, n):
-        rng = np.random.default_rng(300 + n)
-        self.check(random_state(rng, n), self.mixed_gates(rng, n, 300 + n))
-
-    @pytest.mark.parametrize("n", [simulator.FUSE_FROM, MAX_QUBITS])
-    def test_empty_gate_list(self, n):
-        state = random_state(np.random.default_rng(n), n)
-        assert np.array_equal(apply_gates(state, ()), state)
-
-    @pytest.mark.parametrize("n", range(max(simulator.FUSE_FROM - 3, 1), simulator.FUSE_FROM))
-    def test_narrower_states_are_bitwise_the_reference(self, n):
-        rng = np.random.default_rng(400 + n)
-        state, gates = random_state(rng, n), self.mixed_gates(rng, n, 400 + n)
-        want = tensordot_apply_gates(state, gates)
         assert np.array_equal(apply_gates(state, gates), want)
 
-    def test_fusion_is_on_from_the_threshold(self, monkeypatch):
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+    def test_random_circuits_match_the_reference(self, n):
+        rng = np.random.default_rng(300 + n)
+        self.check(random_state(rng, n), mixed_gates(rng, n, 300 + n))
+
+    @pytest.mark.parametrize("n", [1, 12, MAX_QUBITS])
+    def test_empty_gate_list(self, n):
+        state = random_state(np.random.default_rng(n), n)
+        assert np.array_equal(evolve(state, Circuit(n, (), ())), state)
+        assert np.array_equal(apply_gates(state, ()), state)
+
+    def test_only_kept_programs_are_fused(self, monkeypatch):
         group, seen = simulator._group, []
         monkeypatch.setattr(simulator, "_group", lambda gates: seen.append(gates) or group(gates))
         rng = np.random.default_rng(5)
-        wide = random_circuit(simulator.FUSE_FROM, 2, 5).gates
-        apply_gates(random_state(rng, simulator.FUSE_FROM - 1),
-                    random_circuit(simulator.FUSE_FROM - 1, 2, 5).gates)
-        apply_gates(random_state(rng, simulator.FUSE_FROM), wide)
-        assert seen == [wide]
+        for n in (2, MAX_QUBITS):
+            circ = random_circuit(n, 2, 5)
+            apply_gates(random_state(rng, n), circ.gates)
+            assert seen == []
+            evolve(random_state(rng, n), circ)
+            assert seen == [circ.gates]
+            seen.clear()
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_batched_multicut_downstream_state(self, k, monkeypatch):
@@ -262,10 +262,10 @@ class TestFusedKernel:
 
 
 @st.composite
-def gate_lists(draw):
-    """Up to 30 gates on n <= 7 qubits: h, rx, cnot, cz and opaque unitaries
-    of 1 to 6 qubits, on targets in any order."""
-    n = draw(st.integers(1, 7))
+def gate_lists(draw, max_n=7):
+    """Up to 30 gates on n <= max_n qubits: h, rx, cnot, cz and opaque
+    unitaries of 1 to 6 qubits, on targets in any order."""
+    n = draw(st.integers(1, max_n))
     seed = draw(st.integers(0, 2 ** 16))
     rng = np.random.default_rng(seed)
     kinds = ("h", "rx", "unitary") + (("cnot", "cz") if n > 1 else ())
@@ -284,33 +284,50 @@ def gate_lists(draw):
 
 
 class TestKeptPrograms:
-    """evolve compiles a circuit once per state width and keeps the program
-    on the circuit; apply_gates compiles on every call, by the same step."""
+    """evolve compiles a circuit once per state width from its _group
+    blocks and keeps the program on the circuit; apply_gates compiles on
+    every call, one product per gate."""
 
-    @pytest.mark.parametrize("n", [simulator.FUSE_FROM - 1, simulator.FUSE_FROM])
+    @pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
     def test_evolve_is_apply_gates_compiled_once(self, n, monkeypatch):
         circ = random_circuit(n - 1, 2, n)
-        compiled = []
-        compile_ = simulator._compile
-        monkeypatch.setattr(simulator, "_compile",
-                            lambda gates, width: compiled.append(width) or compile_(gates, width))
+        grouped = []
+        group = simulator._group
+        monkeypatch.setattr(simulator, "_group",
+                            lambda gates: grouped.append(gates) or group(gates))
         rng = np.random.default_rng(n)
         for _ in range(2):
-            wide, narrow = random_state(rng, n), random_state(rng, n - 1)
-            assert np.array_equal(evolve(wide, circ), apply_gates(wide, circ.gates))
-            assert np.array_equal(evolve(narrow, circ), apply_gates(narrow, circ.gates))
-        # evolve compiles once per width, apply_gates on every call
-        assert compiled == [n, n, n - 1, n - 1, n, n - 1]
-        assert sorted(vars(circ)["_programs"]) == [n - 1, n]
+            for width in (n, n - 1):
+                state = random_state(rng, width)
+                got, want = evolve(state, circ), apply_gates(state, circ.gates)
+                assert np.max(np.abs(got - want)) < 1e-12
+        # evolve groups once per width; apply_gates never groups
+        assert grouped == [circ.gates] * 2
+        programs = vars(circ)["_programs"]
+        assert sorted(programs) == [n - 1, n]
+        for steps, _ in programs.values():
+            assert len(steps) == len(group(circ.gates))
+            assert all(not u.flags.writeable for u, _ in steps)
 
     def test_simulate_keeps_the_program_on_the_circuit(self):
         circ = random_circuit(4, 3, 2)
-        assert np.array_equal(simulate(circ), tensordot_apply_gates(
-            np.eye(16, dtype=complex)[0], circ.gates))
+        psi = simulate(circ)
+        want = tensordot_apply_gates(np.eye(16, dtype=complex)[0], circ.gates)
+        assert np.max(np.abs(psi - want)) < 1e-12
         (steps, _), = vars(circ)["_programs"].values()
-        assert len(steps) == len(circ.gates)
+        assert len(steps) == len(simulator._group(circ.gates))
         assert all(not u.flags.writeable for u, _ in steps)
-        assert np.array_equal(simulate(circ), simulate(Circuit(4, circ.gates, ())))
+        assert np.array_equal(simulate(circ), psi)
+        assert np.array_equal(simulate(Circuit(4, circ.gates, ())), psi)
+
+    @given(gate_lists(MAX_QUBITS))
+    def test_evolve_and_simulate_match_the_reference(self, case):
+        n, gates, seed = case
+        circ = Circuit(n, tuple(gates), ())
+        start = np.eye(1, 2 ** n, dtype=complex)[0]
+        assert np.max(np.abs(simulate(circ) - tensordot_apply_gates(start, gates))) < 1e-12
+        state = random_state(np.random.default_rng(seed), n)
+        assert np.max(np.abs(evolve(state, circ) - tensordot_apply_gates(state, gates))) < 1e-12
 
 
 class TestGrouping:
