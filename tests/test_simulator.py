@@ -228,6 +228,14 @@ class TestFusedKernel:
         rng = np.random.default_rng(300 + n)
         self.check(random_state(rng, n), mixed_gates(rng, n, 300 + n))
 
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_narrower_states_are_bitwise_the_reference(self, n):
+        # apply_gates never fuses, so on a second draw of circuits it is
+        # still the reference to the bit
+        rng = np.random.default_rng(400 + n)
+        state, gates = random_state(rng, n), mixed_gates(rng, n, 400 + n)
+        assert np.array_equal(apply_gates(state, gates), tensordot_apply_gates(state, gates))
+
     @pytest.mark.parametrize("n", [1, 12, MAX_QUBITS])
     def test_empty_gate_list(self, n):
         state = random_state(np.random.default_rng(n), n)
