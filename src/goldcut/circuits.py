@@ -301,11 +301,13 @@ def validate(circuit: Circuit) -> ValidationReport:
     return ValidationReport(bad)
 
 
-def _moved(g: Gate, qubits: tuple) -> Gate:
-    """g on other qubits; Gate's checks are not rerun on a validated gate."""
-    moved = object.__new__(Gate)
-    moved.__dict__.update(vars(g), qubits=qubits)
-    return moved
+def _unchecked(cls, **fields):
+    """The frozen dataclass cls of fields that are checked already, made
+    without rerunning its __post_init__ on them."""
+    made = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(made, name, value)
+    return made
 
 
 def bipartition(circuit: Circuit):
@@ -362,7 +364,7 @@ def bipartition(circuit: Circuit):
         # a cut wire's first segment is upstream, so it is on both sides
         wires = [q for q in range(n) if (comp[q] == up) == upstream or q in post]
         index = {q: i for i, q in enumerate(wires)}
-        gates = tuple(_moved(g, tuple(index[q] for q in g.qubits))
+        gates = tuple(_unchecked(Gate, **{**vars(g), "qubits": tuple(index[q] for q in g.qubits)})
                       for g, seg in zip(circuit.gates, gate_seg) if (comp[seg] == up) == upstream)
         sub = Circuit(len(wires), gates, ())
         pairs = tuple((c.cut_id, index[c.qubit]) for c in cuts)

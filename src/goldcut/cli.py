@@ -20,7 +20,7 @@ from .metrics import CSV_COLUMNS, closed_form_counts, weighted_distance
 from .pipeline import PRUNE_MODES, reconstruct, uncut_sampled_distribution, upstream_report
 from .reconstructor import MAX_CUTS, term_count
 from .seeding import check_seed
-from .simulator import exact_distribution, simulate
+from .simulator import check_shots, exact_distribution, simulate
 from . import circuits
 
 
@@ -64,14 +64,9 @@ def _emit(text, out):
 
 
 def _csv(columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            cells.append(format_float(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    cells = [[format_float(v) if isinstance(v, float) else str(v) for v in map(row.get, columns)]
+             for row in rows]
+    return "\n".join(map(",".join, [list(columns)] + cells)) + "\n"
 
 
 def cmd_generate(args) -> int:
@@ -97,6 +92,7 @@ def cmd_run(args) -> int:
         raise ValueError("--prune known needs at least one --neglect CUT:BASIS")
     neglect = _parse_neglect(args.neglect)
     check_seed(args.seed)
+    check_shots(args.shots)
     state = simulate(uncut(circ))
     truth = exact_distribution(state, range(circ.n_qubits))
     rows, reports = [], []
@@ -123,11 +119,8 @@ def cmd_run(args) -> int:
     if args.format == "csv":
         _emit(_csv(CSV_COLUMNS, rows), args.out)
     else:
-        payload = []
-        for row, rep in zip(rows, reports):
-            item = dict(row)
-            item["golden"] = json.loads(rep.to_json()) if rep else []
-            payload.append(item)
+        payload = [dict(row, golden=json.loads(rep.to_json()) if rep else [])
+                   for row, rep in zip(rows, reports)]
         _emit(json.dumps({"trials": payload}, indent=2) + "\n", args.out)
     return 0
 
@@ -224,12 +217,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GoldcutError as exc:
+    except (GoldcutError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, GoldcutError) else 2
 
 
 if __name__ == "__main__":

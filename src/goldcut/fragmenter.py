@@ -23,7 +23,8 @@ every cut axis of psi, one block of leading-cut labels at a time, and
 each key picks its rows by label index; upstream the outcome bits then
 move back to their wires. Each variant's result is one probability
 vector over its local qubits: the exact Born probabilities, or the
-frequencies of a multinomial draw of so many shots.
+frequencies of a multinomial draw of so many shots, all draws of a call
+taken in turn from one seeded stream.
 """
 from __future__ import annotations
 
@@ -33,13 +34,14 @@ from functools import reduce
 
 import numpy as np
 
-from .circuits import Circuit, Fragment, PauliOp, _as_int, h, s, x
+from .circuits import Circuit, Fragment, PauliOp, _as_int, _unchecked, h, s, x
 from .errors import GoldcutError, SupportMismatch, TooWide
 from .seeding import stream
 from .simulator import (
     MAX_QUBITS,
     apply_gates,
     basis_rotation,
+    check_shots,
     evolve,
     exact_distribution,
     sample,
@@ -82,10 +84,10 @@ AMPLITUDE_MAPS = {
 
 
 def _map_cuts(maps, data):
-    """maps[j] applied along axis j of data, one axis of columns per cut and
-    the other axes flattened after them: the rows of every map, in cut
-    order, then the rest."""
-    rows = 1
+    """maps[j] along the j-th axis of columns of data, after its first axis of
+    rows of maps applied before (1 if none): the rows of every map, in cut
+    order, then the rest, so _map_cuts(b, _map_cuts(a, x)) is _map_cuts(a + b, x)."""
+    rows = len(data)
     for cut_map in maps:
         data = np.matmul(cut_map, data.reshape(rows, cut_map.shape[1], -1))
         rows *= cut_map.shape[0]
@@ -159,13 +161,10 @@ def _key_index(key: VariantKey, side: str, cut_ids) -> list:
     return [labels.index(lab) for _, lab in key.assignment]
 
 
-def _normalize_neglected(neglected):
-    return frozenset((_as_int(cid, "neglected cut id"), PauliOp(p)) for cid, p in neglected or ())
-
-
 def _neglected_by_cut(cut_ids, neglected):
     table = {cid: set() for cid in cut_ids}
-    for cid, p in _normalize_neglected(neglected):
+    for cid, p in neglected or ():
+        cid, p = _as_int(cid, "neglected cut id"), PauliOp(p)
         if cid not in table:
             raise ValueError("neglected pair references unknown cut %r" % cid)
         if p is PauliOp.I:
@@ -219,8 +218,8 @@ def _variants(fragment: Fragment, side: str, neglected, obs) -> list:
     dropped = _neglected_by_cut(cut_ids, neglected)
     readout = () if obs is None else _read(obs, fragment.output_qubits)[0]
     allowed = [_kept_labels(side, dropped[cid]) for cid in cut_ids]
-    return [VariantKey(side, tuple(zip(cut_ids, combo)), readout)
-            for combo in itertools.product(*allowed)]
+    return [_unchecked(VariantKey, side=side, assignment=tuple(zip(cut_ids, combo)),
+                       readout=readout) for combo in itertools.product(*allowed)]
 
 
 def upstream_variants(f1: Fragment, neglected=frozenset(), obs=None) -> list:
@@ -289,45 +288,53 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
 
     Keys are grouped by readout, and each group's states are mapped from
     one cut_amplitudes pass of its body; see the module docstring. Any list
-    of keys of this fragment works, in any order; a key of another side,
-    with other cut ids, an unknown label or a readout that cut_amplitudes
-    rejects raises ValueError. shots None stores exact probability vectors
-    (result shots 0); otherwise each variant stores its draw divided by
-    shots, sampled with its own RNG stream derived from (seed, *seed_path,
-    index), index being its position in variants, so results are
-    deterministic and independent of execution order.
+    of keys of this fragment works, in any order. Shots that check_shots
+    rejects, or a key of another side, with other cut ids or an unknown
+    label, raise ValueError before anything runs, and a readout that
+    cut_amplitudes rejects before its group runs. shots None stores exact
+    probability vectors (result shots 0); otherwise each variant stores its
+    draw divided by shots. The keys draw in turn from one stream, (seed,
+    *seed_path), in canonical order (readout, label index per cut, list
+    order), so a key's result depends on the keys passed, not their order.
     """
     side = fragment.side
     n = fragment.circuit.n_qubits
     everything = tuple(range(n))
     cut_ids = tuple(cid for cid, _ in _cuts(fragment, side))
-    labels = SIDE_LABELS[side]
+    if shots is not None:
+        check_shots(shots)
+        rng = stream(seed, *seed_path)
+    order = sorted((key.readout, tuple(_key_index(key, side, cut_ids)), i)
+                   for i, key in enumerate(variants))
+    labels, table = SIDE_LABELS[side], AMPLITUDE_MAPS[side]
+    per_label = len(table) // len(labels)
+    by_label = table.reshape(len(labels), per_label, -1)
     # A block fixes the labels of all but the last two cuts, so whatever K
     # is it holds the states of 9 upstream or 36 downstream keys.
-    lead = max(len(cut_ids) - 2, 0)
-    groups = {}
-    for i, key in enumerate(variants):
-        index = _key_index(key, side, cut_ids)
-        rows = (slice(None),) * lead + tuple(x for j in index[lead:] for x in (j, slice(None)))
-        groups.setdefault(key.readout, {}).setdefault(tuple(index[:lead]), []).append((i, rows))
-    table = AMPLITUDE_MAPS[side]
-    per_label = len(table) // len(labels)
-    shape = (per_label,) * lead + (len(labels), per_label) * (len(cut_ids) - lead) + (-1,)
+    k = len(cut_ids)
+    lead = max(k - 2, 0)
+    shape = (per_label,) * lead + (len(labels), per_label) * (k - lead) + (-1,)
     wires = [q for _, q in fragment.upstream_cut_qubits]
     back = [0, *(1 + np.argsort(wires + [q for q in range(n) if q not in wires]))]
     results = [None] * len(variants)
-    for readout, blocks in groups.items():
-        # downstream psi is a transposed view: copied once here, not per block
-        psi = np.ascontiguousarray(cut_amplitudes(fragment, readout))
-        for first, members in blocks.items():
-            maps = [table[per_label * j:per_label * (j + 1)] for j in first]
-            phi = _map_cuts(maps + [table] * (len(cut_ids) - lead), psi).reshape(shape)
-            states = np.array([phi[rows] for _, rows in members]).reshape((-1,) + (2,) * n)
-            for (i, _), amplitudes in zip(members, states.transpose(back).reshape(len(members), -1)):
+    for readout, group in itertools.groupby(order, key=lambda e: e[0]):
+        # prefix[m]: (labels of the first m cuts, psi mapped by them); sorted
+        # blocks share leading labels, so each product is kept while they do
+        prefix = [((), cut_amplitudes(fragment, readout).reshape(1, -1))]
+        for first, members in itertools.groupby(group, key=lambda e: e[1][:lead]):
+            while prefix[-1][0] != first[:len(prefix) - 1]:
+                prefix.pop()
+            for m in range(len(prefix) - 1, lead):
+                prefix.append((first[:m + 1], _map_cuts([by_label[first[m]]], prefix[-1][1])))
+            phi = _map_cuts([table] * (k - lead), prefix[-1][1]).reshape(shape)
+            members = list(members)
+            picks = np.array([index[lead:] for _, index, _ in members]).T
+            states = phi[(slice(None),) * lead + sum(((j, slice(None)) for j in picks), ())]
+            states = states.reshape((-1,) + (2,) * n).transpose(back).reshape(len(members), -1)
+            for (_, _, i), amplitudes in zip(members, states):
                 if shots is None:
                     probs, used = exact_distribution(amplitudes, everything), 0
                 else:
-                    draws = sample(amplitudes, everything, shots, stream(seed, *seed_path, i))
-                    probs, used = draws / shots, shots
+                    probs, used = sample(amplitudes, everything, shots, rng) / shots, shots
                 results[i] = VariantResult(variants[i], probs, used, fragment.upstream_cut_qubits)
     return results

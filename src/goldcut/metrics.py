@@ -105,20 +105,22 @@ def cut_counts(cut_ids, neglected=frozenset(), shots_each: int = 0) -> CostLedge
     check of neglected are the variant enumerators' own; dropping X, Y and
     Z at a cut leaves its identity term alone.
     """
+    return _counts(_neglected_by_cut(cut_ids, neglected).values(), shots_each)
+
+
+def _counts(dropped, shots_each: int) -> CostLedger:
+    """cut_counts from the set of bases each cut drops, checked before."""
     upstream = downstream = tuples = 1
-    for dropped in _neglected_by_cut(cut_ids, neglected).values():
-        upstream *= len(_kept_labels("upstream", dropped))
-        downstream *= len(_kept_labels("downstream", dropped))
-        tuples *= 4 - len(dropped)
+    for bases in dropped:
+        upstream *= len(_kept_labels("upstream", bases))
+        downstream *= len(_kept_labels("downstream", bases))
+        tuples *= 4 - len(bases)
     return CostLedger(upstream, downstream, tuples, shots_each)
 
 
 def cost_ledgers(cut_ids, neglected=frozenset(), shots_each: int = 0):
-    """(pruned, baseline): cut_counts with and without the neglected pairs,
-    the baseline read off once: every label and basis at each cut."""
-    k = len(cut_ids)
-    baseline = [len(_kept_labels(side, ())) ** k for side in ("upstream", "downstream")]
-    return cut_counts(cut_ids, neglected, shots_each), CostLedger(*baseline, 4 ** k, shots_each)
+    """(pruned, baseline): cut_counts with and without the neglected pairs."""
+    return cut_counts(cut_ids, neglected, shots_each), _counts([()] * len(cut_ids), shots_each)
 
 
 def closed_form_counts(k_regular: int, k_golden: int):

@@ -6,8 +6,8 @@ results back into parent qubit order. Exact mode runs no variant: the
 upstream tensor comes from its cut operator (operator_tensor), and
 contract_operator contracts it through the downstream cut operator
 without building a downstream tensor. RNG streams are split per (root
-seed, trial, side, variant) with side codes 0 = upstream, 1 = downstream,
-2 = uncut reference.
+seed, trial, side) with side codes 0 = upstream, 1 = downstream, 2 =
+uncut reference; a side's variants draw from its stream in turn.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuits import Circuit, Fragment, bipartition, uncut
 from .errors import SupportMismatch
-from .fragmenter import _normalize_neglected, downstream_variants, run_fragment, upstream_variants
+from .fragmenter import downstream_variants, run_fragment, upstream_variants
 from .golden import (
     DEFAULT_ALPHA,
     DEFAULT_TAU,
@@ -27,7 +27,7 @@ from .golden import (
     detect_exact,
     detect_statistical,
 )
-from .metrics import CostReport, cost_ledgers, cost_report
+from .metrics import CostReport, _counts, cost_report
 from .reconstructor import (
     Reconstruction,
     build_tensor,
@@ -36,7 +36,7 @@ from .reconstructor import (
     operator_tensor,
 )
 from .seeding import check_seed, stream
-from .simulator import ObservableSpec, _width, exact_distribution, sample, simulate
+from .simulator import ObservableSpec, _width, check_shots, exact_distribution, sample, simulate
 
 SIDE_UPSTREAM = 0
 SIDE_DOWNSTREAM = 1
@@ -128,8 +128,8 @@ def upstream_report(f1: Fragment, obs: ObservableSpec = None, shots: int = None,
     None it is operator_tensor and the report detect_exact at eps;
     otherwise every setting runs through run_fragment on seed path (trial,
     SIDE_UPSTREAM) into build_tensor, and the report is detect_statistical
-    at alpha and tau. An eps that is negative or not finite, or a seed or
-    trial that seeding.check_seed rejects, raises ValueError on either path.
+    at alpha and tau. An eps, seed, trial or shots that check_eps,
+    check_seed or check_shots rejects raises ValueError before anything runs.
     """
     check_eps(eps)
     check_seed(seed, trial)
@@ -137,6 +137,7 @@ def upstream_report(f1: Fragment, obs: ObservableSpec = None, shots: int = None,
     if shots is None:
         tensor = operator_tensor(f1, obs)
         return tensor, detect_exact(tensor, eps)
+    check_shots(shots)
     results = run_fragment(f1, upstream_variants(f1, obs=obs), shots=shots, seed=seed,
                            seed_path=(trial, SIDE_UPSTREAM))
     tensor = build_tensor(results, obs, "upstream")
@@ -152,9 +153,9 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     obs None reconstructs the full bitstring distribution. shots None runs
     no variant (operator_tensor upstream, contract_operator through the
     downstream cut operator), though run.cost counts what a device would
-    run; otherwise every executed variant is sampled with shots drawn from
-    its own seeded stream and both tensors are contracted. A seed or trial
-    that seeding.check_seed rejects raises ValueError first. Pruning modes:
+    run; otherwise each executed variant draws from its side's stream and
+    both tensors are contracted. A seed, trial or shots that check_seed or
+    check_shots rejects raises ValueError first. Pruning modes:
 
     * "off": no neglected bases.
     * "known": neglect exactly the pairs passed in neglect, which every
@@ -167,7 +168,9 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     check_seed(seed, trial)
     if prune not in PRUNE_MODES:
         raise ValueError("unknown prune mode %r" % prune)
-    if prune == "statistical" and shots is None:
+    if shots is not None:
+        check_shots(shots)
+    elif prune == "statistical":
         raise ValueError("statistical pruning needs a shot budget")
     if neglect and prune != "known":
         raise ValueError("neglect is read only with prune='known', not %r" % prune)
@@ -178,23 +181,17 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     # tensor is the upstream tensor unless shots rerun the pruned set.
     a, report = upstream_report(f1, obs1, shots if prune == "statistical" else None,
                                 seed, trial, alpha=alpha, tau=tau)
-    if prune == "off":
-        neglected = frozenset()
-    elif prune == "known":
-        neglected = _normalize_neglected(neglect)
-    else:
-        neglected = report.golden_pairs()
-
-    cut_ids = [cid for cid, _ in f1.upstream_cut_qubits]
-    used = 0 if shots is None else shots
-    ledger, baseline = cost_ledgers(cut_ids, neglected, used)
+    # pruned checks and normalizes the neglected set, once per run
+    a = a.pruned({"off": (), "known": neglect}.get(prune, report.golden_pairs()))
+    cut_ids, neglected, used = a.cut_ids, a.neglected, 0 if shots is None else shots
+    ledger = _counts([{p for c, p in neglected if c == cid} for cid in cut_ids], used)
+    baseline = _counts([()] * len(cut_ids), used)
     if prune == "statistical":
         ledger.upstream_variants = baseline.upstream_variants  # all ran for detection
     elif shots is not None:
         a = build_tensor(run_fragment(f1, upstream_variants(f1, neglected, obs=obs1),
                                       shots=shots, seed=seed, seed_path=(trial, SIDE_UPSTREAM)),
                          obs1, "upstream", neglected)
-    a = a.pruned(neglected)
     if shots is None:
         rec = contract_operator(a, f2, obs2)
     else:

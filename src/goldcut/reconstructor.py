@@ -110,7 +110,7 @@ class FragmentTensor:
                              % sorted((c, p.value) for c, p in self.neglected - neglected))
         if neglected == self.neglected:
             return self
-        mask = _kept(self.cut_ids, dropped)
+        mask = _kept(self.cut_ids, neglected)
         mask = mask.reshape(mask.shape + (1,) * (self.entries.ndim - self.n_cuts))
         return replace(self, entries=np.where(mask, self.entries, 0.0), neglected=neglected)
 
@@ -131,10 +131,11 @@ def _tensor(side, cut_ids, obs, entries, source, out_bits) -> FragmentTensor:
 def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     """Assemble the signed tensor for one side from its variant results.
 
-    Each result supplies data columns per cut (see SIDE_MAPS); the tensor is
-    the side's 4x6 map applied along every cut axis, then pruned of the
-    (cut_id, basis) pairs in neglected. The variants that
-    upstream_variants / downstream_variants keep for neglected must be
+    Each result supplies data columns per cut (see SIDE_MAPS), stacked and
+    scattered in place one run of keys at a time; the tensor is the side's
+    4x6 map applied along every cut axis, one block of columns at a time,
+    then pruned of the (cut_id, basis) pairs in neglected. The variants
+    that upstream_variants / downstream_variants keep for neglected must be
     present; others may be, and feed only pruned rows. For a repeated key
     the last result counts. A result of the other side raises WrongSide;
     a key that breaks run_fragment's rule (_key_index) for the cuts of the
@@ -174,48 +175,48 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
         raise ValueError("cut bits %s are not distinct bits of %d" % (first.cut_bits, n))
     readout, weights = _read(obs, out_bits)
     tail = (2 ** len(out_bits),) if dist else ()
-    by_first = {}
-    for r in results:
-        head, *rest = _key_index(r.key, side, cut_ids)
+    found = {}  # label indices -> position of the last result with that key
+    for i, r in enumerate(results):
+        found[tuple(_key_index(r.key, side, cut_ids))] = i
         if (r.cut_bits, np.size(r.probs)) != (first.cut_bits, 2 ** n):
             raise ValueError("result cut bits and length %s differ from the first result's %s"
                              % ((r.cut_bits, np.size(r.probs)), (first.cut_bits, 2 ** n)))
         if r.key.readout != readout:
             raise ValueError("variant read out as %s, the observable needs %s"
                              % (r.key.readout, readout))
-        data = r.probs.reshape((2,) * n).transpose(cut_axes + list(out_bits))
-        data = data.reshape(per_label ** k, -1)
-        if not dist:
-            data = data @ weights
-        by_first.setdefault(head, {})[tuple(rest)] = data.reshape((per_label,) * k + tail)
     for combo in itertools.product(*(_kept_labels(side, dropped[cid]) for cid in cut_ids)):
-        head, *rest = (labels.index(lab) for lab in combo)
-        if tuple(rest) not in by_first.get(head, ()):
+        if tuple(labels.index(lab) for lab in combo) not in found:
             raise MissingVariant("missing %s variant %s" % (side, combo))
 
-    # Mode products one column of the first cut at a time, so that only a
-    # 6^(K-1) block of data is held, never all 6^K columns at once.
-    entries = np.zeros((4, 4 ** (k - 1) * int(np.prod(tail))))
-    shape = (len(labels), per_label) * (k - 1) + tail
-    for col in range(side_map.shape[1]):
-        head, bit = divmod(col, per_label)
-        if head in by_first:
-            block = _map_cuts([side_map] * (k - 1), _block(by_first[head], bit, shape))
-            for basis in np.flatnonzero(side_map[:, col]):
-                entries[basis] += side_map[basis, col] * block.reshape(-1)
-            del block  # freed before the next block is mapped
+    # Beyond K = 2 a block fixes the first cut's label, so 6^(K-1) columns
+    # are held, not 6^K; its axes are each free cut's (label, outcome bit),
+    # the fixed cut's bits (mapped last) and the tail. Results that share all
+    # but the last two labels are stacked, transposed and scattered at once.
+    lead = max(k - 2, 0)
+    fixed = min(lead, 1)
+    shape = (len(labels), per_label) * (k - fixed) + (per_label,) * fixed + tail
+    pairs = 2 * (k - fixed)  # the block as label axes, bits in cut order, tail
+    view = [*range(0, pairs, 2), *range(pairs, pairs + fixed), *range(1, pairs, 2),
+            *range(pairs + fixed, len(shape))]
+    entries = np.zeros((4 ** fixed, 4 ** (k - fixed), 2 ** len(out_bits) if dist else 1))
+    for head, keys in itertools.groupby(sorted(found), key=lambda t: t[:fixed]):
+        block = [np.zeros(shape)]  # popped into _map_cuts, which frees it early
+        for _, run in itertools.groupby(keys, key=lambda t: t[:lead]):
+            run = list(run)
+            data = np.array([results[found[t]].probs for t in run]).reshape((-1,) + (2,) * n)
+            data = data.transpose([0, *(1 + q for q in cut_axes + list(out_bits))]).reshape(
+                (len(run),) + (per_label,) * k + (-1,))
+            block[0].transpose(view)[tuple(np.array(run)[:, fixed:].T)] = (
+                data if dist else data @ weights)
+        del data  # freed before the block is mapped
+        mapped = _map_cuts([side_map] * (k - fixed), block.pop()[None])
+        mapped = mapped.reshape(4 ** (k - fixed), per_label ** fixed, -1)
+        cols = side_map[:, per_label * head[0]:per_label * (head[0] + 1)] if fixed else [[1.0]]
+        for row, coefs in enumerate(cols):  # the fixed cut's map, term by term
+            for col in np.flatnonzero(coefs):
+                entries[row] += coefs[col] * mapped[:, col]
+        del mapped  # freed before the next block is made
     return _tensor(side, cut_ids, obs, entries, source, out_bits).pruned(neglected)
-
-
-def _block(rows, bit, shape):
-    """The data of cuts 2..K at one outcome bit of the first cut, from
-    {label indices of cuts 2..K: data}: one axis per cut, split as (label,
-    outcome bit) so that its columns are ordered as the side's map. Passed
-    straight to _map_cuts, which then holds its only reference."""
-    block = np.zeros(shape)
-    for rest, data in rows.items():
-        block[tuple(x for j in rest for x in (j, slice(None)))] = data[bit]
-    return block
 
 
 def operator_tensor(fragment, obs) -> FragmentTensor:
@@ -238,7 +239,7 @@ def operator_tensor(fragment, obs) -> FragmentTensor:
         data = (psi * weights) @ psi.conj().T
     pairs = [a for j in range(k) for a in (j, k + j)]
     data = data.reshape((2,) * (2 * k) + (-1,)).transpose(pairs + [2 * k])
-    return _tensor(side, cut_ids, obs, _map_cuts([OPERATOR_MAPS[side]] * k, data).real,
+    return _tensor(side, cut_ids, obs, _map_cuts([OPERATOR_MAPS[side]] * k, data[None]).real,
                    "exact", fragment.output_qubits)
 
 
@@ -277,10 +278,10 @@ class Reconstruction:
     neglected: frozenset
 
 
-def _kept(cut_ids, dropped):
-    """Boolean (4,)*K mask of the basis tuples that avoid every dropped
-    basis, dropped as _neglected_by_cut gives it."""
-    rows = [np.array([p not in dropped[cid] for p in BASES]) for cid in cut_ids]
+def _kept(cut_ids, neglected):
+    """Boolean (4,)*K mask of the basis tuples that avoid every neglected
+    (cut_id, PauliOp) pair, of a set checked before (a tensor's own)."""
+    rows = [np.array([(cid, p) not in neglected for p in BASES]) for cid in cut_ids]
     return reduce(np.multiply.outer, rows[1:], rows[0])
 
 
@@ -300,7 +301,7 @@ def _reconstruction(raw, a: FragmentTensor) -> Reconstruction:
     which gives its mode, neglected set and kept-tuple count. A
     distribution's value clamps negatives and renormalizes; raw keeps the
     unclamped quasi-distribution for diagnostics."""
-    terms = int(_kept(a.cut_ids, _neglected_by_cut(a.cut_ids, a.neglected)).sum())
+    terms = int(_kept(a.cut_ids, a.neglected).sum())
     if a.mode == "expectation":
         value = raw.item()
         return Reconstruction(a.mode, value, value, terms, a.neglected)
@@ -317,7 +318,7 @@ def contract_tensors(a: FragmentTensor, b: FragmentTensor) -> Reconstruction:
     _check_pair(a, b.side, b.cut_ids, b.mode)
     if a.neglected != b.neglected:
         raise ArityMismatch("tensors were built with different neglected sets")
-    mask = _kept(a.cut_ids, _neglected_by_cut(a.cut_ids, a.neglected)).reshape(-1)
+    mask = _kept(a.cut_ids, a.neglected).reshape(-1)
     av, bv = (t.entries.reshape(mask.size, -1)[mask] for t in (a, b))
     return _reconstruction((av.T @ bv).reshape(-1) / 2 ** a.n_cuts, a)
 
@@ -342,7 +343,7 @@ def contract_operator(a: FragmentTensor, fragment, obs) -> Reconstruction:
     if np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) > 1e-9:
         raise GoldcutError("downstream cut amplitudes are not unit-norm per input")
     # R_y with axes (y, b, b'): the map leaves each cut's (b, b') pair adjacent
-    ops = _map_cuts([OPERATOR_MAPS["downstream"].T] * k, a.entries.reshape(4 ** k, -1))
+    ops = _map_cuts([OPERATOR_MAPS["downstream"].T] * k, a.entries.reshape(1, -1))
     ops = ops.reshape((2,) * (2 * k) + (-1,)).transpose(
         [2 * k] + list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)))
     ops = ops.reshape(-1, 2 ** k) / 2 ** k

@@ -3,10 +3,10 @@
 All randomness in the package derives from a single root seed. Independent
 streams are drawn from the counter-based 64-bit Philox generator, keyed by
 the root seed plus an integer path that identifies the consumer, e.g.
-``stream(root, trial, side, variant)``. Equal (root, path) pairs always
-yield the same stream; distinct paths yield statistically independent
-streams. Path derivation uses numpy's SeedSequence spawn keys, so the
-scheme is stable across processes and platforms.
+``stream(root, trial, side)``, which one fragment side's variants draw
+from in turn. Equal (root, path) pairs always yield the same stream;
+distinct paths yield statistically independent streams. Path derivation
+uses numpy's SeedSequence spawn keys: stable across processes and platforms.
 """
 from __future__ import annotations
 

@@ -187,14 +187,10 @@ def exact_distribution(psi: np.ndarray, qubits) -> np.ndarray:
     qubits = tuple(qubits)
     _check_support(n, qubits)
     probs = np.abs(psi.reshape((2,) * n)) ** 2
-    if not qubits:
-        return np.array([probs.sum()])
     if qubits == tuple(range(n)):
         return probs.reshape(-1)
     rest = [q for q in range(n) if q not in qubits]
-    return probs.transpose(tuple(qubits) + tuple(rest)).reshape(
-        2 ** len(qubits), -1
-    ).sum(axis=1)
+    return probs.transpose(qubits + tuple(rest)).reshape(2 ** len(qubits), -1).sum(axis=1)
 
 
 def exact_expectation(psi: np.ndarray, obs: ObservableSpec) -> float:
@@ -215,18 +211,23 @@ def exact_expectation(psi: np.ndarray, obs: ObservableSpec) -> float:
     return float(value.real)
 
 
+def check_shots(shots) -> None:
+    """Raise ValueError unless shots is a Python or numpy integer (no bool) of at least 1."""
+    if _as_int(shots, "shots") < 1:
+        raise ValueError("shots must be at least 1")
+
+
 def sample(psi: np.ndarray, qubits, shots: int, seed) -> np.ndarray:
     """Multinomial sampling of the exact distribution; deterministic in seed.
 
     Returns the integer count per outcome, indexed like exact_distribution
-    and summing to shots. shots must be a Python or numpy integer; seed may
-    be an integer or an already-split numpy Generator.
+    and summing to shots, which check_shots must accept; seed may be an
+    integer or an already-split numpy Generator.
     """
-    if _as_int(shots, "shots") < 1:
-        raise ValueError("shots must be at least 1")
+    check_shots(shots)
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
     p = exact_distribution(psi, qubits)
-    p = np.clip(p, 0.0, None)
+    p = np.maximum(p, 0.0)
     return rng.multinomial(shots, p / p.sum())
 
 

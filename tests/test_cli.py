@@ -184,6 +184,18 @@ class TestRun:
                      "--seed", "-1"]) == 2
         assert calls == []
 
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_bad_shot_count_is_rejected_before_any_simulation(self, tmp_path, monkeypatch,
+                                                                capsys, shots):
+        # the uncut ground truth was simulated before reconstruct rejected it
+        circ = ansatz_path(tmp_path)
+        calls = []
+        kernel = simulator._apply
+        monkeypatch.setattr(simulator, "_apply", lambda *a: calls.append(a) or kernel(*a))
+        assert main(["run", "--circuit", str(circ), "--trials", "1", "--shots", shots]) == 2
+        assert "shots must be at least 1" in capsys.readouterr().err
+        assert calls == []
+
     def test_uncut_circuit_is_simulated_once(self, tmp_path, monkeypatch):
         # once for the truth and once per trial before
         path = ansatz_path(tmp_path)

@@ -398,39 +398,51 @@ class TestRunOnce:
             want = exact_distribution(simulate(circ), range(circ.n_qubits))
             assert np.max(np.abs(r.probs - want)) <= 1e-12
 
-    def test_upstream_shot_counts_are_draws_of_its_exact_probabilities(self):
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_shot_counts_are_draws_in_key_order_on_one_stream(self, side):
         # a seeded draw reads every last bit of a probability: numpy's
         # multinomial swaps whole counts where a conditional probability
         # sits at 1/2, as Y's do on the golden ansatz's real amplitudes. So
         # the draws are checked against run_fragment's own exact
-        # probabilities, and those against each variant's own circuit
-        golden = bipartition(golden_ansatz(5, 2, 7))[0]
-        for frag, k in ((multicut_fragments(2)[0], 2), (golden, 1)):
+        # probabilities, and those against each variant's own circuit. The
+        # keys draw one after another from stream (seed, *seed_path), by
+        # readout, then by label index per cut
+        golden = bipartition(golden_ansatz(5, 2, 7))[side]
+        for frag, k in ((multicut_fragments(2)[side], 2), (golden, 1)):
             variants, _ = variant_lists(frag, k)["mixed"]
+            labels = SIDE_LABELS[frag.side]
+            order = sorted(range(len(variants)), key=lambda i: (
+                variants[i].readout, [labels.index(lab) for _, lab in variants[i].assignment]))
+            assert order != list(range(len(variants)))
             exact = run_fragment(frag, variants)
             results = run_fragment(frag, variants, shots=500, seed=7, seed_path=(3, 1))
-            for i, (key, e, r) in enumerate(zip(variants, exact, results)):
+            rng = stream(7, 3, 1)
+            for i in order:
+                key, e, r = variants[i], exact[i], results[i]
                 circ = variant_circuit(frag, key)
                 own = exact_distribution(simulate(circ), range(circ.n_qubits))
                 assert np.max(np.abs(e.probs - own)) <= 1e-12
                 p = np.clip(e.probs, 0.0, None)
-                draws = stream(7, 3, 1, i).multinomial(500, p / p.sum())
+                draws = rng.multinomial(500, p / p.sum())
                 assert r.key == e.key == key and r.shots == 500
                 assert np.array_equal(r.probs, draws / 500)
 
-    def test_downstream_shot_counts_follow_seed_path_and_index(self):
-        # downstream probabilities may differ from a full simulation in the
-        # last ulp, which can flip a draw, so the reference distribution is
-        # run_fragment's own exact one for the same list
-        frag = multicut_fragments(2)[1]
-        variants, _ = variant_lists(frag, 2)["mixed"]
-        exact = run_fragment(frag, variants)
-        results = run_fragment(frag, variants, shots=500, seed=7, seed_path=(3, 1))
-        for i, (e, r) in enumerate(zip(exact, results)):
-            p = np.clip(e.probs, 0.0, None)
-            draws = stream(7, 3, 1, i).multinomial(500, p / p.sum())
-            assert r.key == e.key and r.shots == 500
-            assert np.array_equal(r.probs, draws / 500)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_shuffled_keys_give_byte_identical_results(self, k, side):
+        # a key's draw depends on the keys passed, not on their order, also
+        # for a subset that leaves out keys at the front of the order
+        frag = multicut_fragments(k)[side]
+        variants, _ = variant_lists(frag, k)["mixed"]
+        rng = np.random.default_rng(20 + k)
+        subset = [variants[i] for i in rng.choice(len(variants), len(variants) // 2,
+                                                  replace=False)]
+        for keys in (variants, subset):
+            runs = [run_fragment(frag, [keys[i] for i in order], shots=300, seed=5,
+                                 seed_path=(2, side))
+                    for order in (range(len(keys)), rng.permutation(len(keys)))]
+            first, second = ({r.key: r.probs.tobytes() for r in run} for run in runs)
+            assert len(first) == len(keys) and first == second
 
     @pytest.mark.parametrize("circ", [
         *(make_cut_circuit(5, 4, k, 2, 40 + k) for k in (1, 2, 3, 4)),

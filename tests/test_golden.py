@@ -300,7 +300,7 @@ class TestStatisticalDetection:
 
     def test_true_golden_basis_flagged_in_distribution_mode(self):
         # the promise above in distribution mode, where it holds: Y is
-        # exactly golden in golden_ansatz and was flagged in 98.60% of these
+        # exactly golden in golden_ansatz and was flagged in 98.95% of these
         # runs at radius 0.0192 (golden_ansatz(3, 2, 7) gave 95.07%, too
         # close to the bound to pin)
         f1, _ = bipartition(golden_ansatz(5, 2, 7))

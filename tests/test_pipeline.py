@@ -4,12 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 import goldcut.circuits as circuits
+import goldcut.fragmenter as fragmenter
 import goldcut.golden as golden
+import goldcut.metrics as metrics
 import goldcut.pipeline as pipeline
+import goldcut.reconstructor as reconstructor
 import goldcut.simulator as simulator
 from goldcut.circuits import Circuit, CutPoint, PauliOp, bipartition, cnot, golden_ansatz, h, uncut
 from goldcut.errors import NotBipartite, SupportMismatch
-from goldcut.fragmenter import downstream_variants, run_fragment, upstream_variants
+from goldcut.fragmenter import (
+    _key_index,
+    _neglected_by_cut,
+    downstream_variants,
+    run_fragment,
+    upstream_variants,
+)
 from goldcut.golden import detect_statistical
 from goldcut.metrics import cut_counts
 from goldcut.reconstructor import (
@@ -547,3 +556,93 @@ class TestComputedOnce:
             for u, _ in steps:
                 with pytest.raises(ValueError, match="read-only"):
                     u[0, 0] = 0.0
+
+
+class TestShotBoundary:
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.0])
+    def test_bad_shot_count_rejected_before_anything_runs(self, bad, monkeypatch):
+        # shots=0 ran three simulations before sample raised
+        circ = golden_ansatz(3, 1, 0)
+        f1, _ = bipartition(circ)
+        keys = upstream_variants(f1)
+        message = "shots must be at least 1" if bad in (0, -1) else "shots must be an integer"
+        calls = count_execution(monkeypatch)
+        for call in (*(lambda p=p: reconstruct(circ, shots=bad, prune=p)
+                       for p in ("off", "exact", "statistical")),
+                     lambda: reconstruct(circ, ObservableSpec.pauli_string(["Z"], [0]),
+                                         shots=bad, prune="exact"),
+                     lambda: upstream_report(f1, shots=bad),
+                     lambda: run_fragment(f1, keys, shots=bad)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert calls == []
+
+
+class TestOneStreamPerSide:
+    @pytest.mark.parametrize("prune", ["off", "known", "statistical"])
+    def test_each_side_runs_and_builds_once_and_samples_per_variant(self, prune, monkeypatch):
+        # the benchmark's tracer counts spans at these names: one run and
+        # one build per side, one sample call per executed variant
+        circ = make_cut_circuit(4, 4, 2, 2, 42)
+        calls = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((pipeline, "run_fragment"), (pipeline, "build_tensor"),
+                             (fragmenter, "sample")):
+            counting(module, name)
+        neglect = [(1, "Y")] if prune == "known" else ()
+        run = reconstruct(circ, shots=100, seed=3, prune=prune, neglect=neglect)
+        assert calls.count("run_fragment") == calls.count("build_tensor") == 2
+        assert calls.count("sample") == run.cost.variants_executed
+
+    def test_each_key_is_read_once_per_run_and_once_per_build(self, monkeypatch):
+        reads = []
+
+        def counting(key, side, cut_ids):
+            reads.append(key)
+            return _key_index(key, side, cut_ids)
+
+        monkeypatch.setattr(fragmenter, "_key_index", counting)
+        monkeypatch.setattr(reconstructor, "_key_index", counting)
+        run = reconstruct(make_cut_circuit(4, 4, 2, 2, 42), shots=100, prune="statistical")
+        assert len(reads) == 2 * run.cost.variants_executed == 2 * len(set(reads))
+
+    @pytest.mark.parametrize("prune", ["off", "known", "exact"])
+    def test_neglected_set_is_checked_once_per_exact_run(self, prune, monkeypatch):
+        checks = []
+
+        def counting(cut_ids, neglected):
+            checks.append(neglected)
+            return _neglected_by_cut(cut_ids, neglected)
+
+        for module in (fragmenter, reconstructor, metrics):
+            monkeypatch.setattr(module, "_neglected_by_cut", counting)
+        neglect = [(1, "Y")] if prune == "known" else ()
+        run = reconstruct(golden_ansatz(5, 2, 7), prune=prune, neglect=neglect)
+        assert len(checks) == 1
+        assert run.neglected == (frozenset() if prune == "off" else {(1, PauliOp.Y)})
+
+    @pytest.mark.parametrize("mode", ["distribution", "pauli"])
+    def test_two_cut_shot_runs_are_unbiased(self, mode):
+        # the raw quasi-distribution and the expectation are linear in every
+        # variant's frequencies, so their mean over seeds meets the oracle;
+        # each entry within 4 standard errors of the mean over 300 runs
+        circ = make_cut_circuit(3, 3, 2, 2, 42)
+        state = simulate(uncut(circ))
+        if mode == "distribution":
+            obs, truth = None, ground_truth_distribution(circ)
+        else:
+            obs = ObservableSpec.pauli_string([PauliOp.X, PauliOp.Z, PauliOp.Y], [0, 1, 3])
+            truth = np.array([exact_expectation(state, obs)])
+        runs = [reconstruct(circ, obs, shots=200, seed=s) for s in range(300)]
+        values = np.array([r.raw_distribution if obs is None else [r.expectation] for r in runs])
+        se = values.std(axis=0, ddof=1) / np.sqrt(len(runs))
+        assert np.all(se > 0)
+        assert np.max(np.abs(values.mean(axis=0) - truth) / se) <= 4.0
