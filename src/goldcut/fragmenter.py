@@ -163,8 +163,7 @@ def _key_index(key: VariantKey, side: str, cut_ids) -> list:
 
 def _neglected_by_cut(cut_ids, neglected):
     table = {cid: set() for cid in cut_ids}
-    for cid, p in neglected or ():
-        cid, p = _as_int(cid, "neglected cut id"), PauliOp(p)
+    for cid, p in {(_as_int(cid, "neglected cut id"), PauliOp(p)) for cid, p in neglected or ()}:
         if cid not in table:
             raise ValueError("neglected pair references unknown cut %r" % cid)
         if p is PauliOp.I:

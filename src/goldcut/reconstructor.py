@@ -211,7 +211,7 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
         del data  # freed before the block is mapped
         mapped = _map_cuts([side_map] * (k - fixed), block.pop()[None])
         mapped = mapped.reshape(4 ** (k - fixed), per_label ** fixed, -1)
-        cols = side_map[:, per_label * head[0]:per_label * (head[0] + 1)] if fixed else [[1.0]]
+        cols = side_map.reshape(4, len(labels), -1)[:, head[0]] if fixed else [[1.0]]
         for row, coefs in enumerate(cols):  # the fixed cut's map, term by term
             for col in np.flatnonzero(coefs):
                 entries[row] += coefs[col] * mapped[:, col]
