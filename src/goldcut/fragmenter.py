@@ -303,8 +303,8 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     if shots is not None:
         check_shots(shots)
         rng = stream(seed, *seed_path)
-    order = sorted((key.readout, tuple(_key_index(key, side, cut_ids)), i)
-                   for i, key in enumerate(variants))
+    canonical = sorted((key.readout, tuple(_key_index(key, side, cut_ids)), i)
+                       for i, key in enumerate(variants))
     labels, table = SIDE_LABELS[side], AMPLITUDE_MAPS[side]
     per_label = len(table) // len(labels)
     by_label = table.reshape(len(labels), per_label, -1)
@@ -314,9 +314,10 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     lead = max(k - 2, 0)
     shape = (per_label,) * lead + (len(labels), per_label) * (k - lead) + (-1,)
     wires = [q for _, q in fragment.upstream_cut_qubits]
-    back = [0, *(1 + np.argsort(wires + [q for q in range(n) if q not in wires]))]
+    order = wires + [q for q in range(n) if q not in wires]
+    back = [0, *(1 + order.index(q) for q in range(n))]
     results = [None] * len(variants)
-    for readout, group in itertools.groupby(order, key=lambda e: e[0]):
+    for readout, group in itertools.groupby(canonical, key=lambda e: e[0]):
         # prefix[m]: (labels of the first m cuts, psi mapped by them); sorted
         # blocks share leading labels, so each product is kept while they do
         prefix = [((), cut_amplitudes(fragment, readout).reshape(1, -1))]
@@ -327,8 +328,8 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
                 prefix.append((first[:m + 1], _map_cuts([by_label[first[m]]], prefix[-1][1])))
             phi = _map_cuts([table] * (k - lead), prefix[-1][1]).reshape(shape)
             members = list(members)
-            picks = np.array([index[lead:] for _, index, _ in members]).T
-            states = phi[(slice(None),) * lead + sum(((j, slice(None)) for j in picks), ())]
+            picks = zip(*(index[lead:] for _, index, _ in members))
+            states = phi[(slice(None),) * lead + sum(((list(j), slice(None)) for j in picks), ())]
             states = states.reshape((-1,) + (2,) * n).transpose(back).reshape(len(members), -1)
             for (_, _, i), amplitudes in zip(members, states):
                 if shots is None:
