@@ -186,6 +186,14 @@ class _Derived:
     def __getstate__(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def _keep(self, name, key, make):
+        """The entry key of the dict name in __dict__, made by make() on first
+        use; nothing is kept when make raises."""
+        kept = vars(self).setdefault(name, {})
+        if key not in kept:
+            kept[key] = make()
+        return kept[key]
+
 
 @dataclass(frozen=True)
 class Circuit(_Derived):
@@ -203,8 +211,8 @@ class Circuit(_Derived):
 
 
 def uncut(circuit: Circuit) -> Circuit:
-    """Return the same circuit with all cut markers removed."""
-    return replace(circuit, cuts=())
+    """The same circuit with all cut markers removed, kept on the circuit."""
+    return circuit._keep("_uncut", None, lambda: replace(circuit, cuts=()))
 
 
 @dataclass(frozen=True)

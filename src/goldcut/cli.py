@@ -15,7 +15,7 @@ import sys
 
 from .circuits import PauliOp, bipartition, certified_ansatz, format_float, save, uncut, validate
 from .errors import GoldcutError
-from .golden import DEFAULT_ALPHA, DEFAULT_TAU, GENERATION_EPS
+from .golden import DEFAULT_ALPHA, DEFAULT_TAU, GENERATION_EPS, check_alpha_tau
 from .metrics import CSV_COLUMNS, closed_form_counts, weighted_distance
 from .pipeline import PRUNE_MODES, reconstruct, uncut_sampled_distribution, upstream_report
 from .reconstructor import MAX_CUTS, term_count
@@ -93,6 +93,7 @@ def cmd_run(args) -> int:
     neglect = _parse_neglect(args.neglect)
     check_seed(args.seed)
     check_shots(args.shots)
+    check_alpha_tau(args.alpha, args.tau)
     state = simulate(uncut(circ))
     truth = exact_distribution(state, range(circ.n_qubits))
     rows, reports = [], []

@@ -161,9 +161,18 @@ def _key_index(key: VariantKey, side: str, cut_ids) -> list:
     return [labels.index(lab) for _, lab in key.assignment]
 
 
+def _pairs(neglected) -> list:
+    """neglected's items; one that is not a (cut_id, basis) pair raises ValueError."""
+    items = list(neglected or ())
+    for item in items:
+        if not isinstance(item, (tuple, list)) or len(item) != 2:
+            raise ValueError("a neglected item is a (cut_id, basis) pair, got %r" % (item,))
+    return items
+
+
 def _neglected_by_cut(cut_ids, neglected):
     table = {cid: set() for cid in cut_ids}
-    for cid, p in {(_as_int(cid, "neglected cut id"), PauliOp(p)) for cid, p in neglected or ()}:
+    for cid, p in {(_as_int(cid, "neglected cut id"), PauliOp(p)) for cid, p in _pairs(neglected)}:
         if cid not in table:
             raise ValueError("neglected pair references unknown cut %r" % cid)
         if p is PauliOp.I:
@@ -185,19 +194,25 @@ def _read(obs, outputs):
 
     readout is the (output qubit, "X" | "Y") pairs that obs's Pauli factors
     rotate to a Z readout, in obs order; weights the observable's value per
-    bitstring over outputs (in their order), or None in distribution mode.
-    A qubit that is not an output, or a distribution that names other than
-    every output in order (an empty support is short for that), raises
-    SupportMismatch.
+    bitstring over outputs (in their order), read-only, kept on obs per
+    outputs, or None in distribution mode. A qubit that is not an output,
+    or a distribution that names other than every output in order (an
+    empty support is short for that), raises SupportMismatch.
     """
+    outputs = tuple(outputs)
+    if obs.kind != "distribution":
+        return obs._keep("_reads", outputs, lambda: _weights(obs, outputs))
+    if obs.qubits not in ((), outputs):
+        raise SupportMismatch("a distribution reads the fragment outputs %s in order, got %s"
+                              % (list(outputs), list(obs.qubits)))
+    return (), None
+
+
+def _weights(obs, outputs):
+    """_read of a Pauli string or projector, made once per obs and outputs."""
     for q in obs.qubits:
         if q not in outputs:
             raise SupportMismatch("observable qubit %d is not a fragment output" % q)
-    if obs.kind == "distribution":
-        if obs.qubits not in ((), tuple(outputs)):
-            raise SupportMismatch("a distribution reads the fragment outputs %s in order, got %s"
-                                  % (list(outputs), list(obs.qubits)))
-        return (), None
     # weights: the outer product of one 2-vector per output, (1, -1) for a
     # Pauli factor, (1, 0) or (0, 1) for a projector bit, else (1, 1)
     readout, factors = [], {}
@@ -209,7 +224,9 @@ def _read(obs, outputs):
             if f is not PauliOp.Z:
                 readout.append((q, f.value))
     weights = reduce(np.multiply.outer, [factors.get(q, (1.0, 1.0)) for q in outputs], np.ones(()))
-    return tuple(readout), weights.reshape(-1)
+    weights = weights.reshape(-1)
+    weights.setflags(write=False)
+    return tuple(readout), weights
 
 
 def _variants(fragment: Fragment, side: str, neglected, obs) -> list:
@@ -240,6 +257,26 @@ def downstream_variants(f2: Fragment, neglected=frozenset(), obs=None) -> list:
     return _variants(f2, "downstream", neglected, obs)
 
 
+def _layout(fragment):
+    """(K, index, back) of the fragment's pass: upstream the axes cut wires
+    first; downstream each input |b>'s flat index in the batched start
+    state (read-only); back the transpose of the states back after a batch
+    axis (downstream the identity)."""
+    side, n = fragment.side, fragment.circuit.n_qubits
+    wires = [q for _, q in _cuts(fragment, side)]
+    k = len(wires)
+    if side == "upstream":
+        order = wires + [q for q in range(n) if q not in wires]
+        return k, order, [0, *(1 + order.index(q) for q in range(n))]
+    if n > MAX_QUBITS:
+        raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
+    inputs = np.arange(2 ** k)
+    index = inputs + sum(((inputs >> (k - 1 - j)) & 1) << (n + k - 1 - q)
+                         for j, q in enumerate(wires))
+    index.setflags(write=False)
+    return k, index, list(range(n + 1))
+
+
 def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
     """The cut operator as amplitudes psi[b, x] from one pass of the body
     (the fragment plus the rotations of readout, (output qubit, "X" | "Y")
@@ -254,32 +291,23 @@ def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
     body's own hold sum_b |b>|b>, so it simulates n + K qubits: the
     MAX_QUBITS cap bounds the fragment's n, not that pass. A fragment
     without cut qubits, or a readout pair on a qubit that is not an output
-    or with another label, raises ValueError. The body is kept on the
-    fragment per readout, and its program on the body (simulator.evolve).
+    or with another label, raises ValueError. The fragment keeps its pass
+    layout and its body per readout, the body its program (evolve).
     """
-    side = fragment.side
-    wires = [q for _, q in _cuts(fragment, side)]
+    k, index, _ = fragment._keep("_layout", None, lambda: _layout(fragment))
     readout = tuple(map(tuple, readout))
     if any(q not in fragment.output_qubits or p not in ("X", "Y") for q, p in readout):
         raise ValueError("readout %r does not fit the fragment outputs %s"
                          % (readout, fragment.output_qubits))
-    bodies = vars(fragment).setdefault("_bodies", {})
-    if readout not in bodies:
-        rotations = [g for q, p in readout for g in basis_rotation(PauliOp(p), q)]
-        bodies[readout] = Circuit(fragment.circuit.n_qubits,
-                                  fragment.circuit.gates + tuple(rotations), ())
-    body = bodies[readout]
-    n, k = body.n_qubits, len(wires)
-    if side == "upstream":
-        order = wires + [q for q in range(n) if q not in wires]
-        return simulate(body).reshape((2,) * n).transpose(order).reshape(2 ** k, -1)
-    if n > MAX_QUBITS:
-        raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
-    inputs = np.arange(2 ** k)
-    rows = sum(((inputs >> (k - 1 - j)) & 1) << (n - 1 - q) for j, q in enumerate(wires))
-    psi = np.zeros((2 ** n, 2 ** k), dtype=complex)
-    psi[rows, inputs] = 1.0
-    return evolve(psi.reshape(-1), body).reshape(2 ** n, 2 ** k).T
+    body = fragment._keep("_bodies", readout, lambda: Circuit(
+        fragment.circuit.n_qubits, fragment.circuit.gates + tuple(
+            g for q, p in readout for g in basis_rotation(PauliOp(p), q)), ()))
+    n = body.n_qubits
+    if fragment.side == "upstream":
+        return simulate(body).reshape((2,) * n).transpose(index).reshape(2 ** k, -1)
+    psi = np.zeros(2 ** (n + k), dtype=complex)
+    psi[index] = 1.0
+    return evolve(psi, body).reshape(2 ** n, 2 ** k).T
 
 
 def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=()):
@@ -313,9 +341,7 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     k = len(cut_ids)
     lead = max(k - 2, 0)
     shape = (per_label,) * lead + (len(labels), per_label) * (k - lead) + (-1,)
-    wires = [q for _, q in fragment.upstream_cut_qubits]
-    order = wires + [q for q in range(n) if q not in wires]
-    back = [0, *(1 + order.index(q) for q in range(n))]
+    _, _, back = fragment._keep("_layout", None, lambda: _layout(fragment))
     results = [None] * len(variants)
     for readout, group in itertools.groupby(canonical, key=lambda e: e[0]):
         # prefix[m]: (labels of the first m cuts, psi mapped by them); sorted

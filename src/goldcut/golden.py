@@ -108,11 +108,20 @@ def detect_exact(tensor: FragmentTensor, eps: float = ORACLE_EPS) -> GoldenRepor
                          for cid, p, mag in _basis_magnitudes(tensor)])
 
 
+def check_alpha_tau(alpha: float, tau: float = DEFAULT_TAU) -> None:
+    """Raise ValueError unless alpha lies in (0, 1) and tau is finite and above 0."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1), got %r" % (alpha,))
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be finite and above 0, got %r" % (tau,))
+
+
 def hoeffding_radius(shots: int, alpha: float) -> float:
     """Two-sided (1 - alpha) deviation bound for a mean of [-1, 1] terms;
     shots below 1 or alpha outside (0, 1) raise ValueError."""
-    if shots < 1 or not 0.0 < alpha < 1.0:
-        raise ValueError("need shots >= 1 and alpha in (0, 1), got %r and %r" % (shots, alpha))
+    if shots < 1:
+        raise ValueError("need shots >= 1, got %r" % (shots,))
+    check_alpha_tau(alpha)
     return math.sqrt(math.log(2.0 / alpha) / shots)
 
 
@@ -125,14 +134,12 @@ def detect_statistical(results, obs, alpha: float = DEFAULT_ALPHA,
     flagged when the radius is at most tau and the confidence interval
     contains zero (empirical magnitude within the radius). When the radius
     exceeds tau the data cannot support a decision and the entry is marked
-    insufficient instead of raising. alpha outside (0, 1) (hoeffding_radius),
-    a tau that is not finite and positive and a result with fewer than 1
-    shot raise ValueError, and no results raises MissingVariant. tensor, if
-    given, is build_tensor(results, obs, "upstream") already built by the
-    caller.
+    insufficient instead of raising. An alpha or tau that check_alpha_tau
+    rejects and a result with fewer than 1 shot raise ValueError, and no
+    results raises MissingVariant. tensor, if given, is build_tensor(results,
+    obs, "upstream") already built by the caller.
     """
-    if not 0.0 < tau < math.inf:
-        raise ValueError("tau must be finite and above 0, got %r" % tau)
+    check_alpha_tau(alpha, tau)
     if not results:
         raise MissingVariant("no variant results")
     for r in results:

@@ -105,22 +105,23 @@ def cut_counts(cut_ids, neglected=frozenset(), shots_each: int = 0) -> CostLedge
     check of neglected are the variant enumerators' own; dropping X, Y and
     Z at a cut leaves its identity term alone.
     """
-    return _counts(_neglected_by_cut(cut_ids, neglected).values(), shots_each)
+    return CostLedger(*_counts(_neglected_by_cut(cut_ids, neglected).values()), shots_each)
 
 
-def _counts(dropped, shots_each: int) -> CostLedger:
-    """cut_counts from the set of bases each cut drops, checked before."""
+def _counts(dropped) -> tuple:
+    """cut_counts' (upstream variants, downstream variants, basis tuples)
+    from the set of bases each cut drops, checked before."""
     upstream = downstream = tuples = 1
     for bases in dropped:
         upstream *= len(_kept_labels("upstream", bases))
         downstream *= len(_kept_labels("downstream", bases))
         tuples *= 4 - len(bases)
-    return CostLedger(upstream, downstream, tuples, shots_each)
+    return upstream, downstream, tuples
 
 
 def cost_ledgers(cut_ids, neglected=frozenset(), shots_each: int = 0):
     """(pruned, baseline): cut_counts with and without the neglected pairs."""
-    return cut_counts(cut_ids, neglected, shots_each), _counts([()] * len(cut_ids), shots_each)
+    return cut_counts(cut_ids, neglected, shots_each), cut_counts(cut_ids, (), shots_each)
 
 
 def closed_form_counts(k_regular: int, k_golden: int):

@@ -15,19 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Fragment, bipartition, uncut
+from .circuits import Circuit, Fragment, _unchecked, bipartition, uncut
 from .errors import SupportMismatch
-from .fragmenter import downstream_variants, run_fragment, upstream_variants
+from .fragmenter import _pairs, downstream_variants, run_fragment, upstream_variants
 from .golden import (
     DEFAULT_ALPHA,
     DEFAULT_TAU,
     ORACLE_EPS,
     GoldenReport,
+    check_alpha_tau,
     check_eps,
     detect_exact,
     detect_statistical,
 )
-from .metrics import CostReport, _counts, cost_report
+from .metrics import CostLedger, CostReport, _counts, cost_report
 from .reconstructor import (
     Reconstruction,
     build_tensor,
@@ -69,11 +70,12 @@ def split_observable(f1: Fragment, f2: Fragment, obs: ObservableSpec):
         if q not in ends[side]:
             raise SupportMismatch("parent qubit %d has no terminal output" % q)
         parts[side].append((ends[side][q], item))
-    split = []
+    # obs is checked, so its factors on a fragment's distinct outputs are too
+    split, pauli = [], obs.kind == "pauli"
     for part in map(sorted, parts):
-        local, items = [q for q, _ in part], [x for _, x in part]
-        split.append(ObservableSpec.pauli_string(items, local) if obs.kind == "pauli"
-                     else ObservableSpec.projector("".join(items), local))
+        local, items = tuple(q for q, _ in part), tuple(x for _, x in part)
+        split.append(_unchecked(ObservableSpec, kind=obs.kind, qubits=local,
+                                paulis=items if pauli else (), bits="" if pauli else "".join(items)))
     return tuple(split)
 
 
@@ -82,14 +84,16 @@ def parent_permutation(f1: Fragment, f2: Fragment, n_parent: int) -> np.ndarray:
 
     Position j of a concatenated bitstring (f1 outputs then f2 outputs, each
     in local order) carries parent qubit parent_of[j]; the returned array
-    perm satisfies parent_vector = concatenated_vector[perm].
+    perm, read-only, satisfies parent_vector = concatenated_vector[perm].
     """
     parent_of = [f1.parent_qubits[q] for q in f1.output_qubits]
     parent_of += [f2.parent_qubits[q] for q in f2.output_qubits]
     if sorted(parent_of) != list(range(n_parent)):
         raise SupportMismatch("fragment outputs do not cover the parent exactly once")
-    return (np.arange(2 ** n_parent, dtype=np.int64).reshape((2,) * n_parent)
+    perm = (np.arange(2 ** n_parent, dtype=np.int64).reshape((2,) * n_parent)
             .transpose(np.argsort(parent_of)).reshape(-1))
+    perm.setflags(write=False)
+    return perm
 
 
 def ground_truth_distribution(circuit: Circuit) -> np.ndarray:
@@ -128,11 +132,12 @@ def upstream_report(f1: Fragment, obs: ObservableSpec = None, shots: int = None,
     None it is operator_tensor and the report detect_exact at eps;
     otherwise every setting runs through run_fragment on seed path (trial,
     SIDE_UPSTREAM) into build_tensor, and the report is detect_statistical
-    at alpha and tau. An eps, seed, trial or shots that check_eps,
-    check_seed or check_shots rejects raises ValueError before anything runs.
+    at alpha and tau. An eps, seed, trial, alpha, tau or shots that its
+    check_* function rejects raises ValueError before anything runs.
     """
     check_eps(eps)
     check_seed(seed, trial)
+    check_alpha_tau(alpha, tau)
     obs = _EVERY_OUTPUT if obs is None else obs
     if shots is None:
         tensor = operator_tensor(f1, obs)
@@ -154,8 +159,10 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     no variant (operator_tensor upstream, contract_operator through the
     downstream cut operator), though run.cost counts what a device would
     run; otherwise each executed variant draws from its side's stream and
-    both tensors are contracted. A seed, trial or shots that check_seed or
-    check_shots rejects raises ValueError first. Pruning modes:
+    both tensors are contracted. A seed, trial, shots, alpha or tau its
+    check_* function rejects, an obs other than an ObservableSpec and a
+    neglect item other than a (cut, basis) pair raise ValueError first.
+    Pruning modes:
 
     * "off": no neglected bases.
     * "known": neglect exactly the pairs passed in neglect, which every
@@ -166,16 +173,21 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
       what the Hoeffding test flags, and prune only the downstream side.
     """
     check_seed(seed, trial)
+    check_alpha_tau(alpha, tau)
+    if obs is not None and not isinstance(obs, ObservableSpec):
+        raise ValueError("obs must be an ObservableSpec or None, got %s" % type(obs).__name__)
     if prune not in PRUNE_MODES:
         raise ValueError("unknown prune mode %r" % prune)
     if shots is not None:
         check_shots(shots)
     elif prune == "statistical":
         raise ValueError("statistical pruning needs a shot budget")
+    neglect = _pairs(neglect)
     if neglect and prune != "known":
         raise ValueError("neglect is read only with prune='known', not %r" % prune)
     f1, f2 = bipartition(circuit)
-    obs1, obs2 = (_EVERY_OUTPUT,) * 2 if obs is None else split_observable(f1, f2, obs)
+    obs1, obs2 = (_EVERY_OUTPUT,) * 2 if obs is None else circuit._keep(
+        "_splits", obs, lambda: split_observable(f1, f2, obs))
 
     # Every mode but statistical reports exact detection; the reported
     # tensor is the upstream tensor unless shots rerun the pruned set.
@@ -184,10 +196,11 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     # pruned checks and normalizes the neglected set, once per run
     a = a.pruned({"off": (), "known": neglect}.get(prune, report.golden_pairs()))
     cut_ids, neglected, used = a.cut_ids, a.neglected, 0 if shots is None else shots
-    ledger = _counts([{p for c, p in neglected if c == cid} for cid in cut_ids], used)
-    baseline = _counts([()] * len(cut_ids), used)
+    (up, down, tuples), base = f1._keep("_counts", neglected, lambda: (
+        _counts([{p for c, p in neglected if c == cid} for cid in cut_ids]),
+        _counts([()] * len(cut_ids))))
     if prune == "statistical":
-        ledger.upstream_variants = baseline.upstream_variants  # all ran for detection
+        up = base[0]  # all ran for detection
     elif shots is not None:
         a = build_tensor(run_fragment(f1, upstream_variants(f1, neglected, obs=obs1),
                                       shots=shots, seed=seed, seed_path=(trial, SIDE_UPSTREAM)),
@@ -201,10 +214,10 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
         rec = contract_tensors(a, b)
     expectation = distribution = raw_distribution = None
     if rec.mode == "distribution":
-        perm = parent_permutation(f1, f2, circuit.n_qubits)
+        perm = circuit._keep("_perm", None, lambda: parent_permutation(f1, f2, circuit.n_qubits))
         distribution, raw_distribution = rec.value[perm], rec.raw[perm]
     else:
         expectation = rec.value
     return RunResult(rec, expectation, distribution, raw_distribution, report,
-                     cost_report(ledger, baseline), neglected,
-                     len({cid for cid, _ in neglected}))
+                     cost_report(CostLedger(up, down, tuples, used), CostLedger(*base, used)),
+                     neglected, len({cid for cid, _ in neglected}))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, PauliOp, _as_int, gate_matrix, h, sdg
+from .circuits import Circuit, Gate, PauliOp, _as_int, _Derived, gate_matrix, h, sdg
 from .errors import GoldcutError, IdentityBasisRequested, SupportMismatch, TooWide
 from .seeding import stream
 
@@ -36,7 +36,7 @@ FUSE_WIDTH = 4
 
 
 @dataclass(frozen=True)
-class ObservableSpec:
+class ObservableSpec(_Derived):
     """Observable on a subset of qubits.
 
     kind is one of "pauli" (one PauliOp per support qubit), "projector"
@@ -110,10 +110,8 @@ def evolve(psi: np.ndarray, circuit: Circuit) -> np.ndarray:
     """apply_gates(psi, circuit.gates) to rounding, by the fused program kept
     on the circuit per state width, compiled on first use."""
     n = _width(psi)
-    programs = vars(circuit).setdefault("_programs", {})
-    if n not in programs:
-        programs[n] = _plan([(_block_matrix(q, m), q) for q, m in _group(circuit.gates)], n)
-    return _apply(psi, programs[n])
+    return _apply(psi, circuit._keep("_programs", n, lambda: _plan(
+        [(_block_matrix(q, m), q) for q, m in _group(circuit.gates)], n)))
 
 
 def apply_gates(psi: np.ndarray, gates) -> np.ndarray:

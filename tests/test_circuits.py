@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import goldcut.circuits as circuits
+import goldcut.simulator as simulator
 from goldcut.circuits import (
     Circuit,
     CutPoint,
@@ -31,7 +32,7 @@ from goldcut.circuits import (
     validate,
 )
 from goldcut.errors import CyclicCut, NotBipartite
-from goldcut.pipeline import reconstruct
+from goldcut.pipeline import ground_truth_distribution, reconstruct
 from goldcut.simulator import ObservableSpec, simulate
 
 from conftest import load_perfbench, make_cut_circuit, stitch
@@ -329,6 +330,24 @@ class TestKeptPerObject:
         assert "_fragments" in vars(circ) and vars(f2)["_bodies"]
         assert views(circ) == before
         assert [pickle.dumps(f) for f in (f1, f2)] == frags
+
+    def test_uncut_twin_is_kept_with_its_program(self, monkeypatch):
+        # ground_truth_distribution built and compiled a new uncut twin on
+        # every call; the second call now groups no gate and builds no block
+        circ = golden_ansatz(5, 2, 7)
+        truth = ground_truth_distribution(circ)
+        twin = uncut(circ)
+        assert twin is uncut(circ) and twin == dataclasses.replace(circ, cuts=())
+        programs = vars(twin)["_programs"]
+        (program,) = programs.values()
+        grouped = []
+        group = simulator._group
+        monkeypatch.setattr(simulator, "_group", lambda gates: grouped.append(gates) or group(gates))
+        assert np.array_equal(ground_truth_distribution(circ), truth)
+        assert np.array_equal(simulate(uncut(circ)), simulate(twin))
+        assert grouped == [] and vars(uncut(circ))["_programs"] is programs
+        (kept,) = programs.values()
+        assert kept is program
 
     def test_copies_start_cold(self):
         circ = golden_ansatz(5, 2, 7)

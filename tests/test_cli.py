@@ -174,6 +174,25 @@ class TestRun:
         assert "integer of at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "detect"])
+    @pytest.mark.parametrize("flag,value", [("--alpha", "2"), ("--alpha", "0"),
+                                            ("--alpha", "nan"), ("--tau", "-1"),
+                                            ("--tau", "inf")])
+    def test_alpha_and_tau_are_rejected_before_any_simulation(
+            self, tmp_path, monkeypatch, capsys, command, flag, value):
+        # run simulated the uncut circuit and detect drew every setting's
+        # shots before the check; the exact modes never checked them
+        circ = ansatz_path(tmp_path)
+        calls = []
+        kernel = simulator._apply
+        monkeypatch.setattr(simulator, "_apply", lambda *a: calls.append(a) or kernel(*a))
+        capsys.readouterr()
+        for shots in (["--shots", "100"], [] if command == "detect" else ["--prune", "exact"]):
+            assert main([command, "--circuit", str(circ), *shots, flag, value]) == 2
+            assert ("alpha must lie in" if flag == "--alpha" else "tau must be finite") in (
+                capsys.readouterr().err)
+        assert calls == []
+
     def test_negative_seed_is_rejected_before_any_simulation(self, tmp_path, monkeypatch):
         # the uncut ground truth was simulated before reconstruct rejected it
         circ = ansatz_path(tmp_path)

@@ -1,4 +1,8 @@
 """End-to-end reconstruction pipeline over whole circuits."""
+import math
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -556,6 +560,185 @@ class TestComputedOnce:
             for u, _ in steps:
                 with pytest.raises(ValueError, match="read-only"):
                     u[0, 0] = 0.0
+
+
+def kept_arrays(obj, seen=None):
+    """Every ndarray an object keeps in its __dict__ beyond its fields,
+    following kept circuits, fragments and observables."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (tuple, list)):
+        items = obj
+    elif isinstance(obj, (Circuit, circuits.Fragment, ObservableSpec)):
+        items = [obj.circuit] if isinstance(obj, circuits.Fragment) else []
+        items += [v for k, v in vars(obj).items() if k.startswith("_")]
+    else:
+        return []
+    return [a for item in items for a in kept_arrays(item, seen)]
+
+
+PLAN_OBSERVABLES = ("distribution", "pauli", "projector")
+
+
+def plan_observable(kind, n):
+    if kind == "pauli":
+        return ObservableSpec.pauli_string(("XYZ" * n)[:n], range(n))
+    if kind == "projector":
+        return ObservableSpec.projector(("01" * n)[:n], range(n))
+    return None
+
+
+def plan_circuits():
+    multicut = load_perfbench("workloads").multicut_circuit
+    return ([pytest.param(lambda n=n: golden_ansatz(n, 3, 501), id="golden%d" % n)
+             for n in (3, 5, 7, 9)]
+            + [pytest.param(lambda k=k: multicut(k, 201), id="multicut%d" % k)
+               for k in (1, 2, 3, 4)])
+
+
+class TestKeptPlan:
+    """What reconstruct derives from (circuit, obs) alone is kept on the
+    objects; every call still does all of its numeric work."""
+
+    @pytest.mark.parametrize("make", plan_circuits())
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_later_calls_are_byte_identical_to_a_cold_copy(self, make, shots):
+        # each setting's second call, and its last, made after the object
+        # has had at least ten calls, give a cold copy's bytes; at K = 4
+        # shot mode (1296 sampled preparations a call) reads a Pauli string
+        circ = make()
+        f1, _ = bipartition(circ)
+        neglect = [(cid, "Y") for cid, _ in f1.upstream_cut_qubits[:1]]
+        kinds = ("pauli",) if shots and circ.n_cuts == 4 else PLAN_OBSERVABLES
+        settings = [(plan_observable(kind, circ.n_qubits), prune)
+                    for kind in kinds for prune in ("off", "exact", "known")]
+
+        def run(c, obs, prune):
+            return run_bytes(reconstruct(c, obs, shots=shots, seed=5, prune=prune,
+                                         neglect=neglect if prune == "known" else ()))
+
+        cold = [run(pickle.loads(pickle.dumps(circ)), *setting) for setting in settings]
+        passes = [[run(circ, *setting) for setting in settings]
+                  for _ in range(2 + -(-10 // len(settings)))]
+        assert passes[1] == cold and passes[-1] == cold
+
+    @pytest.mark.parametrize("shots,prune", [(None, "off"), (None, "exact"),
+                                             (200, "known"), (200, "statistical")])
+    def test_first_and_tenth_calls_run_the_same_passes(self, shots, prune, monkeypatch):
+        circ = make_cut_circuit(4, 4, 2, 2, 17)
+        obs = ObservableSpec.pauli_string("XZ", (0, circ.n_qubits - 1))
+        neglect = [(2, "X")] if prune == "known" else ()
+        calls = count_execution(monkeypatch)
+        per_call = []
+        for _ in range(10):
+            reconstruct(circ, obs, shots=shots, seed=1, prune=prune, neglect=neglect)
+            per_call.append(list(calls))
+            calls.clear()
+        assert per_call[0] and per_call[9] == per_call[0]
+
+    def test_equal_observables_share_one_entry(self):
+        circ = golden_ansatz(5, 2, 7)
+
+        def pauli():
+            return ObservableSpec.pauli_string("ZXZYZ", range(5))
+
+        reconstruct(circ, pauli(), prune="exact")
+        f1, f2 = bipartition(circ)
+        owners = ((circ, "_splits"), (f1, "_counts"), (f1, "_bodies"), (f2, "_bodies"))
+
+        def kept():
+            return [dict(vars(owner)[name]) for owner, name in owners]
+
+        first = kept()
+        (obs1, obs2), = first[0].values()
+        reads = [dict(vars(o)["_reads"]) for o in (obs1, obs2)]
+        for _ in range(3):
+            reconstruct(circ, pauli(), prune="exact")
+            reconstruct(circ, pauli(), shots=50, prune="exact")
+        assert kept() == first
+        assert [vars(o)["_reads"] for o in (obs1, obs2)] == reads
+
+    def test_invalid_inputs_raise_on_every_call_and_are_not_kept(self):
+        circ = golden_ansatz(5, 2, 7)
+        reconstruct(circ)
+        f1, f2 = bipartition(circ)
+        bad_obs = ObservableSpec.distribution([1, 0, 2, 3, 4])
+        for _ in range(3):
+            with pytest.raises(SupportMismatch):
+                reconstruct(circ, bad_obs)
+            with pytest.raises(SupportMismatch):
+                operator_tensor(f1, ObservableSpec.projector("0", (2,)))
+            with pytest.raises(ValueError, match="readout"):
+                fragmenter.cut_amplitudes(f2, [(7, "X")])
+            with pytest.raises(ValueError, match="unknown cut"):
+                reconstruct(circ, prune="known", neglect=[(4, "Y")])
+        assert bad_obs not in vars(circ).get("_splits", {})
+        assert ((7, "X"),) not in vars(f2)["_bodies"]
+        assert all(cid == 1 for key in vars(f1)["_counts"] for cid, _ in key)
+
+    def test_every_kept_array_is_read_only(self):
+        circ = make_cut_circuit(4, 4, 2, 2, 23)
+        n = circ.n_qubits
+        for obs in (None, ObservableSpec.pauli_string("XY", (0, n - 1)),
+                    ObservableSpec.projector("01", (1, n - 2))):
+            for shots, prune in ((None, "off"), (None, "exact"), (100, "statistical")):
+                reconstruct(circ, obs, shots=shots, prune=prune)
+        ground_truth_distribution(circ)
+        arrays = kept_arrays(circ)
+        # programs of 3 bodies and the uncut twin, 2 read weights, the
+        # permutation and the downstream start indices at least
+        assert len(arrays) > 8
+        for array in arrays:
+            assert not array.flags.writeable
+
+
+class TestEntryChecks:
+    """Arguments that reconstruct or upstream_report reject raise before
+    anything runs, in every mode."""
+
+    @pytest.mark.parametrize("bad", [dict(alpha=0), dict(alpha=1), dict(alpha=2),
+                                     dict(alpha=math.nan), dict(tau=0), dict(tau=-1),
+                                     dict(tau=math.nan), dict(tau=math.inf)])
+    def test_alpha_and_tau_are_checked_first(self, bad, monkeypatch):
+        circ = golden_ansatz(3, 1, 0)
+        f1, _ = bipartition(circ)
+        calls = count_execution(monkeypatch)
+        message = "alpha must lie in" if "alpha" in bad else "tau must be finite"
+        for call in (*(lambda shots=shots, prune=prune: reconstruct(
+                          circ, shots=shots, prune=prune, **bad)
+                       for shots, prune in ((None, "off"), (None, "exact"), (100, "off"),
+                                            (100, "statistical"))),
+                     lambda: upstream_report(f1, **bad),
+                     lambda: upstream_report(f1, shots=100, **bad)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert calls == []
+
+    @pytest.mark.parametrize("item", [1, (1, "Y", 0), "1Y", (1,), None])
+    def test_neglect_items_other_than_pairs_are_rejected(self, item, monkeypatch):
+        circ = golden_ansatz(3, 1, 0)
+        calls = count_execution(monkeypatch)
+        with pytest.raises(ValueError, match=r"a neglected item is a \(cut_id, basis\) pair"):
+            reconstruct(circ, prune="known", neglect=[item])
+        with pytest.raises(ValueError, match=r"pair, got %s" % re.escape(repr(item))):
+            cut_counts((1,), [item])
+        assert calls == []
+
+    @pytest.mark.parametrize("obs,name", [("ZZZ", "str"), (["Z"] * 3, "list"),
+                                          ({"Z": 0}, "dict"), (3, "int")])
+    def test_obs_other_than_an_observable_spec_is_rejected(self, obs, name, monkeypatch):
+        circ = golden_ansatz(3, 1, 0)
+        calls = count_execution(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="ObservableSpec or None, got %s$" % name):
+                reconstruct(circ, obs)
+        assert calls == [] and "_splits" not in vars(circ)
 
 
 class TestShotBoundary:
