@@ -28,6 +28,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -298,10 +299,10 @@ def _check_pair(a: FragmentTensor, side, cut_ids, mode):
 
 def _reconstruction(raw, a: FragmentTensor) -> Reconstruction:
     """The Reconstruction of raw, contracted from the upstream tensor a,
-    which gives its mode, neglected set and kept-tuple count. A
-    distribution's value clamps negatives and renormalizes; raw keeps the
-    unclamped quasi-distribution for diagnostics."""
-    terms = int(_kept(a.cut_ids, a.neglected).sum())
+    which gives its mode, neglected set and kept-tuple count (per cut, the
+    bases not neglected there). A distribution's value clamps negatives and
+    renormalizes; raw keeps the unclamped quasi-distribution for diagnostics."""
+    terms = prod(4 - sum(c == cid for c, _ in a.neglected) for cid in a.cut_ids)
     if a.mode == "expectation":
         value = raw.item()
         return Reconstruction(a.mode, value, value, terms, a.neglected)

@@ -5,11 +5,11 @@ infinite-shot oracle except sample(), which returns the per-outcome counts
 of a multinomial draw from the exact Born distribution. Outcome indices
 follow the package-wide bitstring convention: qubit 0 is the most
 significant (leftmost) bit. A program evolve keeps (per circuit object
-and state width; simulate's too) makes one product per block of up to
-FUSE_WIDTH qubits, whose matrix fuses the block's gates, so it agrees with
-a tensordot loop to rounding (1e-12 in the tests). apply_gates compiles on
-every call, one product per gate, the very product np.tensordot makes, so
-it equals a tensordot loop to the bit.
+and state width; simulate's too) makes one product per block of the
+cheapest grouping (_fuse), whose matrix fuses the block's gates, so it
+agrees with a tensordot loop to rounding (1e-12 in the tests). apply_gates
+compiles on every call, one product per gate, the very product
+np.tensordot makes, so it equals a tensordot loop to the bit.
 """
 from __future__ import annotations
 
@@ -23,16 +23,17 @@ from .seeding import stream
 
 MAX_QUBITS = 14
 _ATOL = 1e-10
-# Gate fusion (see _group). Timed with BLAS at 1 thread on a 2-vCPU Xeon,
-# OpenBLAS 0.3.31, on 3-layer rx + CNOT-chain circuits over all n wires:
-# a kept per-gate program over the kept fused one, medians of 60-400
-# calls, is 15-24x at n = 3-4 (one block), 11x at 5, 5-7.6x at 6-8,
-# 4-4.4x at 9-11 and 2.9-4.4x at 12-14. Compiling the fused program costs
-# 0.16 ms at n = 3 to 1.1 ms at n = 14, at most two per-gate apply_gates
-# calls, so it pays from a kept circuit's second or third call. At n = 12
-# and 14, blocks of at most 4 qubits were as fast as 5 and 6-10% faster
-# than 3; blocks of 2 took 1.3-1.5x as long.
-FUSE_WIDTH = 4
+# Gate fusion (see _fuse). FUSE_PASS estimates one pass over the state
+# (the transpose and copy every product makes) in complex products per
+# amplitude. Timed with BLAS at 1 thread on 2 vCPUs, medians of 80
+# interleaved runs, against a fixed cap of 4: perfbench's batched
+# multi-cut downstream pass ran 36-58% faster at K = 2-5 (K=4: 11 blocks
+# become 2, of 7 and 6 qubits), and 3-layer rx + CNOT-chain circuits
+# 48-63% faster at n = 8-11 and 9-13% at n = 12-14 (blocks of at most 5).
+# A cap of 8 costs 11-28 ms to compile, against 2-5 ms for the chosen
+# programs, and ran faster in one case only (n = 12, by 11%).
+FUSE_WIDTH = 7
+FUSE_PASS = 22
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def evolve(psi: np.ndarray, circuit: Circuit) -> np.ndarray:
     on the circuit per state width, compiled on first use."""
     n = _width(psi)
     return _apply(psi, circuit._keep("_programs", n, lambda: _plan(
-        [(_block_matrix(q, m), q) for q, m in _group(circuit.gates)], n)))
+        [(_block_matrix(q, m), q) for q, m in _fuse(circuit.gates)], n)))
 
 
 def apply_gates(psi: np.ndarray, gates) -> np.ndarray:
@@ -142,19 +143,28 @@ def _apply(psi, program):
     return psi.reshape(shape).transpose(back).reshape(-1)
 
 
-def _group(gates) -> list:
+def _fuse(gates) -> list:
+    """_group's blocks at the cap up to FUSE_WIDTH of least cost, FUSE_PASS
+    plus 2^k per k-qubit block, the narrowest on a tie; caps past the
+    gates' qubit count all give one block."""
+    wires = len({q for g in gates for q in g.qubits})
+    return min((_group(gates, cap) for cap in range(1, min(wires, FUSE_WIDTH) + 1)),
+               key=lambda blocks: sum(FUSE_PASS + 2 ** len(q) for q, _ in blocks), default=[])
+
+
+def _group(gates, cap) -> list:
     """The gates as (qubits, member gates) blocks, in one greedy pass.
 
     A gate joins the latest block that touches any of its qubits, or the
-    last block if none does, when the union of qubits stays within
-    FUSE_WIDTH; otherwise it opens a new block. No later block touches its
-    qubits, so it commutes past them. Only a lone gate wider than
-    FUSE_WIDTH makes a wider block.
+    last block if none does, when the union of qubits stays within cap;
+    otherwise it opens a new block. No later block touches its qubits, so
+    it commutes past them. Only a lone gate wider than cap makes a wider
+    block.
     """
     blocks, latest = [], {}
     for g in gates:
         i = max((latest[q] for q in g.qubits if q in latest), default=len(blocks) - 1)
-        if i < 0 or len(set(blocks[i][0]) | set(g.qubits)) > FUSE_WIDTH:
+        if i < 0 or len(set(blocks[i][0]) | set(g.qubits)) > cap:
             i = len(blocks)
             blocks.append(([], []))
         qubits, members = blocks[i]

@@ -341,8 +341,8 @@ class TestKeptPerObject:
         programs = vars(twin)["_programs"]
         (program,) = programs.values()
         grouped = []
-        group = simulator._group
-        monkeypatch.setattr(simulator, "_group", lambda gates: grouped.append(gates) or group(gates))
+        fuse = simulator._fuse
+        monkeypatch.setattr(simulator, "_fuse", lambda gates: grouped.append(gates) or fuse(gates))
         assert np.array_equal(ground_truth_distribution(circ), truth)
         assert np.array_equal(simulate(uncut(circ)), simulate(twin))
         assert grouped == [] and vars(uncut(circ))["_programs"] is programs

@@ -281,7 +281,7 @@ class TestStatisticalDetection:
         assert hits >= 16
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 1: a true golden basis is flagged in 94.05% of "
+                       reason="ROADMAP item 1: a true golden basis is flagged in 94.45% of "
                               "runs here, below the promised 1 - alpha = 95%")
     def test_true_golden_basis_flagged_with_probability_one_minus_alpha(self):
         # the upstream state has real amplitudes, so Y is exactly golden

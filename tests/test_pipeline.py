@@ -330,6 +330,27 @@ class TestExecutedCounts:
         assert stat.cost.variants_executed == 3 + 2
 
 
+class TestTermCount:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_terms_are_the_kept_tuples_and_the_ledger(self, k):
+        # the closed-form term count equals the kept-tuple mask's sum and
+        # the cost ledger's tuples, on both contraction paths
+        circ = load_perfbench("workloads").multicut_circuit(k, 201)
+        f1, f2 = bipartition(circ)
+        cut_ids = tuple(range(1, k + 1))
+        pairs = [(cid, p) for cid in cut_ids for p in (PauliOp.X, PauliOp.Y, PauliOp.Z)]
+        rng = np.random.default_rng(k)
+        a = operator_tensor(f1, ObservableSpec.distribution(f1.output_qubits))
+        b = operator_tensor(f2, ObservableSpec.distribution(f2.output_qubits))
+        for _ in range(12):
+            neglected = frozenset(p for p in pairs if rng.random() < 0.4)
+            run = reconstruct(circ, prune="known", neglect=neglected)
+            kept = int(reconstructor._kept(cut_ids, neglected).sum())
+            assert run.reconstruction.terms_evaluated == kept == run.cost.basis_tuples_contracted
+            pruned = contract_tensors(a.pruned(neglected), b.pruned(neglected))
+            assert pruned.terms_evaluated == kept
+
+
 class TestOracleReuse:
     @pytest.mark.parametrize("prune", ["off", "known", "exact"])
     def test_exact_mode_runs_the_upstream_oracle_once(self, prune, monkeypatch):
@@ -497,8 +518,8 @@ class TestComputedOnce:
         made = load_perfbench("workloads").multicut_circuit(4, 201)
         circ = Circuit(made.n_qubits, made.gates, made.cuts)  # not yet cut
         truth = ground_truth_distribution(circ)
-        counts = {"validate": [], "_group": [], "_block_matrix": []}
-        for module, name in ((circuits, "validate"), (simulator, "_group"),
+        counts = {"validate": [], "_fuse": [], "_block_matrix": []}
+        for module, name in ((circuits, "validate"), (simulator, "_fuse"),
                              (simulator, "_block_matrix")):
             def counting(*args, real=getattr(module, name), seen=counts[name]):
                 seen.append(real(*args))
@@ -507,9 +528,9 @@ class TestComputedOnce:
             monkeypatch.setattr(module, name, counting)
         calls = count_execution(monkeypatch)
         runs = [reconstruct(circ, prune="off")]
-        # one _group per fragment body, one block matrix per block
-        assert len(counts["validate"]) == 1 and len(counts["_group"]) == 2
-        assert len(counts["_block_matrix"]) == sum(map(len, counts["_group"]))
+        # one grouping choice per fragment body, one block matrix per chosen block
+        assert len(counts["validate"]) == 1 and len(counts["_fuse"]) == 2
+        assert len(counts["_block_matrix"]) == sum(map(len, counts["_fuse"]))
         compiled = {name: len(seen) for name, seen in counts.items()}
         runs.append(reconstruct(circ, prune="exact"))
         assert {name: len(seen) for name, seen in counts.items()} == compiled

@@ -209,10 +209,16 @@ def mixed_gates(rng, n, seed):
     return gates
 
 
+def caps(gates):
+    """How many caps _fuse tries: up to FUSE_WIDTH, and no more than the
+    gates' qubit count, past which every cap gives one block."""
+    return min(len({q for g in gates for q in g.qubits}), simulator.FUSE_WIDTH)
+
+
 class TestFusedKernel:
-    """A kept program (evolve, simulate) makes one product per block of up
-    to FUSE_WIDTH qubits at every width, so it agrees with the reference to
-    rounding, not to the bit; apply_gates of the same gates, one product
+    """A kept program (evolve, simulate) makes one product per block of the
+    grouping _fuse chooses, at every width, so it agrees with the reference
+    to rounding, not to the bit; apply_gates of the same gates, one product
     per gate, is the reference to the bit at every width."""
 
     def check(self, state, gates):
@@ -243,18 +249,20 @@ class TestFusedKernel:
         assert np.array_equal(apply_gates(state, ()), state)
 
     def test_only_kept_programs_are_fused(self, monkeypatch):
-        group, seen = simulator._group, []
-        monkeypatch.setattr(simulator, "_group", lambda gates: seen.append(gates) or group(gates))
+        fuse, group, seen = simulator._fuse, simulator._group, []
+        monkeypatch.setattr(simulator, "_fuse", lambda gates: seen.append(gates) or fuse(gates))
+        monkeypatch.setattr(simulator, "_group", lambda gates, cap: seen.append(cap) or group(gates, cap))
         rng = np.random.default_rng(5)
         for n in (2, MAX_QUBITS):
             circ = random_circuit(n, 2, 5)
             apply_gates(random_state(rng, n), circ.gates)
             assert seen == []
             evolve(random_state(rng, n), circ)
-            assert seen == [circ.gates]
+            # one choice, from the grouping at every cap up to the qubit count
+            assert seen == [circ.gates, *range(1, caps(circ.gates) + 1)]
             seen.clear()
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_batched_multicut_downstream_state(self, k, monkeypatch):
         _, f2 = bipartition(load_perfbench("workloads").multicut_circuit(k, 201))
         seen = []
@@ -292,29 +300,36 @@ def gate_lists(draw, max_n=7):
 
 
 class TestKeptPrograms:
-    """evolve compiles a circuit once per state width from its _group
-    blocks and keeps the program on the circuit; apply_gates compiles on
+    """evolve compiles a circuit once per state width from the blocks _fuse
+    chooses and keeps the program on the circuit; apply_gates compiles on
     every call, one product per gate."""
 
     @pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
     def test_evolve_is_apply_gates_compiled_once(self, n, monkeypatch):
         circ = random_circuit(n - 1, 2, n)
-        grouped = []
-        group = simulator._group
+        chosen, built, grouped = [], [], []
+        fuse, block_matrix, group = simulator._fuse, simulator._block_matrix, simulator._group
+        monkeypatch.setattr(simulator, "_fuse",
+                            lambda gates: chosen.append(fuse(gates)) or chosen[-1])
+        monkeypatch.setattr(simulator, "_block_matrix",
+                            lambda qubits, members: built.append(members) or block_matrix(qubits, members))
         monkeypatch.setattr(simulator, "_group",
-                            lambda gates: grouped.append(gates) or group(gates))
+                            lambda gates, cap: grouped.append(gates) or group(gates, cap))
         rng = np.random.default_rng(n)
         for _ in range(2):
             for width in (n, n - 1):
                 state = random_state(rng, width)
                 got, want = evolve(state, circ), apply_gates(state, circ.gates)
                 assert np.max(np.abs(got - want)) < 1e-12
-        # evolve groups once per width; apply_gates never groups
-        assert grouped == [circ.gates] * 2
+        # evolve chooses once per width, from one grouping per cap, and builds
+        # one matrix per chosen block; apply_gates never groups
+        assert grouped == [circ.gates] * caps(circ.gates) * 2
+        assert chosen == [fuse(circ.gates)] * 2
+        assert built == [members for blocks in chosen for _, members in blocks]
         programs = vars(circ)["_programs"]
         assert sorted(programs) == [n - 1, n]
         for steps, _ in programs.values():
-            assert len(steps) == len(group(circ.gates))
+            assert len(steps) == len(chosen[0])
             assert all(not u.flags.writeable for u, _ in steps)
 
     def test_simulate_keeps_the_program_on_the_circuit(self):
@@ -323,7 +338,7 @@ class TestKeptPrograms:
         want = tensordot_apply_gates(np.eye(16, dtype=complex)[0], circ.gates)
         assert np.max(np.abs(psi - want)) < 1e-12
         (steps, _), = vars(circ)["_programs"].values()
-        assert len(steps) == len(simulator._group(circ.gates))
+        assert len(steps) == len(simulator._fuse(circ.gates))
         assert all(not u.flags.writeable for u, _ in steps)
         assert np.array_equal(simulate(circ), psi)
         assert np.array_equal(simulate(Circuit(4, circ.gates, ())), psi)
@@ -338,28 +353,67 @@ class TestKeptPrograms:
         assert np.max(np.abs(evolve(state, circ) - tensordot_apply_gates(state, gates))) < 1e-12
 
 
+def pass_cost(blocks):
+    """The estimated cost of a grouping: FUSE_PASS plus 2^k per k-qubit block."""
+    return sum(simulator.FUSE_PASS + 2 ** len(qubits) for qubits, _ in blocks)
+
+
 class TestGrouping:
     @given(gate_lists())
     def test_blocks_in_order_equal_gates_in_order(self, case):
         n, gates, seed = case
-        blocks = simulator._group(gates)
-        members = [g for _, block in blocks for g in block]
-        assert sorted(map(id, members)) == sorted(map(id, gates))
-        for qubits, block in blocks:
-            union = []
-            for g in block:
-                union += [q for q in g.qubits if q not in union]
-            assert list(qubits) == union
-            assert len(qubits) <= simulator.FUSE_WIDTH or len(block) == 1
-        # per qubit, the gates that touch it keep their order
-        for q in range(n):
-            assert ([id(g) for g in members if q in g.qubits]
-                    == [id(g) for g in gates if q in g.qubits])
         state = random_state(np.random.default_rng(seed), n)
-        ops = [(simulator._block_matrix(qubits, block), qubits) for qubits, block in blocks]
-        got = simulator._apply(state, simulator._plan(ops, n))
         want = tensordot_apply_gates(state, gates)
-        assert np.max(np.abs(got - want)) < 1e-12
+        for cap in range(1, simulator.FUSE_WIDTH + 1):
+            blocks = simulator._group(gates, cap)
+            members = [g for _, block in blocks for g in block]
+            assert sorted(map(id, members)) == sorted(map(id, gates))
+            for qubits, block in blocks:
+                union = []
+                for g in block:
+                    union += [q for q in g.qubits if q not in union]
+                assert list(qubits) == union
+                assert len(qubits) <= cap or len(block) == 1
+            # per qubit, the gates that touch it keep their order
+            for q in range(n):
+                assert ([id(g) for g in members if q in g.qubits]
+                        == [id(g) for g in gates if q in g.qubits])
+            ops = [(simulator._block_matrix(qubits, block), qubits) for qubits, block in blocks]
+            got = simulator._apply(state, simulator._plan(ops, n))
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    @given(gate_lists(MAX_QUBITS))
+    def test_the_chosen_grouping_is_the_cheapest_narrowest_cap(self, case):
+        _, gates, _ = case
+        groupings = [simulator._group(gates, cap) for cap in range(1, simulator.FUSE_WIDTH + 1)]
+        costs = [pass_cost(blocks) for blocks in groupings]
+        chosen = simulator._fuse(gates)
+        assert simulator._fuse(list(gates)) == chosen
+        assert pass_cost(chosen) == min(costs)
+        # a tie goes to the narrowest cap
+        assert chosen == groupings[costs.index(min(costs))]
+
+    def test_wider_blocks_are_chosen_when_they_cost_less(self):
+        # 3 layers of rx + CNOT chain on 6 qubits: one 6-qubit block costs
+        # FUSE_PASS + 64, less than the blocks of any narrower cap
+        gates = [g for _ in range(3) for g in ([rx(0.3, q) for q in range(6)]
+                                                + [cnot(q, q + 1) for q in range(5)])]
+        (qubits, members), = simulator._fuse(gates)
+        assert qubits == list(range(6)) and members == gates
+        assert all(pass_cost(simulator._group(gates, cap)) > simulator.FUSE_PASS + 64
+                   for cap in range(1, 6))
+        # two disjoint 1-qubit gates: one 2-qubit block (FUSE_PASS + 4) beats
+        # two 1-qubit blocks (2 FUSE_PASS + 4)
+        assert simulator._fuse([h(0), h(1)]) == [([0, 1], [h(0), h(1)])]
+
+    def test_a_tie_goes_to_the_narrower_cap(self):
+        # caps 3 and 5 group these gates differently at the same least cost
+        gates = [cnot(2, 1), cnot(5, 0), cnot(3, 1), h(6), cnot(0, 6), h(4)]
+        narrow, wide = simulator._group(gates, 3), simulator._group(gates, 5)
+        assert narrow != wide and pass_cost(narrow) == pass_cost(wide)
+        assert pass_cost(narrow) == min(pass_cost(simulator._group(gates, cap))
+                                        for cap in range(1, simulator.FUSE_WIDTH + 1))
+        assert simulator._fuse(gates) == narrow
 
 
 class TestExactExpectation:

@@ -162,3 +162,46 @@ def test_private_names_are_used():
 
     unused = [name for name, stmt in defined if not read_outside(name, stmt)]
     assert defined and not unused, "private goldcut names nothing reads: %s" % unused
+
+
+# numpy names added in 2.x (np.bool and np.long came back in 2.0 after
+# 1.24 removed them); pyproject.toml promises numpy>=1.24
+NUMPY_2_ONLY = {
+    "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "astype", "bitwise_invert",
+    "bitwise_left_shift", "bitwise_right_shift", "bool", "concat", "cumulative_prod",
+    "cumulative_sum", "isdtype", "long", "matrix_transpose", "matvec", "permute_dims", "pow",
+    "strings", "trapezoid", "ulong", "unique_all", "unique_counts", "unique_inverse",
+    "unique_values", "unstack", "vecdot", "vecmat",
+    *("linalg." + name for name in ("cross", "diagonal", "matmul", "matrix_norm",
+                                    "matrix_transpose", "outer", "svdvals", "tensordot",
+                                    "trace", "vecdot", "vector_norm")),
+}
+
+
+def test_no_numpy_2_only_names():
+    # the package must run on the declared numpy floor, so it reaches no
+    # numpy name that only numpy 2 has, as np.<name>, numpy.<name> or a
+    # from-import
+    import numpy as np
+    if int(np.__version__.split(".")[0]) >= 2:
+        # every listed name is real, so a typo cannot hide a use
+        assert all(_resolves_dotted(np, name) for name in NUMPY_2_ONLY)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute):
+                head, _, name = _dotted(node).partition(".")
+                names = [name] if head in ("np", "numpy") else []
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                prefix = node.module[len("numpy."):] + "." if "." in node.module else ""
+                names = [prefix + a.name for a in node.names]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, n) for n in names if n in NUMPY_2_ONLY]
+    assert not found, "numpy 2-only names in goldcut: %s" % ", ".join(found)
+
+
+def _resolves_dotted(module, dotted):
+    for part in dotted.split("."):
+        module = getattr(module, part, None)
+    return module is not None
