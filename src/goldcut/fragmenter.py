@@ -39,10 +39,10 @@ from .errors import GoldcutError, SupportMismatch, TooWide
 from .seeding import stream
 from .simulator import (
     MAX_QUBITS,
+    _run,
     apply_gates,
     basis_rotation,
     check_shots,
-    evolve,
     exact_distribution,
     sample,
     simulate,
@@ -258,23 +258,19 @@ def downstream_variants(f2: Fragment, neglected=frozenset(), obs=None) -> list:
 
 
 def _layout(fragment):
-    """(K, index, back) of the fragment's pass: upstream the axes cut wires
-    first; downstream each input |b>'s flat index in the batched start
-    state (read-only); back the transpose of the states back after a batch
-    axis (downstream the identity)."""
+    """(wires, order, back) of the fragment's pass: the cut wires in cut
+    order; the axes of the pass's state, cut wires first upstream, qubit
+    order downstream; back the transpose of a batch of such states, after
+    its batch axis, to qubit order."""
     side, n = fragment.side, fragment.circuit.n_qubits
-    wires = [q for _, q in _cuts(fragment, side)]
-    k = len(wires)
+    wires = tuple(q for _, q in _cuts(fragment, side))
     if side == "upstream":
-        order = wires + [q for q in range(n) if q not in wires]
-        return k, order, [0, *(1 + order.index(q) for q in range(n))]
-    if n > MAX_QUBITS:
+        order = [*wires, *(q for q in range(n) if q not in wires)]
+    elif n > MAX_QUBITS:
         raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
-    inputs = np.arange(2 ** k)
-    index = inputs + sum(((inputs >> (k - 1 - j)) & 1) << (n + k - 1 - q)
-                         for j, q in enumerate(wires))
-    index.setflags(write=False)
-    return k, index, list(range(n + 1))
+    else:
+        order = list(range(n))
+    return wires, order, [0, *(1 + order.index(q) for q in range(n))]
 
 
 def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
@@ -287,14 +283,14 @@ def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
     psi[b, x] conj(psi[b', x]) is the cut wires' density matrix with output
     x; downstream row b is the output on input |b> at the cut wires and |0>
     elsewhere, so that product is output x's response to |b><b'|. The
-    downstream pass runs all 2^K inputs at once: K reference axes after the
-    body's own hold sum_b |b>|b>, so it simulates n + K qubits: the
-    MAX_QUBITS cap bounds the fragment's n, not that pass. A fragment
-    without cut qubits, or a readout pair on a qubit that is not an output
-    or with another label, raises ValueError. The fragment keeps its pass
-    layout and its body per readout, the body its program (evolve).
+    downstream pass runs all 2^K inputs at once, as a batch over the cut
+    wires (simulator._run from the 2^K identity): it holds 2^n x 2^K
+    amplitudes at most, and the MAX_QUBITS cap bounds the fragment's n. A
+    fragment without cut qubits, or a readout pair on a qubit that is not
+    an output or with another label, raises ValueError. The fragment keeps
+    its pass layout and its body per readout, the body its program.
     """
-    k, index, _ = fragment._keep("_layout", None, lambda: _layout(fragment))
+    wires, order, _ = fragment._keep("_layout", None, lambda: _layout(fragment))
     readout = tuple(map(tuple, readout))
     if any(q not in fragment.output_qubits or p not in ("X", "Y") for q, p in readout):
         raise ValueError("readout %r does not fit the fragment outputs %s"
@@ -302,12 +298,10 @@ def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
     body = fragment._keep("_bodies", readout, lambda: Circuit(
         fragment.circuit.n_qubits, fragment.circuit.gates + tuple(
             g for q, p in readout for g in basis_rotation(PauliOp(p), q)), ()))
-    n = body.n_qubits
     if fragment.side == "upstream":
-        return simulate(body).reshape((2,) * n).transpose(index).reshape(2 ** k, -1)
-    psi = np.zeros(2 ** (n + k), dtype=complex)
-    psi[index] = 1.0
-    return evolve(psi, body).reshape(2 ** n, 2 ** k).T
+        n = body.n_qubits
+        return simulate(body).reshape((2,) * n).transpose(order).reshape(2 ** len(wires), -1)
+    return _run(body, np.eye(2 ** len(wires), dtype=complex), wires).T
 
 
 def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=()):

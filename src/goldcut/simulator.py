@@ -4,12 +4,17 @@ A state is a plain complex vector of 2^n amplitudes. Everything here is an
 infinite-shot oracle except sample(), which returns the per-outcome counts
 of a multinomial draw from the exact Born distribution. Outcome indices
 follow the package-wide bitstring convention: qubit 0 is the most
-significant (leftmost) bit. A program evolve keeps (per circuit object
-and state width; simulate's too) makes one product per block of the
-cheapest grouping (_fuse), whose matrix fuses the block's gates, so it
-agrees with a tensordot loop to rounding (1e-12 in the tests). apply_gates
-compiles on every call, one product per gate, the very product
-np.tensordot makes, so it equals a tensordot loop to the bit.
+significant (leftmost) bit. One kernel (_run) runs a circuit from a
+start over some live wires, every other wire in |0>: simulate from no
+live wire, evolve from all, the downstream cut pass from the cut wires
+with a batch of inputs. Each product takes only the columns where the
+block's not-yet-live wires are 0, so the state grows by those wires as
+it goes. The program is kept per circuit object and live-wire tuple and
+makes one product per block of the cheapest grouping (_fuse), whose
+matrix fuses the block's gates, so it agrees with a tensordot loop to
+rounding (1e-12 in the tests). apply_gates compiles on every call, one
+product per gate, the very product np.tensordot makes, so it equals a
+tensordot loop to the bit.
 """
 from __future__ import annotations
 
@@ -104,43 +109,84 @@ def simulate(circuit: Circuit) -> np.ndarray:
         raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
     if circuit.cuts:
         raise ValueError("simulate takes plain circuits; bipartition cut circuits first")
-    return evolve(np.eye(1, 2 ** n, dtype=complex)[0], circuit)
+    return _run(circuit, np.ones((1, 1), dtype=complex), ()).reshape(-1)
 
 
 def evolve(psi: np.ndarray, circuit: Circuit) -> np.ndarray:
     """apply_gates(psi, circuit.gates) to rounding, by the fused program kept
-    on the circuit per state width, compiled on first use."""
-    n = _width(psi)
-    return _apply(psi, circuit._keep("_programs", n, lambda: _plan(
-        [(_block_matrix(q, m), q) for q, m in _fuse(circuit.gates)], n)))
+    on the circuit, compiled on first use. Axes of psi past the circuit's
+    qubits are a batch; a narrower psi raises ValueError."""
+    n, width = circuit.n_qubits, _width(psi)
+    if width < n:
+        raise ValueError("a %d-qubit state is narrower than the %d-qubit circuit" % (width, n))
+    return _run(circuit, psi.reshape(2 ** n, -1), tuple(range(n))).reshape(-1)
 
 
 def apply_gates(psi: np.ndarray, gates) -> np.ndarray:
     """Apply a gate sequence to any state, one product per gate, compiled
-    anew on every call; the input state is left intact."""
-    return _apply(psi, _plan([(gate_matrix(g), g.qubits) for g in gates], _width(psi)))
+    anew on every call; the input state is left intact. A gate on a qubit
+    outside the state raises ValueError before any work."""
+    n, qubits = _width(psi), [q for g in gates for q in g.qubits]
+    if qubits and not 0 <= min(qubits) <= max(qubits) < n:
+        raise ValueError("gates on qubits %d..%d do not fit a %d-qubit state"
+                         % (min(qubits), max(qubits), n))
+    program = _plan([(g.qubits, g) for g in gates], n, range(n), _gate_columns)
+    return _apply(psi.reshape(-1, 1), program).reshape(-1)
 
 
-def _plan(ops, n):
-    """(matrix, qubits) ops as a program (steps, back): per op its matrix,
-    made read-only, and the transpose from the previous op's axes to (its
-    qubits, the rest ascending); back restores qubit order at the end."""
-    steps, order = [], list(range(n))
-    for u, qubits in ops:
-        front = [*qubits, *(q for q in range(n) if q not in qubits)]
+def _run(circuit, start, live):
+    """The states circuit's gates make from start, a (2^len(live), batch)
+    array over the live wires (live[0] its most significant bit) with every
+    other wire in |0>, as a (2^n, batch) array in qubit order. The fused
+    program is kept on the circuit per live tuple, compiled on first use."""
+    return _apply(start, circuit._keep("_programs", live, lambda: _plan(
+        _fuse(circuit.gates), circuit.n_qubits, live, _block_matrix)))
+
+
+def _plan(ops, n, live, matrix):
+    """The program that runs (qubits, item) ops on a start over the live
+    wires of n: per op matrix(qubits, item, held), made read-only, held
+    being its qubits already live, and the shape and transpose that put
+    held first, then the other live wires ascending, then the batch; the
+    op's other qubits become live. Then the final shape, the transpose to
+    qubit order and, if some wire never became live, where the state sits
+    in the full one (those wires |0>)."""
+    steps, order = [], list(live)
+    for qubits, item in ops:
+        held = [q for q in qubits if q in order]
+        rest = sorted(q for q in order if q not in qubits)
+        u = matrix(qubits, item, held)
         u.setflags(write=False)
-        steps.append((u, [order.index(q) for q in front]))
-        order = front
-    return steps, sorted(range(n), key=order.__getitem__)
+        steps.append((u, (2,) * len(order) + (-1,),
+                      [*(order.index(q) for q in held + rest), len(order)]))
+        order = [*qubits, *rest]
+    back = [*sorted(range(len(order)), key=order.__getitem__), len(order)]
+    fill = None if len(order) == n else tuple(slice(None) if q in order else 0 for q in range(n))
+    return steps, (2,) * len(order) + (-1,), back, fill
 
 
 def _apply(psi, program):
-    """The kernel: per step, one np.dot on the state as the step transposes it."""
-    steps, back = program
-    shape = (2,) * len(back)
-    for u, axes in steps:
-        psi = np.dot(u, psi.reshape(shape).transpose(axes).reshape(len(u), -1))
-    return psi.reshape(shape).transpose(back).reshape(-1)
+    """The kernel: per step, one np.dot on the state as the step transposes
+    it; the state grows by the step's new wires."""
+    steps, shape, back, fill = program
+    for u, before, axes in steps:
+        psi = np.dot(u, psi.reshape(before).transpose(axes).reshape(u.shape[1], -1))
+    psi = psi.reshape(shape).transpose(back)
+    if fill is None:
+        return psi.reshape(-1, psi.shape[-1])
+    full = np.zeros((2,) * len(fill) + psi.shape[-1:], dtype=complex)
+    full[fill] = psi
+    return full.reshape(-1, psi.shape[-1])
+
+
+def _gate_columns(qubits, gate, held):
+    """gate_matrix(gate) over qubits (in the gate's order) on the columns
+    where those outside held are 0."""
+    if len(held) == len(qubits):
+        return gate_matrix(gate)
+    u = gate_matrix(gate).reshape((-1,) + (2,) * len(qubits))
+    return u[(slice(None),) + tuple(slice(None) if q in held else 0 for q in qubits)
+             ].reshape(len(u), -1)
 
 
 def _fuse(gates) -> list:
@@ -174,15 +220,16 @@ def _group(gates, cap) -> list:
     return blocks
 
 
-def _block_matrix(qubits, members) -> np.ndarray:
-    """A block's matrix over its qubits, in their order: the kernel run on
-    the block's 2k-qubit identity, or a lone gate's gate_matrix."""
+def _block_matrix(qubits, members, held) -> np.ndarray:
+    """A block's matrix over its qubits, in their order, on the columns
+    where those outside held are 0: the kernel run from the identity over
+    the held qubits, or a lone gate's _gate_columns."""
     if len(members) == 1:
-        return gate_matrix(members[0])
-    k, local = len(qubits), {q: j for j, q in enumerate(qubits)}
-    u = _apply(np.eye(2 ** k, dtype=complex).reshape(-1),
-               _plan([(gate_matrix(g), [local[q] for q in g.qubits]) for g in members], 2 * k))
-    return u.reshape(2 ** k, -1)
+        return _gate_columns(qubits, members[0], held)
+    local = {q: j for j, q in enumerate(qubits)}
+    return _apply(np.eye(2 ** len(held), dtype=complex), _plan(
+        [([local[q] for q in g.qubits], g) for g in members], len(qubits),
+        [local[q] for q in held], _gate_columns))
 
 
 def exact_distribution(psi: np.ndarray, qubits) -> np.ndarray:

@@ -19,7 +19,7 @@ from hypothesis import settings
 import goldcut.fragmenter as fragmenter
 from goldcut.circuits import Circuit, CutPoint, PauliOp, cnot, gate_matrix, random_circuit
 from goldcut.fragmenter import _PREP_GATES
-from goldcut.simulator import _width, basis_rotation, evolve, simulate
+from goldcut.simulator import _run, basis_rotation, simulate
 
 settings.register_profile("goldcut", derandomize=True, deadline=None, max_examples=25)
 settings.load_profile("goldcut")
@@ -37,20 +37,20 @@ def load_perfbench(name):
 
 
 def count_execution(monkeypatch):
-    """Record the fragmenter's simulate calls as "simulate" and its
-    evolve calls by the width of the state they act on."""
+    """Record the fragmenter's simulate calls as "simulate" and its _run
+    calls as (live wires, shape of the start)."""
     calls = []
 
     def counting_simulate(circuit):
         calls.append("simulate")
         return simulate(circuit)
 
-    def counting_evolve(state, circuit):
-        calls.append(_width(state))
-        return evolve(state, circuit)
+    def counting_run(circuit, start, live):
+        calls.append((live, start.shape))
+        return _run(circuit, start, live)
 
     monkeypatch.setattr(fragmenter, "simulate", counting_simulate)
-    monkeypatch.setattr(fragmenter, "evolve", counting_evolve)
+    monkeypatch.setattr(fragmenter, "_run", counting_run)
     return calls
 
 

@@ -219,8 +219,9 @@ class TestRun:
         # once for the truth and once per trial before
         path = ansatz_path(tmp_path)
         want, seen = uncut(load(str(path))), []
-        evolve = simulator.evolve
-        monkeypatch.setattr(simulator, "evolve", lambda psi, c: seen.append(c) or evolve(psi, c))
+        run = simulator._run
+        monkeypatch.setattr(simulator, "_run",
+                            lambda c, start, live: seen.append(c) or run(c, start, live))
         assert main(["run", "--circuit", str(path), "--trials", "3", "--shots", "100",
                      "--out", str(tmp_path / "run.csv")]) == 0
         assert [c for c in seen if c == want] == [want]

@@ -364,13 +364,13 @@ class TestRunOnce:
         variants, bodies = variant_lists(frag, k)[name]
         calls = count_execution(monkeypatch)
         results = run_fragment(frag, variants)
-        n = frag.circuit.n_qubits
         if frag.side == "upstream":
             # one simulation per body; each key's state is a map of its amplitudes
             assert calls == ["simulate"] * bodies
         else:
-            # one batched pass per body over its wires plus K reference axes
-            assert calls == [n + k] * bodies
+            # one batched pass per body from the 2^K identity over the cut wires
+            wires = tuple(q for _, q in frag.downstream_cut_qubits)
+            assert calls == [(wires, (2 ** k, 2 ** k))] * bodies
         assert len(results) == len(variants)
         for key, r in zip(variants, results):
             assert r.key == key

@@ -308,7 +308,7 @@ class TestExecutedCounts:
         # of the upstream body and one batched pass over the downstream one
         if shots is None:
             assert runs == []
-            assert calls == ["simulate", f2.circuit.n_qubits + 3]
+            assert calls == ["simulate", (cut_wires(f2), (8, 8))]
             return
         ran = dict(runs)
         assert sorted(ran) == ["downstream", "upstream"] and len(runs) == 2
@@ -373,7 +373,7 @@ class TestOracleReuse:
         run = reconstruct(circ, prune=prune, neglect=neglect)
         pruned = prune != "off"
         assert runs == []
-        assert calls == ["simulate", f2.circuit.n_qubits + 1]
+        assert calls == ["simulate", (cut_wires(f2), (2, 2))]
         assert run.cost.variants_executed == (6 if pruned else 9)
         assert run.golden.entry(1, "Y").golden
         want = ground_truth_distribution(circ)
@@ -502,6 +502,11 @@ class TestReconstructProperty:
         assert abs(got - exact_expectation(simulate(uncut(circ)), obs)) <= 1e-10
 
 
+def cut_wires(fragment):
+    """The fragment's downstream cut wires, in cut order."""
+    return tuple(q for _, q in fragment.downstream_cut_qubits)
+
+
 def run_bytes(run):
     """Every output of a run, as bytes."""
     rec = run.reconstruction
@@ -534,8 +539,9 @@ class TestComputedOnce:
         compiled = {name: len(seen) for name, seen in counts.items()}
         runs.append(reconstruct(circ, prune="exact"))
         assert {name: len(seen) for name, seen in counts.items()} == compiled
-        # one upstream simulation and one batched 10 + 4 qubit downstream pass per call
-        assert calls == ["simulate", 14] * 2
+        # one upstream simulation and one downstream pass per call, from the
+        # 16 x 16 identity over the 4 cut wires
+        assert calls == ["simulate", (cut_wires(bipartition(circ)[1]), (16, 16))] * 2
         for run in runs:
             assert np.max(np.abs(run.raw_distribution - truth)) <= 1e-10
 
@@ -573,12 +579,15 @@ class TestComputedOnce:
         obs = ObservableSpec.pauli_string("XY", (0, circ.n_qubits - 1))
         reconstruct(circ, obs)
         reconstruct(circ, shots=50)
-        bodies = [b for f in bipartition(circ) for b in vars(f)["_bodies"].values()]
+        f1, f2 = bipartition(circ)
+        bodies = [(b, live) for f, live in ((f1, ()), (f2, cut_wires(f2)))
+                  for b in vars(f)["_bodies"].values()]
         assert len(bodies) == 4  # a readout and none, per fragment
-        for body in bodies:
-            (steps, _), = vars(body)["_programs"].values()
-            assert steps
-            for u, _ in steps:
+        for body, live in bodies:
+            # upstream from no live wire, downstream from the cut wires
+            (key, (steps, *_)), = vars(body)["_programs"].items()
+            assert key == live and steps
+            for u, *_ in steps:
                 with pytest.raises(ValueError, match="read-only"):
                     u[0, 0] = 0.0
 
@@ -712,8 +721,8 @@ class TestKeptPlan:
                 reconstruct(circ, obs, shots=shots, prune=prune)
         ground_truth_distribution(circ)
         arrays = kept_arrays(circ)
-        # programs of 3 bodies and the uncut twin, 2 read weights, the
-        # permutation and the downstream start indices at least
+        # the block matrices of the programs of 3 bodies and the uncut twin,
+        # 2 read weights and the permutation at least
         assert len(arrays) > 8
         for array in arrays:
             assert not array.flags.writeable

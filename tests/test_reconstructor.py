@@ -579,8 +579,8 @@ class TestContractOperator:
     operator_tensor pruned as A is, and rejects what that route rejects."""
 
     def test_five_cut_pass_wider_than_the_fragment_cap(self):
-        # MAX_QUBITS bounds the fragment; the downstream pass adds one
-        # reference axis per cut: 11 + 5 = 16 qubits here
+        # MAX_QUBITS bounds the fragment; the downstream pass holds 2^11 x 2^5
+        # amplitudes here, as many as a 16-qubit state
         circ = load_perfbench("workloads").multicut_circuit(5, 201)
         _, f2 = bipartition(circ)
         assert f2.circuit.n_qubits <= MAX_QUBITS < f2.circuit.n_qubits + 5

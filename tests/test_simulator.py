@@ -113,6 +113,46 @@ def tensordot_apply_gates(state, gates):
     return psi.reshape(-1)
 
 
+def dense_start(start, live, n):
+    """A (2^len(live), batch) start over the live wires (live[0] most
+    significant), every other wire |0>, as (2^n, batch) by index arithmetic."""
+    full = np.zeros((2 ** n, start.shape[1]), dtype=complex)
+    for i, row in enumerate(start):
+        full[sum(((i >> (len(live) - 1 - j)) & 1) << (n - 1 - q) for j, q in enumerate(live))] = row
+    return full
+
+
+def check_run(circuit, start, live):
+    """_run against the reference run on each column of start (x) |0>, within
+    1e-12; returns _run's states."""
+    got = simulator._run(circuit, start, live)
+    want = np.stack([tensordot_apply_gates(column, circuit.gates)
+                     for column in dense_start(start, live, circuit.n_qubits).T], axis=1)
+    assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-12
+    return got
+
+
+def check_downstream_pass(f2, check, monkeypatch):
+    """cut_amplitudes(f2) runs one pass of its body from the 2^K identity
+    over the cut wires, which check(column, gates) accepts on every start
+    column (x) |0>; its rows are the pass's states, which check_run accepts."""
+    seen = []
+
+    def checking_run(circuit, start, live):
+        for column in dense_start(start, live, circuit.n_qubits).T:
+            check(column, circuit.gates)
+        seen.append((live, start.copy(), check_run(circuit, start, live)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(fragmenter, "_run", checking_run)
+    psi = fragmenter.cut_amplitudes(f2)
+    (live, start, states), = seen
+    k = len(live)
+    assert live == tuple(q for _, q in f2.downstream_cut_qubits)
+    assert np.array_equal(start, np.eye(2 ** k))
+    assert np.array_equal(psi, states.T) and psi.shape == (2 ** k, 2 ** f2.circuit.n_qubits)
+
+
 def haar_unitary(rng, k):
     dim = 2 ** k
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
@@ -169,19 +209,10 @@ class TestKernel:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_batched_downstream_state(self, k, monkeypatch):
-        # cut_amplitudes runs all 2^K inputs at once, with K reference axes
-        # after the fragment's own qubits that no gate touches
+        # cut_amplitudes runs all 2^K inputs at once, as a batch from the
+        # 2^K identity over the cut wires, every other wire |0>
         _, f2 = bipartition(make_cut_circuit(4, 4, k, 2, 60 + k))
-        seen = []
-
-        def checking_evolve(state, circuit):
-            self.check(state, circuit.gates)
-            seen.append(_width(state))
-            return evolve(state, circuit)
-
-        monkeypatch.setattr(fragmenter, "evolve", checking_evolve)
-        fragmenter.cut_amplitudes(f2)
-        assert seen == [f2.circuit.n_qubits + k]
+        check_downstream_pass(f2, self.check, monkeypatch)
 
     def test_simulate_start_state_is_the_kron_chain(self):
         # |0...0>, bitwise; a product start is the device circuit's job
@@ -265,16 +296,7 @@ class TestFusedKernel:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_batched_multicut_downstream_state(self, k, monkeypatch):
         _, f2 = bipartition(load_perfbench("workloads").multicut_circuit(k, 201))
-        seen = []
-
-        def checking_evolve(state, circuit):
-            self.check(state, circuit.gates)
-            seen.append(_width(state))
-            return evolve(state, circuit)
-
-        monkeypatch.setattr(fragmenter, "evolve", checking_evolve)
-        fragmenter.cut_amplitudes(f2)
-        assert seen == [f2.circuit.n_qubits + k]
+        check_downstream_pass(f2, self.check, monkeypatch)
 
 
 @st.composite
@@ -300,9 +322,10 @@ def gate_lists(draw, max_n=7):
 
 
 class TestKeptPrograms:
-    """evolve compiles a circuit once per state width from the blocks _fuse
-    chooses and keeps the program on the circuit; apply_gates compiles on
-    every call, one product per gate."""
+    """evolve compiles a circuit once per live-wire tuple (all its qubits;
+    wider states are a batch) from the blocks _fuse chooses and keeps the
+    program on the circuit; apply_gates compiles on every call, one product
+    per gate."""
 
     @pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
     def test_evolve_is_apply_gates_compiled_once(self, n, monkeypatch):
@@ -311,8 +334,8 @@ class TestKeptPrograms:
         fuse, block_matrix, group = simulator._fuse, simulator._block_matrix, simulator._group
         monkeypatch.setattr(simulator, "_fuse",
                             lambda gates: chosen.append(fuse(gates)) or chosen[-1])
-        monkeypatch.setattr(simulator, "_block_matrix",
-                            lambda qubits, members: built.append(members) or block_matrix(qubits, members))
+        monkeypatch.setattr(simulator, "_block_matrix", lambda qubits, members, held: (
+            built.append((members, held)) or block_matrix(qubits, members, held)))
         monkeypatch.setattr(simulator, "_group",
                             lambda gates, cap: grouped.append(gates) or group(gates, cap))
         rng = np.random.default_rng(n)
@@ -321,25 +344,28 @@ class TestKeptPrograms:
                 state = random_state(rng, width)
                 got, want = evolve(state, circ), apply_gates(state, circ.gates)
                 assert np.max(np.abs(got - want)) < 1e-12
-        # evolve chooses once per width, from one grouping per cap, and builds
-        # one matrix per chosen block; apply_gates never groups
-        assert grouped == [circ.gates] * caps(circ.gates) * 2
-        assert chosen == [fuse(circ.gates)] * 2
-        assert built == [members for blocks in chosen for _, members in blocks]
+        # evolve chooses once for both widths, from one grouping per cap, and
+        # builds one matrix per chosen block, on all its columns since every
+        # wire is live; apply_gates never groups
+        assert grouped == [circ.gates] * caps(circ.gates)
+        assert chosen == [fuse(circ.gates)]
+        assert built == [(members, qubits) for qubits, members in chosen[0]]
         programs = vars(circ)["_programs"]
-        assert sorted(programs) == [n - 1, n]
-        for steps, _ in programs.values():
-            assert len(steps) == len(chosen[0])
-            assert all(not u.flags.writeable for u, _ in steps)
+        assert list(programs) == [tuple(range(n - 1))]
+        (steps, *_), = programs.values()
+        assert len(steps) == len(chosen[0])
+        assert all(not u.flags.writeable for u, *_ in steps)
 
     def test_simulate_keeps_the_program_on_the_circuit(self):
         circ = random_circuit(4, 3, 2)
         psi = simulate(circ)
         want = tensordot_apply_gates(np.eye(16, dtype=complex)[0], circ.gates)
         assert np.max(np.abs(psi - want)) < 1e-12
-        (steps, _), = vars(circ)["_programs"].values()
+        # simulate runs from no live wire
+        ((live, (steps, *_)),) = vars(circ)["_programs"].items()
+        assert live == ()
         assert len(steps) == len(simulator._fuse(circ.gates))
-        assert all(not u.flags.writeable for u, _ in steps)
+        assert all(not u.flags.writeable for u, *_ in steps)
         assert np.array_equal(simulate(circ), psi)
         assert np.array_equal(simulate(Circuit(4, circ.gates, ())), psi)
 
@@ -351,6 +377,62 @@ class TestKeptPrograms:
         assert np.max(np.abs(simulate(circ) - tensordot_apply_gates(start, gates))) < 1e-12
         state = random_state(np.random.default_rng(seed), n)
         assert np.max(np.abs(evolve(state, circ) - tensordot_apply_gates(state, gates))) < 1e-12
+
+
+class TestGrowingState:
+    """_run starts from the live wires alone and grows the state by each
+    block's new wires, filling the never-touched ones in as |0> at the end;
+    one program per live-wire tuple serves any batch."""
+
+    @given(gate_lists(MAX_QUBITS), st.data())
+    def test_run_matches_the_reference_from_any_live_wires(self, case, data):
+        n, gates, seed = case
+        live = tuple(data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))])
+        rng = np.random.default_rng(seed)
+        circ = Circuit(n, tuple(gates), ())
+        for batch in data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)):
+            shape = (2 ** len(live), batch)
+            check_run(circ, rng.normal(size=shape) + 1j * rng.normal(size=shape), live)
+        assert list(vars(circ)["_programs"]) == [live]
+
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+    def test_empty_circuit_is_bitwise_the_zero_state(self, n):
+        zero = np.eye(1, 2 ** n, dtype=complex)[0]
+        assert simulate(Circuit(n, (), ())).tobytes() == zero.tobytes()
+
+    def test_untouched_wires_are_zero(self):
+        # wire 1 is neither live nor touched; wire 3 is live but untouched
+        start = np.array([[0.6, 0.8j], [0.8, -0.6j]])
+        got = check_run(Circuit(4, (h(0), cnot(0, 2)), ()), start, (3,))
+        assert not np.any(got.reshape(2, 2, 2, 2, 2)[:, 1])
+
+
+class TestWidthBoundary:
+    """A state narrower than the gates' qubits raised 'ValueError: 1 is not
+    in list' from inside the compiler; now both widths are named before
+    anything is compiled or run."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        for name in ("_plan", "_apply"):
+            real = getattr(simulator, name)
+            monkeypatch.setattr(simulator, name, lambda *a, real=real: calls.append(a) or real(*a))
+        return calls
+
+    def test_evolve_names_both_widths(self, kernel_calls):
+        circ = Circuit(3, (h(0), cnot(0, 1)), ())
+        with pytest.raises(ValueError, match="a 2-qubit state is narrower than the 3-qubit circuit"):
+            evolve(np.full(4, 0.5, dtype=complex), circ)
+        assert kernel_calls == [] and "_programs" not in vars(circ)
+
+    @pytest.mark.parametrize("qubit", [2, 5, -1])
+    def test_apply_gates_names_both_widths(self, qubit, kernel_calls):
+        gates = [h(0), Gate("cnot", (qubit, 1))]
+        with pytest.raises(ValueError, match=r"gates on qubits %d\.\.%d do not fit a 2-qubit state"
+                           % (min(qubit, 0), max(qubit, 1))):
+            apply_gates(np.full(4, 0.5, dtype=complex), gates)
+        assert kernel_calls == []
 
 
 def pass_cost(blocks):
@@ -378,8 +460,8 @@ class TestGrouping:
             for q in range(n):
                 assert ([id(g) for g in members if q in g.qubits]
                         == [id(g) for g in gates if q in g.qubits])
-            ops = [(simulator._block_matrix(qubits, block), qubits) for qubits, block in blocks]
-            got = simulator._apply(state, simulator._plan(ops, n))
+            got = simulator._apply(state.reshape(-1, 1), simulator._plan(
+                blocks, n, range(n), simulator._block_matrix)).reshape(-1)
             assert np.max(np.abs(got - want)) < 1e-12
 
     @given(gate_lists(MAX_QUBITS))

@@ -23,7 +23,7 @@ def test_no_assert_statements():
 
 def test_no_module_level_caches():
     # what is derived from a circuit lives on that object (bipartition,
-    # simulator.evolve), as long as it does; a functools cache keyed by
+    # simulator._run), as long as it does; a functools cache keyed by
     # argument would keep it for as long as the process
     banned = {"functools.lru_cache", "functools.cache"}
     found = []
