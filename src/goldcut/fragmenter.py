@@ -19,12 +19,12 @@ side (AMPLITUDE_MAPS) takes a cut's computational bit to the amplitude
 rows of its labels: upstream the bras of each setting's +1 and -1
 eigenstates (rows X0 X1 Y0 Y1 Z0 Z1, the outcome bit last), downstream
 the preparations' eigenstates (Zp .. Ym). _map_cuts applies it along
-every cut axis of psi, one block of leading-cut labels at a time, and
-each key picks its rows by label index; upstream the outcome bits then
-move back to their wires. Each variant's result is one probability
-vector over its local qubits: the exact Born probabilities, or the
-frequencies of a multinomial draw of so many shots, all draws of a call
-taken in turn from one seeded stream.
+every cut axis of psi, each block of leading-cut labels straight from
+psi, and each key picks its rows by label index; upstream the outcome
+bits then move back to their wires. Each variant's result is one
+probability vector over its local qubits: the exact Born probabilities,
+or the frequencies of a multinomial draw of so many shots, all draws of
+a call taken in turn from one seeded stream.
 """
 from __future__ import annotations
 
@@ -84,10 +84,9 @@ AMPLITUDE_MAPS = {
 
 
 def _map_cuts(maps, data):
-    """maps[j] along the j-th axis of columns of data, after its first axis of
-    rows of maps applied before (1 if none): the rows of every map, in cut
-    order, then the rest, so _map_cuts(b, _map_cuts(a, x)) is _map_cuts(a + b, x)."""
-    rows = len(data)
+    """maps[j] along the j-th axis of columns of data (its leading axes, in
+    C order): the rows of every map, in cut order, then the rest."""
+    rows = 1
     for cut_map in maps:
         data = np.matmul(cut_map, data.reshape(rows, cut_map.shape[1], -1))
         rows *= cut_map.shape[0]
@@ -338,15 +337,9 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     _, _, back = fragment._keep("_layout", None, lambda: _layout(fragment))
     results = [None] * len(variants)
     for readout, group in itertools.groupby(canonical, key=lambda e: e[0]):
-        # prefix[m]: (labels of the first m cuts, psi mapped by them); sorted
-        # blocks share leading labels, so each product is kept while they do
-        prefix = [((), cut_amplitudes(fragment, readout).reshape(1, -1))]
-        for first, members in itertools.groupby(group, key=lambda e: e[1][:lead]):
-            while prefix[-1][0] != first[:len(prefix) - 1]:
-                prefix.pop()
-            for m in range(len(prefix) - 1, lead):
-                prefix.append((first[:m + 1], _map_cuts([by_label[first[m]]], prefix[-1][1])))
-            phi = _map_cuts([table] * (k - lead), prefix[-1][1]).reshape(shape)
+        psi = np.ascontiguousarray(cut_amplitudes(fragment, readout))  # once, not per block
+        for head, members in itertools.groupby(group, key=lambda e: e[1][:lead]):
+            phi = _map_cuts([by_label[j] for j in head] + [table] * (k - lead), psi).reshape(shape)
             members = list(members)
             picks = zip(*(index[lead:] for _, index, _ in members))
             states = phi[(slice(None),) * lead + sum(((list(j), slice(None)) for j in picks), ())]

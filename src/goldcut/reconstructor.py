@@ -6,17 +6,17 @@ with one axis per cut, a fixed per-cut map applied along each of those
 axes by fragmenter._map_cuts, the helper that also maps every variant's
 amplitudes in run_fragment (the wire-cut identity of Peng, Harrow, Ozols
 and Wu, PRL 125, 150504, 2020), then FragmentTensor.pruned, the only code
-that zeroes the rows of neglected bases. build_tensor reads variant results,
-exact or sampled: six data columns per cut, upstream the (setting, outcome
-bit) pairs X0 X1 Y0 Y1 Z0 Z1, downstream the preparations Zp Zm Xp Xm Yp
-Ym, which a 4x6 map per side (SIDE_MAPS) takes to the basis rows I, X, Y,
-Z. A Pauli row is the signed difference of its two columns, and the
-identity row adds the two Z columns. operator_tensor reads the exact cut
-operator instead: the four pairs (b, b') of computational bits per cut,
-4^K data instead of 6^K variants, mapped by OPERATOR_MAPS. A neglected set
-is checked once, by fragmenter's rule, wherever it is read. The uncut
-expectation is (1/2^K) * sum over kept M of A[M] * B[M], and the uncut
-distribution the same sum per output bitstring pair; contract_tensors
+that zeroes the rows of neglected bases. build_tensor reads the results of
+kept labels only, exact or sampled: six data columns per cut, upstream the
+(setting, outcome bit) pairs X0 X1 Y0 Y1 Z0 Z1, downstream the preparations
+Zp Zm Xp Xm Yp Ym, which a 4x6 map per side (SIDE_MAPS) takes to the basis
+rows I, X, Y, Z. A Pauli row is the signed difference of its two columns,
+and the identity row adds the two Z columns. operator_tensor reads the
+exact cut operator instead: the four pairs (b, b') of computational bits
+per cut, 4^K data instead of 6^K variants, mapped by OPERATOR_MAPS. A
+neglected set is checked once, by fragmenter's rule, wherever it is read.
+The uncut expectation is (1/2^K) * sum over kept M of A[M] * B[M], and the
+uncut distribution the same sum per output bitstring pair; contract_tensors
 reads which from the tensors' mode. contract_operator gives the exact
 result without building B: the sum over M moves onto A, which the
 transposed downstream OPERATOR_MAPS take to one cut operator per upstream
@@ -132,18 +132,19 @@ def _tensor(side, cut_ids, obs, entries, source, out_bits) -> FragmentTensor:
 def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     """Assemble the signed tensor for one side from its variant results.
 
-    Each result supplies data columns per cut (see SIDE_MAPS), stacked and
-    scattered in place one run of keys at a time; the tensor is the side's
-    4x6 map applied along every cut axis, one block of columns at a time,
-    then pruned of the (cut_id, basis) pairs in neglected. The variants
-    that upstream_variants / downstream_variants keep for neglected must be
-    present; others may be, and feed only pruned rows. For a repeated key
-    the last result counts. A result of the other side raises WrongSide;
-    a key that breaks run_fragment's rule (_key_index) for the cuts of the
-    first result's cut_bits (upstream) or of most keys (downstream, the
-    first such in a tie), a readout other than obs needs (its X/Y factors,
-    in obs order), or cut_bits or a count of 2^n probabilities other than
-    the first result's raise ValueError.
+    Each result supplies data columns per cut (see SIDE_MAPS). Only the
+    results of the labels that upstream_variants / downstream_variants keep
+    for neglected are read, and a missing one raises MissingVariant; the
+    tensor is the kept columns of the side's 4x6 map applied along every cut
+    axis, then pruned of the (cut_id, basis) pairs in neglected. Results of
+    other labels are checked but never read, so not even a NaN in them
+    reaches the tensor. The order of the results does not matter, except
+    that for a repeated key the last counts. A result of the other side
+    raises WrongSide; a key that breaks run_fragment's rule (_key_index) for
+    the cuts of the first result's cut_bits (upstream) or of most keys
+    (downstream, the first such in a tie), a readout other than obs needs
+    (its X/Y factors, in obs order), or cut_bits or a count of 2^n
+    probabilities other than the first result's raise ValueError.
     The output bits are the local bits other than the cut bits, in order.
     """
     if not results:
@@ -175,47 +176,43 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     if len(out_bits) + len(cut_axes) != n:
         raise ValueError("cut bits %s are not distinct bits of %d" % (first.cut_bits, n))
     readout, weights = _read(obs, out_bits)
-    tail = (2 ** len(out_bits),) if dist else ()
-    found = {}  # label indices -> position of the last result with that key
-    for i, r in enumerate(results):
-        found[tuple(_key_index(r.key, side, cut_ids))] = i
+    found = {}  # label indices -> probabilities of the last result with that key
+    for r in results:
+        found[tuple(_key_index(r.key, side, cut_ids))] = r.probs
         if (r.cut_bits, np.size(r.probs)) != (first.cut_bits, 2 ** n):
             raise ValueError("result cut bits and length %s differ from the first result's %s"
                              % ((r.cut_bits, np.size(r.probs)), (first.cut_bits, 2 ** n)))
         if r.key.readout != readout:
             raise ValueError("variant read out as %s, the observable needs %s"
                              % (r.key.readout, readout))
-    for combo in itertools.product(*(_kept_labels(side, dropped[cid]) for cid in cut_ids)):
-        if tuple(labels.index(lab) for lab in combo) not in found:
-            raise MissingVariant("missing %s variant %s" % (side, combo))
 
-    # Beyond K = 2 a block fixes the first cut's label, so 6^(K-1) columns
-    # are held, not 6^K; its axes are each free cut's (label, outcome bit),
-    # the fixed cut's bits (mapped last) and the tail. Results that share all
-    # but the last two labels are stacked, transposed and scattered at once.
-    lead = max(k - 2, 0)
-    fixed = min(lead, 1)
-    shape = (len(labels), per_label) * (k - fixed) + (per_label,) * fixed + tail
-    pairs = 2 * (k - fixed)  # the block as label axes, bits in cut order, tail
-    view = [*range(0, pairs, 2), *range(pairs, pairs + fixed), *range(1, pairs, 2),
-            *range(pairs + fixed, len(shape))]
+    # Beyond K = 2 a block fixes the first cut's label, so at most 6^(K-1)
+    # columns are held, not 6^K; its axes are each free cut's (label,
+    # outcome bit) over the kept labels, the fixed cut's bits and the tail.
+    kept = [[labels.index(lab) for lab in _kept_labels(side, dropped[cid])] for cid in cut_ids]
+    fixed = int(k > 2)
+    by_label = side_map.reshape(4, len(labels), per_label)
+    view = [a for j in range(k - fixed) for a in (j, k + j)] + [*range(k - fixed, k), -1]
+
+    def block(head):
+        try:
+            data = np.array([found[head + t] for t in itertools.product(*kept[fixed:])])
+        except KeyError as missing:
+            raise MissingVariant("missing %s variant %s"
+                                 % (side, tuple(labels[j] for j in missing.args[0]))) from None
+        data = data.reshape((-1,) + (2,) * n).transpose(
+            [0, *(1 + q for q in cut_axes + list(out_bits))]).reshape(
+            [len(js) for js in kept[fixed:]] + [per_label] * k + [-1])
+        return (data if dist else (data @ weights)[..., None]).transpose(view)
+
+    maps = [by_label[:, js].reshape(4, -1) for js in kept[fixed:]]
     entries = np.zeros((4 ** fixed, 4 ** (k - fixed), 2 ** len(out_bits) if dist else 1))
-    for head, keys in itertools.groupby(sorted(found), key=lambda t: t[:fixed]):
-        block = [np.zeros(shape)]  # popped into _map_cuts, which frees it early
-        for _, run in itertools.groupby(keys, key=lambda t: t[:lead]):
-            run = list(run)
-            data = np.array([results[found[t]].probs for t in run]).reshape((-1,) + (2,) * n)
-            data = data.transpose([0, *(1 + q for q in cut_axes + list(out_bits))]).reshape(
-                (len(run),) + (per_label,) * k + (-1,))
-            block[0].transpose(view)[tuple(np.array(run)[:, fixed:].T)] = (
-                data if dist else data @ weights)
-        del data  # freed before the block is mapped
-        mapped = _map_cuts([side_map] * (k - fixed), block.pop()[None])
-        mapped = mapped.reshape(4 ** (k - fixed), per_label ** fixed, -1)
-        cols = side_map.reshape(4, len(labels), -1)[:, head[0]] if fixed else [[1.0]]
-        for row, coefs in enumerate(cols):  # the fixed cut's map, term by term
-            for col in np.flatnonzero(coefs):
-                entries[row] += coefs[col] * mapped[:, col]
+    for head in itertools.product(*kept[:fixed]):
+        # block(head)'s one reference is _map_cuts', which frees it after the first map
+        mapped = _map_cuts(maps, block(head)).reshape(4 ** (k - fixed), per_label ** fixed, -1)
+        cols = by_label[:, head[0]] if fixed else np.ones((1, 1))
+        for row, col in zip(*np.nonzero(cols)):  # the fixed cut's map, term by term
+            entries[row] += cols[row, col] * mapped[:, col]
         del mapped  # freed before the next block is made
     return _tensor(side, cut_ids, obs, entries, source, out_bits).pruned(neglected)
 
@@ -240,7 +237,7 @@ def operator_tensor(fragment, obs) -> FragmentTensor:
         data = (psi * weights) @ psi.conj().T
     pairs = [a for j in range(k) for a in (j, k + j)]
     data = data.reshape((2,) * (2 * k) + (-1,)).transpose(pairs + [2 * k])
-    return _tensor(side, cut_ids, obs, _map_cuts([OPERATOR_MAPS[side]] * k, data[None]).real,
+    return _tensor(side, cut_ids, obs, _map_cuts([OPERATOR_MAPS[side]] * k, data).real,
                    "exact", fragment.output_qubits)
 
 
@@ -344,7 +341,7 @@ def contract_operator(a: FragmentTensor, fragment, obs) -> Reconstruction:
     if np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) > 1e-9:
         raise GoldcutError("downstream cut amplitudes are not unit-norm per input")
     # R_y with axes (y, b, b'): the map leaves each cut's (b, b') pair adjacent
-    ops = _map_cuts([OPERATOR_MAPS["downstream"].T] * k, a.entries.reshape(1, -1))
+    ops = _map_cuts([OPERATOR_MAPS["downstream"].T] * k, a.entries)
     ops = ops.reshape((2,) * (2 * k) + (-1,)).transpose(
         [2 * k] + list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)))
     ops = ops.reshape(-1, 2 ** k) / 2 ** k

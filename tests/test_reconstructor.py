@@ -1,6 +1,7 @@
 """Signed tensor assembly and contraction against independent oracles."""
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -758,3 +759,90 @@ class TestFiniteShots:
             obs_b, "downstream")
         rec = contract_tensors(a, b)
         assert abs(rec.value - 1.0) < 0.05
+
+
+def three_observables(frag, rng):
+    """A distribution, a random Pauli string and a random projector over
+    the fragment's outputs."""
+    outs = frag.output_qubits
+    return (ObservableSpec.distribution(outs),
+            ObservableSpec.pauli_string(rng.choice(["I", "X", "Y", "Z"], len(outs)), outs),
+            ObservableSpec.projector("".join(rng.choice(["0", "1"], len(outs))), outs))
+
+
+def sides(circ):
+    return zip(bipartition(circ), ("upstream", "downstream"),
+               (upstream_variants, downstream_variants))
+
+
+def nan_result(r):
+    return VariantResult(r.key, np.full_like(r.probs, np.nan), r.shots, r.cut_bits)
+
+
+class TestKeptAssembly:
+    @pytest.mark.parametrize("shots", [None, 200])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_neglected_results_are_checked_but_not_read(self, k, shots):
+        # NaN results of neglected labels leave the tensor bit for bit as the
+        # kept results alone build it: a map column of 0 would make 0 * NaN
+        circ = make_cut_circuit(k + 1, k + 1, k, 2, 60 + k)
+        rng = np.random.default_rng(k)
+        for frag, side, enumerate_variants in sides(circ):
+            for obs in three_observables(frag, rng):
+                results = run_fragment(frag, enumerate_variants(frag, obs=obs), shots=shots,
+                                       seed=3)
+                for neglected in ({(1, PauliOp.Y)}, {(1, PauliOp.X), (k, PauliOp.Y)},
+                                  {(k, PauliOp.X), (k, PauliOp.Y), (k, PauliOp.Z)}):
+                    keep = set(enumerate_variants(frag, neglected, obs))
+                    kept = [r for r in results if r.key in keep]
+                    poisoned = [r if r.key in keep else nan_result(r) for r in results]
+                    assert len(poisoned) > len(kept)
+                    want = build_tensor(kept, obs, side, neglected)
+                    got = build_tensor(poisoned, obs, side, neglected)
+                    assert got.entries.tobytes() == want.entries.tobytes()
+                    assert not np.isnan(got.entries).any()
+                    # checked all the same: a neglected result of another length raises
+                    i = max(i for i, r in enumerate(poisoned) if r.key not in keep)
+                    r = poisoned[i]
+                    poisoned[i] = VariantResult(r.key, np.tile(r.probs, 2), r.shots, r.cut_bits)
+                    with pytest.raises(ValueError, match="length"):
+                        build_tensor(poisoned, obs, side, neglected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_result_order_does_not_matter(self, k):
+        # shuffled, with one key repeated ahead of its last result, the
+        # results build the entries of the canonical order bit for bit
+        circ = make_cut_circuit(k + 1, k + 1, k, 2, 80 + k)
+        rng = np.random.default_rng(k)
+        for frag, side, enumerate_variants in sides(circ):
+            for obs in three_observables(frag, rng):
+                results = run_fragment(frag, enumerate_variants(frag, obs=obs), shots=100,
+                                       seed=k)
+                want = build_tensor(results, obs, side)
+                shuffled = [results[i] for i in rng.permutation(len(results))]
+                shuffled.insert(0, nan_result(shuffled[rng.integers(len(shuffled))]))
+                got = build_tensor(shuffled, obs, side)
+                assert got.entries.tobytes() == want.entries.tobytes()
+
+
+class TestAssemblyMemory:
+    def test_blocks_bound_the_transient_memory(self):
+        # run_fragment maps one block of leading-cut labels at a time and
+        # build_tensor gathers one first-cut label at a time, so neither
+        # holds much beside the results: at K = 4 downstream, in distribution
+        # mode, 1296 vectors of 2^10 probabilities
+        _, f2 = bipartition(load_perfbench("workloads").multicut_circuit(4, 201))
+        keys = downstream_variants(f2, obs=DIST)
+        run_fragment(f2, keys[:1])  # compiles the pass, which the fragment keeps
+        tracemalloc.start()
+        try:
+            results = run_fragment(f2, keys)
+            held, peak = tracemalloc.get_traced_memory()
+            size = sum(r.probs.nbytes for r in results)
+            assert peak - held <= 0.3 * size
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            build_tensor(results, DIST, "downstream")
+            assert tracemalloc.get_traced_memory()[1] - before <= 0.6 * size
+        finally:
+            tracemalloc.stop()
