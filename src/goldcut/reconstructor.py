@@ -20,7 +20,8 @@ uncut distribution the same sum per output bitstring pair; contract_tensors
 reads which from the tensors' mode. contract_operator gives the exact
 result without building B: the sum over M moves onto A, which the
 transposed downstream OPERATOR_MAPS take to one cut operator per upstream
-output, contracted with the downstream psi.
+output, met by the downstream psi in one complex product and one real
+reduction.
 """
 from __future__ import annotations
 
@@ -326,27 +327,31 @@ def contract_operator(a: FragmentTensor, fragment, obs) -> Reconstruction:
     obs).pruned(a.neglected), without building that downstream tensor.
     B[M, x] sums prod_c P_M_c[b_c, b'_c] psi[b, x] conj(psi[b', x]) over
     (b, b'), so the sum over M moves onto A as one cut operator per
-    upstream output, R_y = 2^-K sum_M A[M, y] prod_c P_M_c;
-    then raw[y, x] = sum_b psi[b, x] (R_y conj(psi))[b, x], weighted over x
-    outside distribution mode. Input rows of psi (cut_amplitudes) that are
-    not unit-norm, the condition bounding every B[M] by 2^K, raise
-    GoldcutError.
+    upstream output, R_y = 2^-K sum_M A[M, y] prod_c P_M_c. One complex
+    product of psi[x, b], the pass's own layout, with R laid out as
+    (b, (y, b')) gives T[x, y, b'] = (psi R_y)[x, b'], and raw[y, x] =
+    Re sum_b' T[x, y, b'] conj(psi[x, b']) is one real reduction over the
+    (re, im) views, weighted over x outside distribution mode. An input
+    whose squared norm is outside [(1 - 1e-9)^2, (1 + 1e-9)^2], NaN
+    included, raises GoldcutError; unit norm bounds every B[M] by 2^K.
     """
     # the cuts of the fragment's own side, so that an upstream one raises WrongSide
     _check_pair(a, fragment.side, tuple(cid for cid, _ in _cuts(fragment, fragment.side)),
                 "distribution" if obs.kind == "distribution" else "expectation")
     k = a.n_cuts
     readout, weights = _read(obs, fragment.output_qubits)
-    psi = cut_amplitudes(fragment, readout)
-    if np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) > 1e-9:
+    # psi[x, b] in the pass's own layout, and its (re, im) view psi_r[x, 2b + part]
+    psi = np.ascontiguousarray(cut_amplitudes(fragment, readout).T)
+    psi_r = psi.view(float)
+    sq = np.einsum("xj,xj->j", psi_r, psi_r).tolist()
+    if not all((1 - 1e-9) ** 2 <= re + im <= (1 + 1e-9) ** 2 for re, im in zip(sq[::2], sq[1::2])):
         raise GoldcutError("downstream cut amplitudes are not unit-norm per input")
-    # R_y with axes (y, b, b'): the map leaves each cut's (b, b') pair adjacent
+    # R with axes (b, y, b'): the map leaves each cut's (b, b') pair adjacent
     ops = _map_cuts([OPERATOR_MAPS["downstream"].T] * k, a.entries)
     ops = ops.reshape((2,) * (2 * k) + (-1,)).transpose(
-        [2 * k] + list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)))
-    ops = ops.reshape(-1, 2 ** k) / 2 ** k
-    raw = np.einsum("ybx,bx->yx", (ops @ psi.conj()).reshape((-1,) + psi.shape), psi)
-    raw = raw.real.reshape(-1)
+        list(range(0, 2 * k, 2)) + [2 * k] + list(range(1, 2 * k, 2))).reshape(2 ** k, -1) / 2 ** k
+    t_r = (psi @ ops).view(float).reshape(psi.shape[0], -1, psi_r.shape[1])
+    raw = np.einsum("xyj,xj->yx", t_r, psi_r).reshape(-1)
     return _reconstruction(raw if weights is None else raw @ weights, a)
 
 

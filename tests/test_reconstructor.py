@@ -596,16 +596,24 @@ class TestContractOperator:
             ObservableSpec.projector("".join(rng.choice(["0", "1"], n)), range(n)),
         )
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-    def test_equals_contraction_with_the_downstream_tensor(self, k):
-        # k 0 is golden_ansatz, whose exact golden set is not empty
-        circ = golden_ansatz(5, 2, 7) if k == 0 else make_cut_circuit(k + 2, k + 1, k, 2, 80 + k)
+    @pytest.mark.parametrize("k, seed", [pytest.param(k, 80 + k, id=str(k)) for k in range(6)]
+                             + [pytest.param(3, 90, id="3-seed90")])
+    def test_equals_contraction_with_the_downstream_tensor(self, k, seed):
+        # k 0 is golden_ansatz, whose exact golden set is not empty. Every k
+        # from 1 has a circuit whose upstream tensor has odd-Y entries, which
+        # exercise the imaginary half of R_y; at k 3 that is seed 90, since
+        # seed 83's largest is a rounding error (4e-17)
+        circ = golden_ansatz(5, 2, 7) if k == 0 else make_cut_circuit(k + 2, k + 1, k, 2, seed)
         f1, f2 = bipartition(circ)
         cut_ids = tuple(cid for cid, _ in f1.upstream_cut_qubits)
         rng = np.random.default_rng(k)
+        # tuples with an odd number of Y factors, whose R_y part is imaginary
+        odd_y = np.sum(np.indices((4,) * k) == 2, axis=0) % 2 == 1
+        largest_odd_y = 0.0
         for obs in self.observables(circ.n_qubits, rng):
             obs1, obs2 = split_observable(f1, f2, obs)
             a = operator_tensor(f1, obs1)
+            largest_odd_y = max(largest_odd_y, np.max(np.abs(a.entries[odd_y]), initial=0.0))
             golden = detect_exact(a).golden_pairs()
             other = {(cid, p) for cid in cut_ids for p in SUBSETS[(cid + k) % len(SUBSETS)]}
             assert other != golden
@@ -619,6 +627,8 @@ class TestContractOperator:
                     want.mode, want.terms_evaluated, want.neglected)
                 assert np.max(np.abs(np.asarray(got.value) - want.value)) <= 1e-12
                 assert np.max(np.abs(np.asarray(got.raw) - want.raw)) <= 1e-12
+        if k and (k, seed) != (3, 83):
+            assert largest_odd_y > 1e-3
 
     def test_rejects_what_the_contractions_reject(self):
         f1, f2 = bipartition(fig1())
@@ -657,6 +667,81 @@ class TestContractOperator:
         monkeypatch.setattr(reconstructor, "cut_amplitudes", scaled)
         with pytest.raises(GoldcutError, match="unit-norm"):
             reconstruct(circ, obs)
+
+    @pytest.mark.parametrize("value", [np.nan, complex(0, np.nan), np.inf, -np.inf])
+    def test_non_finite_amplitudes_raise(self, value, monkeypatch):
+        # a NaN norm fails every comparison, so the check must read as
+        # "inside the band", not "outside it"
+        circ = golden_ansatz(3, 1, 0)
+
+        def spoiled(fragment, o):
+            psi = cut_amplitudes(fragment, o).copy()
+            if fragment.side == "downstream":
+                psi[0, 0] = value
+            return psi
+
+        monkeypatch.setattr(reconstructor, "cut_amplitudes", spoiled)
+        with pytest.raises(GoldcutError, match="unit-norm"):
+            reconstruct(circ)
+
+    @pytest.mark.parametrize("obs", [None, ObservableSpec.projector("00", (0, 2))])
+    def test_unit_norm_tolerance_is_per_input(self, obs, monkeypatch):
+        # one input row off by twice the documented 1e-9 raises, by half of it not
+        circ = fig1()
+        want = reconstruct(circ, obs)
+        for factor, raises in ((1 + 2e-9, True), (1 - 2e-9, True),
+                               (1 + 5e-10, False), (1 - 5e-10, False)):
+            def scaled(fragment, o):
+                psi = cut_amplitudes(fragment, o).copy()
+                if fragment.side == "downstream":
+                    psi[-1] *= factor
+                return psi
+
+            monkeypatch.setattr(reconstructor, "cut_amplitudes", scaled)
+            if raises:
+                with pytest.raises(GoldcutError, match="unit-norm"):
+                    reconstruct(circ, obs)
+            else:
+                got = reconstruct(circ, obs)
+                assert np.max(np.abs(np.asarray(got.reconstruction.raw)
+                                     - want.reconstruction.raw)) <= 1e-8
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_amplitude_layout_does_not_matter(self, k, monkeypatch):
+        # the real-view reduction needs a contiguous last axis; cut_amplitudes
+        # hands over a transposed view, so other layouts must give the same raw
+        circ = load_perfbench("workloads").multicut_circuit(k, 201)
+        f1, f2 = bipartition(circ)
+        rng = np.random.default_rng(k)
+        cases = []
+        for obs in self.observables(circ.n_qubits, rng):
+            obs1, obs2 = split_observable(f1, f2, obs)
+            a = operator_tensor(f1, obs1)
+            cases.append((a, obs2, contract_operator(a, f2, obs2).raw))
+        for layout in (np.ascontiguousarray, np.asfortranarray,
+                       lambda psi: np.repeat(psi, 2, axis=1)[:, ::2]):
+            monkeypatch.setattr(reconstructor, "cut_amplitudes",
+                                lambda fragment, o: layout(cut_amplitudes(fragment, o)))
+            for a, obs2, want in cases:
+                got = contract_operator(a, f2, obs2).raw
+                assert np.max(np.abs(np.asarray(got) - want)) <= 1e-15
+
+    def test_no_second_copy_of_the_amplitudes(self):
+        # beside psi (2^11 outputs x 2^5 inputs) the call holds the product
+        # T, as large as psi times the Y = 2 upstream outputs, and the small
+        # result; a conjugated or absolute copy of psi would add one more psi
+        f1, f2 = bipartition(load_perfbench("workloads").multicut_circuit(5, 201))
+        a = operator_tensor(f1, DIST)
+        assert a.entries.shape[-1] == 2
+        contract_operator(a, f2, DIST)  # compiles the pass, which the fragment keeps
+        size = cut_amplitudes(f2).nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            contract_operator(a, f2, DIST)
+            assert tracemalloc.get_traced_memory()[1] - before - size <= 2.5 * size
+        finally:
+            tracemalloc.stop()
 
 
 class TestTermCount:
