@@ -31,6 +31,7 @@ class PauliOp(Enum):
     X = "X"
     Y = "Y"
     Z = "Z"
+    __hash__ = object.__hash__  # C-level, and a member equals only itself
 
     @property
     def matrix(self) -> np.ndarray:

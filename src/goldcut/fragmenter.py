@@ -169,15 +169,27 @@ def _pairs(neglected) -> list:
     return items
 
 
-def _neglected_by_cut(cut_ids, neglected):
-    table = {cid: set() for cid in cut_ids}
-    for cid, p in {(_as_int(cid, "neglected cut id"), PauliOp(p)) for cid, p in _pairs(neglected)}:
-        if cid not in table:
+class _Checked(frozenset):
+    """A neglected set as _neglected_by_cut leaves it: (int cut_id, PauliOp) pairs."""
+
+
+def _neglected_by_cut(cut_ids, neglected) -> _Checked:
+    """neglected checked for the cuts cut_ids (a sequence) and normalized."""
+    checked = _Checked((_as_int(c, "neglected cut id"), PauliOp(p)) for c, p in _pairs(neglected))
+    for cid, p in checked:
+        if cid not in cut_ids:
             raise ValueError("neglected pair references unknown cut %r" % cid)
         if p is PauliOp.I:
             raise ValueError("the identity basis cannot be neglected")
-        table[cid].add(p)
-    return table
+    return checked
+
+
+def _checked(cut_ids, neglected) -> _Checked:
+    """neglected as _neglected_by_cut leaves it, checking neither an empty
+    set nor one it made whose pairs are all at cuts in cut_ids."""
+    if isinstance(neglected, _Checked) and all(c in cut_ids for c, _ in neglected):
+        return neglected
+    return _neglected_by_cut(cut_ids, neglected) if neglected else _Checked()
 
 
 def _kept_labels(side: str, dropped) -> tuple:
@@ -230,9 +242,9 @@ def _weights(obs, outputs):
 
 def _variants(fragment: Fragment, side: str, neglected, obs) -> list:
     cut_ids = [cid for cid, _ in _cuts(fragment, side)]
-    dropped = _neglected_by_cut(cut_ids, neglected)
+    neglected = _checked(cut_ids, neglected)
     readout = () if obs is None else _read(obs, fragment.output_qubits)[0]
-    allowed = [_kept_labels(side, dropped[cid]) for cid in cut_ids]
+    allowed = [_kept_labels(side, {p for c, p in neglected if c == cid}) for cid in cut_ids]
     return [_unchecked(VariantKey, side=side, assignment=tuple(zip(cut_ids, combo)),
                        readout=readout) for combo in itertools.product(*allowed)]
 
@@ -257,19 +269,20 @@ def downstream_variants(f2: Fragment, neglected=frozenset(), obs=None) -> list:
 
 
 def _layout(fragment):
-    """(wires, order, back) of the fragment's pass: the cut wires in cut
-    order; the axes of the pass's state, cut wires first upstream, qubit
-    order downstream; back the transpose of a batch of such states, after
-    its batch axis, to qubit order."""
+    """(wires, order, back, start) of the fragment's pass: the cut wires in
+    cut order; the axes of its state, cut wires first upstream, qubit order
+    downstream; back the transpose of a batch of such states to qubit order;
+    start the read-only 2^K identity a downstream pass starts from, or None."""
     side, n = fragment.side, fragment.circuit.n_qubits
-    wires = tuple(q for _, q in _cuts(fragment, side))
+    wires, start = tuple(q for _, q in _cuts(fragment, side)), None
     if side == "upstream":
         order = [*wires, *(q for q in range(n) if q not in wires)]
     elif n > MAX_QUBITS:
         raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
     else:
-        order = list(range(n))
-    return wires, order, [0, *(1 + order.index(q) for q in range(n))]
+        order, start = list(range(n)), np.eye(2 ** len(wires), dtype=complex)
+        start.setflags(write=False)
+    return wires, order, [0, *(1 + order.index(q) for q in range(n))], start
 
 
 def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
@@ -287,9 +300,9 @@ def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
     amplitudes at most, and the MAX_QUBITS cap bounds the fragment's n. A
     fragment without cut qubits, or a readout pair on a qubit that is not
     an output or with another label, raises ValueError. The fragment keeps
-    its pass layout and its body per readout, the body its program.
+    its pass layout and start, its body per readout, the body its program.
     """
-    wires, order, _ = fragment._keep("_layout", None, lambda: _layout(fragment))
+    wires, order, _, start = fragment._keep("_layout", None, lambda: _layout(fragment))
     readout = tuple(map(tuple, readout))
     if any(q not in fragment.output_qubits or p not in ("X", "Y") for q, p in readout):
         raise ValueError("readout %r does not fit the fragment outputs %s"
@@ -297,10 +310,10 @@ def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
     body = fragment._keep("_bodies", readout, lambda: Circuit(
         fragment.circuit.n_qubits, fragment.circuit.gates + tuple(
             g for q, p in readout for g in basis_rotation(PauliOp(p), q)), ()))
-    if fragment.side == "upstream":
+    if start is None:
         n = body.n_qubits
         return simulate(body).reshape((2,) * n).transpose(order).reshape(2 ** len(wires), -1)
-    return _run(body, np.eye(2 ** len(wires), dtype=complex), wires).T
+    return _run(body, start, wires).T
 
 
 def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=()):
@@ -334,7 +347,7 @@ def run_fragment(fragment: Fragment, variants, shots=None, seed=0, seed_path=())
     k = len(cut_ids)
     lead = max(k - 2, 0)
     shape = (per_label,) * lead + (len(labels), per_label) * (k - lead) + (-1,)
-    _, _, back = fragment._keep("_layout", None, lambda: _layout(fragment))
+    _, _, back, _ = fragment._keep("_layout", None, lambda: _layout(fragment))
     results = [None] * len(variants)
     for readout, group in itertools.groupby(canonical, key=lambda e: e[0]):
         psi = np.ascontiguousarray(cut_amplitudes(fragment, readout))  # once, not per block

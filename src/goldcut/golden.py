@@ -82,11 +82,11 @@ def _basis_magnitudes(tensor: FragmentTensor):
     """(cut_id, basis, max |entry|) in (cut id, X, Y, Z) order, the max
     taken over the other cuts and any output axis."""
     k = tensor.n_cuts
-    mags = np.abs(tensor.entries).reshape((4,) * k + (-1,)).max(axis=-1)
+    mags = np.abs(tensor.entries).reshape((4,) * k + (-1,))
     out = []
     for axis, cid in enumerate(tensor.cut_ids):
-        per_basis = mags.max(axis=tuple(a for a in range(k) if a != axis))
-        out += [(cid, p, float(per_basis[_BASE_INDEX[p]])) for p in MEASURED_BASES]
+        per_basis = mags.max(axis=tuple(a for a in range(k + 1) if a != axis)).tolist()
+        out += [(cid, p, per_basis[_BASE_INDEX[p]]) for p in MEASURED_BASES]
     return out
 
 

@@ -105,14 +105,15 @@ def cut_counts(cut_ids, neglected=frozenset(), shots_each: int = 0) -> CostLedge
     check of neglected are the variant enumerators' own; dropping X, Y and
     Z at a cut leaves its identity term alone.
     """
-    return CostLedger(*_counts(_neglected_by_cut(cut_ids, neglected).values()), shots_each)
+    cut_ids = tuple(cut_ids)
+    return CostLedger(*_counts(cut_ids, _neglected_by_cut(cut_ids, neglected)), shots_each)
 
 
-def _counts(dropped) -> tuple:
+def _counts(cut_ids, neglected) -> tuple:
     """cut_counts' (upstream variants, downstream variants, basis tuples)
-    from the set of bases each cut drops, checked before."""
+    for the cuts cut_ids and a neglected set checked before."""
     upstream = downstream = tuples = 1
-    for bases in dropped:
+    for bases in ({p for c, p in neglected if c == cid} for cid in cut_ids):
         upstream *= len(_kept_labels("upstream", bases))
         downstream *= len(_kept_labels("downstream", bases))
         tuples *= 4 - len(bases)

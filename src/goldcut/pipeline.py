@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fragmenter
 from .circuits import Circuit, Fragment, _unchecked, bipartition, uncut
 from .errors import SupportMismatch
 from .fragmenter import _pairs, downstream_variants, run_fragment, upstream_variants
@@ -193,12 +194,13 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     # tensor is the upstream tensor unless shots rerun the pruned set.
     a, report = upstream_report(f1, obs1, shots if prune == "statistical" else None,
                                 seed, trial, alpha=alpha, tau=tau)
-    # pruned checks and normalizes the neglected set, once per run
-    a = a.pruned({"off": (), "known": neglect}.get(prune, report.golden_pairs()))
+    # a run checks its set once: pruned checks neglect, f1 keeps others checked
+    pairs = () if prune == "off" else report.golden_pairs()
+    a = a.pruned(neglect if prune == "known" else f1._keep(
+        "_neglected", pairs, lambda: fragmenter._neglected_by_cut(a.cut_ids, pairs)))
     cut_ids, neglected, used = a.cut_ids, a.neglected, 0 if shots is None else shots
     (up, down, tuples), base = f1._keep("_counts", neglected, lambda: (
-        _counts([{p for c, p in neglected if c == cid} for cid in cut_ids]),
-        _counts([()] * len(cut_ids))))
+        _counts(cut_ids, neglected), _counts(cut_ids, ())))
     if prune == "statistical":
         up = base[0]  # all ran for detection
     elif shots is not None:

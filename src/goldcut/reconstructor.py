@@ -14,7 +14,7 @@ rows I, X, Y, Z. A Pauli row is the signed difference of its two columns,
 and the identity row adds the two Z columns. operator_tensor reads the
 exact cut operator instead: the four pairs (b, b') of computational bits
 per cut, 4^K data instead of 6^K variants, mapped by OPERATOR_MAPS. A
-neglected set is checked once, by fragmenter's rule, wherever it is read.
+neglected set is checked by fragmenter's rule where it is first read only.
 The uncut expectation is (1/2^K) * sum over kept M of A[M] * B[M], and the
 uncut distribution the same sum per output bitstring pair; contract_tensors
 reads which from the tensors' mode. contract_operator gives the exact
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from math import prod
 
@@ -35,8 +35,8 @@ import numpy as np
 
 from .circuits import PauliOp
 from .errors import ArityMismatch, GoldcutError, MissingVariant, WrongSide
-from .fragmenter import MAX_CUTS, SIDE_LABELS, _check_cuts, _cuts, _kept_labels, _key_index
-from .fragmenter import _map_cuts, _neglected_by_cut, _read, cut_amplitudes
+from .fragmenter import MAX_CUTS, SIDE_LABELS, _check_cuts, _Checked, _checked, _cuts, _key_index
+from .fragmenter import _kept_labels, _map_cuts, _neglected_by_cut, _read, cut_amplitudes
 from .metrics import closed_form_counts
 from .simulator import _width
 
@@ -105,16 +105,18 @@ class FragmentTensor:
         and a set that leaves out a basis already neglected raises
         ValueError, since its zeroed rows cannot come back. No other code
         zeroes rows."""
-        dropped = _neglected_by_cut(self.cut_ids, neglected)
-        neglected = frozenset((cid, p) for cid, ps in dropped.items() for p in ps)
+        check = _checked if isinstance(neglected, _Checked) else _neglected_by_cut
+        neglected = check(self.cut_ids, neglected)
         if not self.neglected <= neglected:
             raise ValueError("cannot restore neglected bases %s"
                              % sorted((c, p.value) for c, p in self.neglected - neglected))
         if neglected == self.neglected:
             return self
-        mask = _kept(self.cut_ids, neglected)
-        mask = mask.reshape(mask.shape + (1,) * (self.entries.ndim - self.n_cuts))
-        return replace(self, entries=np.where(mask, self.entries, 0.0), neglected=neglected)
+        entries = self.entries.copy()
+        for cid, p in neglected:  # +0.0 in the row, whatever it held
+            entries[(slice(None),) * self.cut_ids.index(cid) + (_BASE_INDEX[p],)] = 0.0
+        return FragmentTensor(self.side, self.cut_ids, self.mode, entries, self.source,
+                              neglected, self.output_bits)
 
 
 def _tensor(side, cut_ids, obs, entries, source, out_bits) -> FragmentTensor:
@@ -165,7 +167,7 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
         tuple(cid for cid, _ in r.key.assignment) for r in results).most_common(1)[0][0])
     k = len(cut_ids)
     _check_cuts(k)
-    dropped = _neglected_by_cut(cut_ids, neglected)
+    neglected = _checked(cut_ids, neglected)
     labels, side_map = SIDE_LABELS[side], SIDE_MAPS[side]
     per_label = side_map.shape[1] // len(labels)
     dist = obs.kind == "distribution"
@@ -190,7 +192,8 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
     # Beyond K = 2 a block fixes the first cut's label, so at most 6^(K-1)
     # columns are held, not 6^K; its axes are each free cut's (label,
     # outcome bit) over the kept labels, the fixed cut's bits and the tail.
-    kept = [[labels.index(lab) for lab in _kept_labels(side, dropped[cid])] for cid in cut_ids]
+    kept = [[labels.index(lab) for lab in _kept_labels(side, {p for c, p in neglected if c == cid})]
+            for cid in cut_ids]
     fixed = int(k > 2)
     by_label = side_map.reshape(4, len(labels), per_label)
     view = [a for j in range(k - fixed) for a in (j, k + j)] + [*range(k - fixed, k), -1]
@@ -304,8 +307,8 @@ def _reconstruction(raw, a: FragmentTensor) -> Reconstruction:
     if a.mode == "expectation":
         value = raw.item()
         return Reconstruction(a.mode, value, value, terms, a.neglected)
-    clamped = np.clip(raw, 0.0, None)
-    total = clamped.sum()
+    clamped = np.maximum(raw, 0.0)
+    total = np.add.reduce(clamped)
     value = clamped / total if total > 0 else clamped
     return Reconstruction(a.mode, value, raw, terms, a.neglected)
 
@@ -346,10 +349,11 @@ def contract_operator(a: FragmentTensor, fragment, obs) -> Reconstruction:
     sq = np.einsum("xj,xj->j", psi_r, psi_r).tolist()
     if not all((1 - 1e-9) ** 2 <= re + im <= (1 + 1e-9) ** 2 for re, im in zip(sq[::2], sq[1::2])):
         raise GoldcutError("downstream cut amplitudes are not unit-norm per input")
-    # R with axes (b, y, b'): the map leaves each cut's (b, b') pair adjacent
-    ops = _map_cuts([OPERATOR_MAPS["downstream"].T] * k, a.entries)
+    # R with axes (b, y, b'), its 2^-K a half in each cut's map (exact): the
+    # map leaves each cut's (b, b') pair adjacent
+    ops = _map_cuts([OPERATOR_MAPS["downstream"].T / 2] * k, a.entries)
     ops = ops.reshape((2,) * (2 * k) + (-1,)).transpose(
-        list(range(0, 2 * k, 2)) + [2 * k] + list(range(1, 2 * k, 2))).reshape(2 ** k, -1) / 2 ** k
+        [*range(0, 2 * k, 2), 2 * k, *range(1, 2 * k, 2)]).reshape(2 ** k, -1)
     t_r = (psi @ ops).view(float).reshape(psi.shape[0], -1, psi_r.shape[1])
     raw = np.einsum("xyj,xj->yx", t_r, psi_r).reshape(-1)
     return _reconstruction(raw if weights is None else raw @ weights, a)

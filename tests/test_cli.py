@@ -1,5 +1,9 @@
 """Command-line interface: exit codes, file output, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,8 @@ from goldcut.metrics import CSV_COLUMNS, cut_counts, weighted_distance
 from goldcut.pipeline import ground_truth_distribution, reconstruct, upstream_report
 from goldcut.seeding import stream
 from goldcut.simulator import sample, simulate
+
+from conftest import make_cut_circuit
 
 
 def ansatz_path(tmp_path, name="circ.json", seed=0):
@@ -247,6 +253,27 @@ class TestRun:
             run = reconstruct(circ, shots=500, seed=4, trial=trial, prune="exact")
             assert float(row["d_w_uncut"]) == weighted_distance(sampled, truth)
             assert float(row["d_w_cut"]) == weighted_distance(run.distribution, truth)
+
+    @pytest.mark.parametrize("prune,neglect", [("statistical", []),
+                                               ("known", ["1:X", "2:Y", "1:Y", "2:X"])])
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path, prune, neglect):
+        # PauliOp hashes by identity and str by the hash seed, so set order
+        # differs between these processes; no output may follow it
+        path = tmp_path / "circ.json"
+        save(make_cut_circuit(3, 3, 2, 2, 7) if neglect else golden_ansatz(5, 2, 7), str(path))
+        args = [sys.executable, "-m", "goldcut", "run", "--circuit", str(path), "--trials", "2",
+                "--shots", "10000", "--seed", "3", "--prune", prune, "--format", "json"]
+        args += [a for item in neglect for a in ("--neglect", item)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        outputs = set()
+        for hash_seed in ("0", "1", "4242"):
+            done = subprocess.run(args, env=dict(env, PYTHONHASHSEED=hash_seed),
+                                  capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr.decode()
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+        assert json.loads(outputs.pop())["trials"][0]["K_g"] == (2 if neglect else 1)
 
     def test_circuit_without_cuts_is_validation_error(self, tmp_path):
         path = tmp_path / "uncut.json"

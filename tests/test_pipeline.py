@@ -842,6 +842,53 @@ class TestOneStreamPerSide:
         assert len(checks) == 1
         assert run.neglected == (frozenset() if prune == "off" else {(1, PauliOp.Y)})
 
+    @pytest.mark.parametrize("prune", ["off", "known", "exact", "statistical"])
+    def test_neglected_set_is_checked_once_per_shot_run(self, prune, monkeypatch):
+        # the set reaches both enumerators, both builds and their pruned
+        # calls; only the first check reads it, and f1 keeps every set but
+        # neglect checked, so a second run of the same circuit checks none
+        checks = []
+
+        def counting(cut_ids, neglected):
+            checks.append(neglected)
+            return _neglected_by_cut(cut_ids, neglected)
+
+        for module in (fragmenter, reconstructor, metrics):
+            monkeypatch.setattr(module, "_neglected_by_cut", counting)
+        circ = golden_ansatz(5, 2, 7)
+        neglect = [(1, "Y")] if prune == "known" else ()
+        run = reconstruct(circ, shots=10000, seed=3, prune=prune, neglect=neglect)
+        assert len(checks) == 1
+        assert run.neglected == (frozenset() if prune == "off" else {(1, PauliOp.Y)})
+        again = reconstruct(circ, shots=10000, seed=3, prune=prune, neglect=neglect)
+        assert len(checks) == (2 if prune == "known" else 1)
+        assert np.array_equal(again.distribution, run.distribution)
+
+    def test_kept_constants_do_not_leak_into_later_calls(self):
+        # what a call returns is its own: scribbling over it changes nothing
+        # a later call computes (a kept array handed out would be read-only)
+        def scribble(array):
+            if array.flags.writeable:
+                array[...] = 7.0
+
+        circ = make_cut_circuit(4, 4, 2, 2, 23)
+        f1, f2 = bipartition(circ)
+        bare = bipartition(Circuit(1, (h(0),), (CutPoint(0, 0, 1),)))[1]  # no gate downstream
+        every, pauli = pipeline._EVERY_OUTPUT, ObservableSpec.pauli_string("XZY", (0, 2, 3))
+        calls = [lambda f=f: fragmenter.cut_amplitudes(f) for f in (f1, f2, bare)]
+        calls += [lambda: fragmenter.cut_amplitudes(f2, [(0, "X"), (2, "Y")])]
+        calls += [lambda f=f, o=o: operator_tensor(f, o).entries
+                  for f, o in ((f1, every), (f2, every), (f2, pauli))]
+        a = operator_tensor(f1, every).pruned({(1, "Y")})
+        calls += [lambda: contract_operator(a, f2, every).raw,
+                  lambda: contract_operator(a, f2, every).value,
+                  lambda: reconstruct(circ, prune="exact").distribution]
+        for call in calls:
+            first = call().copy()
+            for _ in range(2):
+                scribble(call())
+                assert np.array_equal(call(), first)
+
     @pytest.mark.parametrize("mode", ["distribution", "pauli"])
     def test_two_cut_shot_runs_are_unbiased(self, mode):
         # the raw quasi-distribution and the expectation are linear in every

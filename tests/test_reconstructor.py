@@ -490,6 +490,56 @@ class TestBoundaryChecks:
         assert t.pruned(both).neglected == want.neglected
 
 
+class TestPruned:
+    """FragmentTensor.pruned on its own set, a new set and a smaller one,
+    whether the set comes checked or not."""
+
+    def tensor(self, k=2):
+        frag = bipartition(make_cut_circuit(k + 2, k + 2, k, 2, 60 + k))[0]
+        return operator_tensor(frag, ObservableSpec.distribution(frag.output_qubits))
+
+    def test_own_set_returns_the_same_tensor(self):
+        t = self.tensor()
+        for same in ((), frozenset(), set(), [], None, t.neglected):
+            assert t.pruned(same) is t
+        p = t.pruned({(1, "X"), (2, PauliOp.Z)})
+        for same in ({(1, PauliOp.X), (2, PauliOp.Z)}, [(2, "Z"), [1, "X"]], p.neglected):
+            assert p.pruned(same) is p
+
+    def test_new_set_writes_positive_zero_over_nan_and_negatives(self):
+        # a `* mask` shortcut would leave NaN * 0 = NaN and -x * 0 = -0.0
+        t = self.tensor()
+        t.entries = np.where(np.arange(t.entries.size).reshape(t.entries.shape) % 3 == 0,
+                             np.nan, -1.0 - np.abs(t.entries))
+        p = t.pruned({(1, "Y"), (2, "X")})
+        for row in (p.entries[2], p.entries[:, 1]):
+            assert not np.isnan(row).any() and not np.signbit(row).any() and not row.any()
+        kept = np.ones((4, 4), bool)
+        kept[2], kept[:, 1] = False, False
+        assert np.array_equal(p.entries[kept], t.entries[kept], equal_nan=True)
+        assert t.entries[2].all() and np.isnan(t.entries).any()  # t itself is untouched
+
+    def test_smaller_set_raises_checked_or_not(self):
+        t = self.tensor()
+        p = t.pruned({(1, "X"), (2, "Y")})
+        checked = t.pruned({(1, "X")}).neglected
+        for smaller in ({(1, "X")}, checked, [(2, "Y")]):
+            with pytest.raises(ValueError, match="cannot restore neglected bases"):
+                p.pruned(smaller)
+
+    def test_a_checked_set_is_checked_again_for_other_cuts(self):
+        # a set normalized for cuts 1..3 skips no check on a tensor of cuts 1, 2
+        wide = self.tensor(3).pruned({(3, "Y")}).neglected
+        with pytest.raises(ValueError, match="unknown cut 3"):
+            self.tensor(2).pruned(wide)
+        f1, f2 = bipartition(make_cut_circuit(4, 4, 2, 2, 62))
+        for call in (lambda: upstream_variants(f1, wide), lambda: downstream_variants(f2, wide),
+                     lambda: build_tensor(run_fragment(f1, upstream_variants(f1)), DIST,
+                                          "upstream", wide)):
+            with pytest.raises(ValueError, match="unknown cut 3"):
+                call()
+
+
 class TestContractExpectation:
     def test_pass_through_value(self):
         obs = ObservableSpec.pauli_string([PauliOp.Z], [0])

@@ -4,6 +4,8 @@ import importlib
 from fnmatch import fnmatchcase
 from pathlib import Path
 
+import pytest
+
 import goldcut
 
 PACKAGE = Path(goldcut.__file__).parent
@@ -37,7 +39,63 @@ def test_no_module_level_caches():
                 continue
             found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
                       if name in banned]
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for line, name in _module_state_writes(path.read_text(encoding="utf-8"))]
     assert not found, "module-level caches in goldcut: %s" % ", ".join(found)
+
+
+# calls that change a dict, list or set in place
+MUTATORS = {"setdefault", "update", "append", "extend", "insert", "add", "pop", "clear"}
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _module_state_writes(source):
+    """(line, name) of each write, inside a function, to a dict, list or set
+    bound at module level: a subscript assigned or deleted, or a mutating
+    method call. A function that binds the name itself reads its own local."""
+    tree = ast.parse(source)
+    shared = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(stmt.value, CONTAINERS) or isinstance(stmt.value, ast.Call)
+                and _dotted(stmt.value.func).split(".")[-1] in ("dict", "list", "set",
+                                                                "defaultdict", "OrderedDict")):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            shared |= {t.id for t in targets if isinstance(t, ast.Name)}
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        local = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(func) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                target = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATORS):
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in shared - local:
+                found.append((node.lineno, target.id))
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("source,flagged", [
+    ("_SEEN = {}\ndef f(k):\n    _SEEN[k] = 1", ["_SEEN"]),
+    ("_SEEN = dict()\ndef f(k, v):\n    return _SEEN.setdefault(k, v)", ["_SEEN"]),
+    ("_SEEN = {}\ndef f(d):\n    _SEEN.update(d)", ["_SEEN"]),
+    ("_SEEN = []\ndef f(x):\n    _SEEN.append(x)", ["_SEEN"]),
+    ("_SEEN = set()\nclass C:\n    def f(self, x):\n        _SEEN.add(x)", ["_SEEN"]),
+    ("_SEEN = {}\nf = lambda k: _SEEN.setdefault(k, 0)", ["_SEEN"]),
+    ("_SEEN = {}\ndef f(k):\n    del _SEEN[k]", ["_SEEN"]),
+    ("MAPS = {'a': 1}\ndef f():\n    return MAPS['a']", []),
+    ("MAPS = {}\ndef f(k):\n    MAPS = {}\n    MAPS[k] = 1\n    return MAPS", []),
+    ("def f(k):\n    seen = {}\n    seen[k] = 1", []),
+])
+def test_module_state_writes_are_found(source, flagged):
+    assert [name for _, name in _module_state_writes(source)] == flagged
 
 
 def _perfbench_trees():
