@@ -35,10 +35,9 @@ from functools import reduce
 import numpy as np
 
 from .circuits import Circuit, Fragment, PauliOp, _as_int, _unchecked, h, s, x
-from .errors import GoldcutError, SupportMismatch, TooWide
+from .errors import GoldcutError, SupportMismatch
 from .seeding import stream
 from .simulator import (
-    MAX_QUBITS,
     _run,
     apply_gates,
     basis_rotation,
@@ -272,13 +271,12 @@ def _layout(fragment):
     """(wires, order, back, start) of the fragment's pass: the cut wires in
     cut order; the axes of its state, cut wires first upstream, qubit order
     downstream; back the transpose of a batch of such states to qubit order;
-    start the read-only 2^K identity a downstream pass starts from, or None."""
+    start the read-only 2^K identity a downstream pass starts from, or None.
+    The width cap is checked where either pass starts, in simulator._run."""
     side, n = fragment.side, fragment.circuit.n_qubits
     wires, start = tuple(q for _, q in _cuts(fragment, side)), None
     if side == "upstream":
         order = [*wires, *(q for q in range(n) if q not in wires)]
-    elif n > MAX_QUBITS:
-        raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
     else:
         order, start = list(range(n)), np.eye(2 ** len(wires), dtype=complex)
         start.setflags(write=False)
@@ -297,7 +295,7 @@ def cut_amplitudes(fragment: Fragment, readout=()) -> np.ndarray:
     elsewhere, so that product is output x's response to |b><b'|. The
     downstream pass runs all 2^K inputs at once, as a batch over the cut
     wires (simulator._run from the 2^K identity): it holds 2^n x 2^K
-    amplitudes at most, and the MAX_QUBITS cap bounds the fragment's n. A
+    amplitudes at most, and _run's MAX_QUBITS cap bounds the fragment's n. A
     fragment without cut qubits, or a readout pair on a qubit that is not
     an output or with another label, raises ValueError. The fragment keeps
     its pass layout and start, its body per readout, the body its program.

@@ -5,14 +5,14 @@ infinite-shot oracle except sample(), which returns the per-outcome counts
 of a multinomial draw from the exact Born distribution. Outcome indices
 follow the package-wide bitstring convention: qubit 0 is the most
 significant (leftmost) bit. One kernel (_run) runs a circuit from a
-start over some live wires, every other wire in |0>: simulate from no
-live wire, evolve from all, the downstream cut pass from the cut wires
-with a batch of inputs. Each product takes only the columns where the
-block's not-yet-live wires are 0, so the state grows by those wires as
-it goes. The program is kept per circuit object and live-wire tuple and
-makes one product per block of the cheapest grouping (_fuse), whose
-matrix fuses the block's gates, so it agrees with a tensordot loop to
-rounding (1e-12 in the tests). apply_gates compiles on every call, one
+start over some live wires, every other wire in |0>, after checking the
+MAX_QUBITS cap: simulate from no live wire, the downstream cut pass from
+the cut wires with a batch of inputs. Each product takes only the columns
+where the block's not-yet-live wires are 0, so the state grows by those
+wires as it goes. The program is kept per circuit object and live-wire
+tuple and makes one product per block of the cheapest grouping (_fuse),
+whose matrix fuses the block's gates, so it agrees with a tensordot loop
+to rounding (1e-12 in the tests). apply_gates compiles on every call, one
 product per gate, the very product np.tensordot makes, so it equals a
 tensordot loop to the bit.
 """
@@ -103,23 +103,10 @@ def _check_support(n_qubits: int, qubits) -> None:
 
 
 def simulate(circuit: Circuit) -> np.ndarray:
-    """The state the circuit's gates make from |0...0>."""
-    n = circuit.n_qubits
-    if n > MAX_QUBITS:
-        raise TooWide("%d qubits exceeds the %d-qubit cap" % (n, MAX_QUBITS))
+    """The state the circuit's gates make from |0...0>; a cut circuit raises ValueError."""
     if circuit.cuts:
         raise ValueError("simulate takes plain circuits; bipartition cut circuits first")
     return _run(circuit, np.ones((1, 1), dtype=complex), ()).reshape(-1)
-
-
-def evolve(psi: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """apply_gates(psi, circuit.gates) to rounding, by the fused program kept
-    on the circuit, compiled on first use. Axes of psi past the circuit's
-    qubits are a batch; a narrower psi raises ValueError."""
-    n, width = circuit.n_qubits, _width(psi)
-    if width < n:
-        raise ValueError("a %d-qubit state is narrower than the %d-qubit circuit" % (width, n))
-    return _run(circuit, psi.reshape(2 ** n, -1), tuple(range(n))).reshape(-1)
 
 
 def apply_gates(psi: np.ndarray, gates) -> np.ndarray:
@@ -138,7 +125,10 @@ def _run(circuit, start, live):
     """The states circuit's gates make from start, a (2^len(live), batch)
     array over the live wires (live[0] its most significant bit) with every
     other wire in |0>, as a (2^n, batch) array in qubit order. The fused
-    program is kept on the circuit per live tuple, compiled on first use."""
+    program is kept on the circuit per live tuple, compiled on first use; a
+    circuit wider than MAX_QUBITS raises TooWide before that."""
+    if circuit.n_qubits > MAX_QUBITS:
+        raise TooWide("%d qubits exceeds the %d-qubit cap" % (circuit.n_qubits, MAX_QUBITS))
     return _apply(start, circuit._keep("_programs", live, lambda: _plan(
         _fuse(circuit.gates), circuit.n_qubits, live, _block_matrix)))
 

@@ -26,13 +26,14 @@ from goldcut.errors import (
     TooWide,
 )
 from goldcut.fragmenter import PREP_LABELS, prep_state
+from goldcut.pipeline import reconstruct
+from goldcut.reconstructor import operator_tensor
 from goldcut.simulator import (
     MAX_QUBITS,
     ObservableSpec,
     _width,
     apply_gates,
     basis_rotation,
-    evolve,
     exact_distribution,
     exact_expectation,
     sample,
@@ -88,6 +89,9 @@ class TestSimulate:
     def test_rejects_cut_circuits(self):
         with pytest.raises(ValueError):
             simulate(Circuit(1, (), (CutPoint(0, -1, 1),)))
+        # the cut is named before the width cap
+        with pytest.raises(ValueError, match="plain circuits"):
+            simulate(Circuit(MAX_QUBITS + 1, (), (CutPoint(0, -1, 1),)))
 
     @pytest.mark.parametrize("size", [0, 3, 6])
     def test_state_length_must_be_a_power_of_two(self, size):
@@ -247,17 +251,18 @@ def caps(gates):
 
 
 class TestFusedKernel:
-    """A kept program (evolve, simulate) makes one product per block of the
-    grouping _fuse chooses, at every width, so it agrees with the reference
-    to rounding, not to the bit; apply_gates of the same gates, one product
-    per gate, is the reference to the bit at every width."""
+    """A kept program (_run from all wires or, for simulate, from none) makes
+    one product per block of the grouping _fuse chooses, at every width, so
+    it agrees with the reference to rounding, not to the bit; apply_gates of
+    the same gates, one product per gate, is the reference to the bit at
+    every width."""
 
     def check(self, state, gates):
         before = state.copy()
-        got = evolve(state, Circuit(_width(state), tuple(gates), ()))
+        n = _width(state)
+        check_run(Circuit(n, tuple(gates), ()), state.reshape(-1, 1), tuple(range(n)))
         assert np.array_equal(state, before)  # input left intact
         want = tensordot_apply_gates(state, gates)
-        assert got.shape == want.shape and np.max(np.abs(got - want)) < 1e-12
         assert np.array_equal(apply_gates(state, gates), want)
 
     @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
@@ -276,7 +281,8 @@ class TestFusedKernel:
     @pytest.mark.parametrize("n", [1, 12, MAX_QUBITS])
     def test_empty_gate_list(self, n):
         state = random_state(np.random.default_rng(n), n)
-        assert np.array_equal(evolve(state, Circuit(n, (), ())), state)
+        got = simulator._run(Circuit(n, (), ()), state.reshape(-1, 1), tuple(range(n)))
+        assert np.array_equal(got, state.reshape(-1, 1))
         assert np.array_equal(apply_gates(state, ()), state)
 
     def test_only_kept_programs_are_fused(self, monkeypatch):
@@ -288,7 +294,7 @@ class TestFusedKernel:
             circ = random_circuit(n, 2, 5)
             apply_gates(random_state(rng, n), circ.gates)
             assert seen == []
-            evolve(random_state(rng, n), circ)
+            simulator._run(circ, random_state(rng, n).reshape(-1, 1), tuple(range(n)))
             # one choice, from the grouping at every cap up to the qubit count
             assert seen == [circ.gates, *range(1, caps(circ.gates) + 1)]
             seen.clear()
@@ -322,10 +328,10 @@ def gate_lists(draw, max_n=7):
 
 
 class TestKeptPrograms:
-    """evolve compiles a circuit once per live-wire tuple (all its qubits;
-    wider states are a batch) from the blocks _fuse chooses and keeps the
-    program on the circuit; apply_gates compiles on every call, one product
-    per gate."""
+    """_run compiles a circuit once per live-wire tuple (here all its qubits,
+    so one program serves any batch) from the blocks _fuse chooses and keeps
+    the program on the circuit; apply_gates compiles on every call, one
+    product per gate."""
 
     @pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
     def test_evolve_is_apply_gates_compiled_once(self, n, monkeypatch):
@@ -339,19 +345,23 @@ class TestKeptPrograms:
         monkeypatch.setattr(simulator, "_group",
                             lambda gates, cap: grouped.append(gates) or group(gates, cap))
         rng = np.random.default_rng(n)
+        live = tuple(range(n - 1))
         for _ in range(2):
+            # a state one qubit wider than the circuit is a batch of 2
             for width in (n, n - 1):
                 state = random_state(rng, width)
-                got, want = evolve(state, circ), apply_gates(state, circ.gates)
-                assert np.max(np.abs(got - want)) < 1e-12
-        # evolve chooses once for both widths, from one grouping per cap, and
+                got = simulator._run(circ, state.reshape(2 ** (n - 1), -1), live)
+                want = apply_gates(state, circ.gates)
+                assert got.shape == (2 ** (n - 1), 2 ** (width - n + 1))
+                assert np.max(np.abs(got.reshape(-1) - want)) < 1e-12
+        # _run chooses once for both batches, from one grouping per cap, and
         # builds one matrix per chosen block, on all its columns since every
         # wire is live; apply_gates never groups
         assert grouped == [circ.gates] * caps(circ.gates)
         assert chosen == [fuse(circ.gates)]
         assert built == [(members, qubits) for qubits, members in chosen[0]]
         programs = vars(circ)["_programs"]
-        assert list(programs) == [tuple(range(n - 1))]
+        assert list(programs) == [live]
         (steps, *_), = programs.values()
         assert len(steps) == len(chosen[0])
         assert all(not u.flags.writeable for u, *_ in steps)
@@ -376,7 +386,7 @@ class TestKeptPrograms:
         start = np.eye(1, 2 ** n, dtype=complex)[0]
         assert np.max(np.abs(simulate(circ) - tensordot_apply_gates(start, gates))) < 1e-12
         state = random_state(np.random.default_rng(seed), n)
-        assert np.max(np.abs(evolve(state, circ) - tensordot_apply_gates(state, gates))) < 1e-12
+        check_run(circ, state.reshape(-1, 1), tuple(range(n)))
 
 
 class TestGrowingState:
@@ -409,22 +419,18 @@ class TestGrowingState:
 
 class TestWidthBoundary:
     """A state narrower than the gates' qubits raised 'ValueError: 1 is not
-    in list' from inside the compiler; now both widths are named before
-    anything is compiled or run."""
+    in list' from inside the compiler; now apply_gates names both widths
+    before anything is compiled or run. The MAX_QUBITS cap is checked where
+    _run starts a pass, before a program is compiled or kept."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         calls = []
         for name in ("_plan", "_apply"):
             real = getattr(simulator, name)
-            monkeypatch.setattr(simulator, name, lambda *a, real=real: calls.append(a) or real(*a))
+            monkeypatch.setattr(simulator, name, lambda *a, name=name, real=real: (
+                calls.append((name, a)) or real(*a)))
         return calls
-
-    def test_evolve_names_both_widths(self, kernel_calls):
-        circ = Circuit(3, (h(0), cnot(0, 1)), ())
-        with pytest.raises(ValueError, match="a 2-qubit state is narrower than the 3-qubit circuit"):
-            evolve(np.full(4, 0.5, dtype=complex), circ)
-        assert kernel_calls == [] and "_programs" not in vars(circ)
 
     @pytest.mark.parametrize("qubit", [2, 5, -1])
     def test_apply_gates_names_both_widths(self, qubit, kernel_calls):
@@ -433,6 +439,37 @@ class TestWidthBoundary:
                            % (min(qubit, 0), max(qubit, 1))):
             apply_gates(np.full(4, 0.5, dtype=complex), gates)
         assert kernel_calls == []
+
+    @pytest.mark.parametrize("call", ["cut_amplitudes", "operator_tensor", "run_fragment",
+                                      "run_fragment_shots", "reconstruct", "reconstruct_shots"])
+    @pytest.mark.parametrize("wide", ["upstream", "downstream"])
+    def test_either_cut_pass_checks_the_cap(self, wide, call, kernel_calls):
+        # the wide side holds the cut wire and MAX_QUBITS wires of its own
+        n_up, n_down = (MAX_QUBITS + 1, 2) if wide == "upstream" else (2, MAX_QUBITS + 1)
+        circ = make_cut_circuit(n_up, n_down, 1, 1, 29)
+        frag = bipartition(circ)[wide == "downstream"]
+        assert frag.side == wide and frag.circuit.n_qubits == MAX_QUBITS + 1
+        variants = getattr(fragmenter, wide + "_variants")
+        run = {
+            "cut_amplitudes": lambda: fragmenter.cut_amplitudes(frag),
+            "operator_tensor": lambda: operator_tensor(frag, ObservableSpec.distribution(())),
+            "run_fragment": lambda: fragmenter.run_fragment(frag, variants(frag)),
+            "run_fragment_shots": lambda: fragmenter.run_fragment(frag, variants(frag), shots=10),
+            "reconstruct": lambda: reconstruct(circ),
+            "reconstruct_shots": lambda: reconstruct(circ, shots=10),
+        }[call]
+        for _ in range(2):
+            with pytest.raises(TooWide, match="%d qubits exceeds the %d-qubit cap"
+                               % (MAX_QUBITS + 1, MAX_QUBITS)):
+                run()
+        bodies = vars(frag)["_bodies"].values()
+        assert bodies and not any("_programs" in vars(body) for body in bodies)
+        if wide == "downstream" and call.startswith("reconstruct"):
+            # the upstream pass runs first, at its own narrow width
+            assert kernel_calls and all(a[1] <= MAX_QUBITS for name, a in kernel_calls
+                                        if name == "_plan")
+        else:
+            assert kernel_calls == []
 
 
 def pass_cost(blocks):

@@ -1,6 +1,7 @@
 """Source-level guards over the package modules and the benchmark's use of them."""
 import ast
 import importlib
+import re
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -96,6 +97,33 @@ def _module_state_writes(source):
 ])
 def test_module_state_writes_are_found(source, flagged):
     assert [name for _, name in _module_state_writes(source)] == flagged
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# math symbols the README writes as calls
+README_MATH = {"d_w", "sqrt"}
+
+
+def test_readme_calls_resolve():
+    # every `name(` the README shows, by the last part of a dotted name, is
+    # defined at the top of a goldcut module or in the body of a class
+    # defined there, so a deleted or renamed function leaves no stale doc
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__main__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            body = stmt.body if isinstance(stmt, ast.ClassDef) else []
+            for node in [stmt, *body]:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    called = {m.split(".")[-1]
+              for m in re.findall(r"`([A-Za-z_][\w.]*)\(", README.read_text(encoding="utf-8"))}
+    assert called and not called - defined - README_MATH, (
+        "README calls goldcut does not define: %s" % sorted(called - defined - README_MATH))
 
 
 def _perfbench_trees():
