@@ -15,10 +15,11 @@ import sys
 
 from .circuits import PauliOp, bipartition, certified_ansatz, format_float, save, uncut, validate
 from .errors import GoldcutError
+from .fragmenter import MAX_CUTS
 from .golden import DEFAULT_ALPHA, DEFAULT_TAU, GENERATION_EPS, check_alpha_tau
 from .metrics import CSV_COLUMNS, closed_form_counts, weighted_distance
 from .pipeline import PRUNE_MODES, reconstruct, uncut_sampled_distribution, upstream_report
-from .reconstructor import MAX_CUTS, term_count
+from .reconstructor import term_count
 from .seeding import check_seed
 from .simulator import check_shots, exact_distribution, simulate
 from . import circuits
@@ -72,12 +73,9 @@ def _csv(columns, rows):
 def cmd_generate(args) -> int:
     circ, report = certified_ansatz(args.qubits, args.depth, args.seed)
     save(circ, args.out)
-    flagged = [e for e in report.entries if e.golden]
-    if flagged:
-        for e in flagged:
+    for e in report.entries:
+        if e.golden:
             print("cut %d: %s golden" % (e.cut_id, e.basis))
-    else:
-        print("no golden bases detected")
     print("wrote %s" % args.out)
     return 0
 

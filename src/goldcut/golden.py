@@ -71,7 +71,8 @@ class GoldenReport:
                 '"golden": %s' % ("true" if e.golden else "false"),
             ]
             if e.radius is not None:
-                parts.append('"radius": %s' % format_float(e.radius))
+                parts += ['"radius": %s' % format_float(e.radius),
+                          '"insufficient": %s' % ("true" if e.insufficient else "false")]
             if e.shots is not None:
                 parts.append('"shots": %d' % e.shots)
             rows.append("{%s}" % ", ".join(parts))

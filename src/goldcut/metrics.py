@@ -120,15 +120,10 @@ def _counts(cut_ids, neglected) -> tuple:
     return upstream, downstream, tuples
 
 
-def cost_ledgers(cut_ids, neglected=frozenset(), shots_each: int = 0):
-    """(pruned, baseline): cut_counts with and without the neglected pairs."""
-    return cut_counts(cut_ids, neglected, shots_each), cut_counts(cut_ids, (), shots_each)
-
-
 def closed_form_counts(k_regular: int, k_golden: int):
     """Exact integer counts for K = k_regular + k_golden cuts where each
-    golden cut neglects one non-Z basis (cost_ledgers with Y dropped at the
-    last k_golden cuts).
+    golden cut neglects one non-Z basis (cut_counts with Y dropped at the
+    last k_golden cuts, and with nothing dropped).
 
     Returns (pruned, baseline) CostLedgers with variant and tuple counts
     filled in; shots are left at zero for the caller to scale.
@@ -137,4 +132,4 @@ def closed_form_counts(k_regular: int, k_golden: int):
         raise ValueError("cut counts must be non-negative")
     cut_ids = range(1, k_regular + k_golden + 1)
     golden = {(cid, PauliOp.Y) for cid in cut_ids[k_regular:]}
-    return cost_ledgers(cut_ids, golden)
+    return cut_counts(cut_ids, golden), cut_counts(cut_ids, ())

@@ -35,8 +35,8 @@ import numpy as np
 
 from .circuits import PauliOp
 from .errors import ArityMismatch, GoldcutError, MissingVariant, WrongSide
-from .fragmenter import MAX_CUTS, SIDE_LABELS, _check_cuts, _Checked, _checked, _cuts, _key_index
-from .fragmenter import _kept_labels, _map_cuts, _neglected_by_cut, _read, cut_amplitudes
+from .fragmenter import SIDE_LABELS, _check_cuts, _checked, _cuts, _key_index, _kept_labels
+from .fragmenter import _map_cuts, _read, cut_amplitudes
 from .metrics import closed_form_counts
 from .simulator import _width
 
@@ -105,8 +105,7 @@ class FragmentTensor:
         and a set that leaves out a basis already neglected raises
         ValueError, since its zeroed rows cannot come back. No other code
         zeroes rows."""
-        check = _checked if isinstance(neglected, _Checked) else _neglected_by_cut
-        neglected = check(self.cut_ids, neglected)
+        neglected = _checked(self.cut_ids, neglected)
         if not self.neglected <= neglected:
             raise ValueError("cannot restore neglected bases %s"
                              % sorted((c, p.value) for c, p in self.neglected - neglected))

@@ -272,7 +272,6 @@ def sample(psi: np.ndarray, qubits, shots: int, seed) -> np.ndarray:
     check_shots(shots)
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
     p = exact_distribution(psi, qubits)
-    p = np.maximum(p, 0.0)
     return rng.multinomial(shots, p / p.sum())
 
 

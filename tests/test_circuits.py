@@ -125,6 +125,18 @@ class TestValidate:
         report = validate(Circuit(1, (rx(angle, 0),), ()))
         assert any("not finite" in v for v in report.violations)
 
+    def test_opaque_matrix_of_the_wrong_shape(self):
+        # a circuit file cannot hold this: from_json sizes the matrix by the qubits
+        g = Gate("unitary", (0,), (), tuple(map(tuple, np.eye(4))))
+        report = validate(Circuit(1, (g,), ()))
+        assert report.violations == ["gate 0: matrix shape (4, 4) does not fit 1 qubit(s)"]
+
+    def test_gate_matrix_rejects_unknown_kind_and_missing_matrix(self):
+        with pytest.raises(ValueError, match="unknown gate kind 't'"):
+            gate_matrix(Gate("t", (0,)))
+        with pytest.raises(ValueError, match="missing its matrix"):
+            gate_matrix(Gate("unitary", (0,)))
+
     def test_non_finite_opaque_matrix(self):
         g = Gate("unitary", (0,), (), ((float("nan"), 0.0), (0.0, 1.0)))
         report = validate(Circuit(1, (g,), ()))
@@ -391,6 +403,10 @@ class TestGenerators:
     def test_random_circuit_zero_depth_empty(self):
         circ = random_circuit(1, 0, 0)
         assert circ.n_qubits == 1 and circ.gates == ()
+
+    def test_random_circuit_rejects_zero_width(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            random_circuit(0, 1, 0)
 
     def test_random_circuit_valid(self):
         for seed in range(5):

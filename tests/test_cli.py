@@ -44,8 +44,7 @@ class TestGenerate:
     def test_writes_certified_circuit(self, tmp_path, capsys):
         path = ansatz_path(tmp_path)
         out = capsys.readouterr().out
-        assert "golden" in out
-        assert "wrote" in out
+        assert out.splitlines() == ["cut 1: Y golden", "wrote %s" % path]
         circ = load(str(path))
         assert circ.n_qubits == 3
         assert circ.n_cuts == 1
@@ -156,8 +155,9 @@ class TestRun:
 
     def test_bad_neglect_spelling_is_config_error(self, tmp_path):
         circ = ansatz_path(tmp_path)
-        assert main(["run", "--circuit", str(circ), "--prune", "known",
-                     "--neglect", "1-Y"]) == 2
+        for item in ("1-Y", "1:Q"):
+            assert main(["run", "--circuit", str(circ), "--prune", "known",
+                         "--neglect", item]) == 2
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_trials_below_one_is_config_error(self, tmp_path, trials):
@@ -359,6 +359,17 @@ class TestDetect:
             assert row["shots"] == 10000
             assert row["radius"] > 0.0
 
+    @pytest.mark.parametrize("shots,insufficient", [(100, True), (10000, False)])
+    def test_statistical_report_marks_insufficient_pairs(self, tmp_path, shots, insufficient):
+        # at the default tau = 0.02, 100 shots give radius 0.19 and 10^4 give 0.019
+        circ = ansatz_path(tmp_path)
+        out = tmp_path / "detect.json"
+        assert main(["detect", "--circuit", str(circ), "--shots", str(shots),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc and [row["insufficient"] for row in doc] == [insufficient] * len(doc)
+        assert all((row["radius"] > 0.02) is insufficient for row in doc)
+
     @pytest.mark.parametrize("tau", ["nan", "inf", "0", "-0.02"])
     def test_tau_that_is_not_finite_and_positive_is_config_error(self, tmp_path, tau):
         # with a NaN tau, 100 shots flagged Y at radius 0.192
@@ -462,6 +473,53 @@ class TestBoundaryInput:
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(doc))
         assert main(["detect", "--circuit", str(path)]) == 3
+
+
+def _set(doc, path, value):
+    for step in path[:-1]:
+        doc = doc[step]
+    doc[path[-1]] = value
+
+
+# (edit of fig1_doc, the violation goldcut must print); each edit breaks one rule
+INVALID_CIRCUITS = {
+    "no_qubits": (lambda d: _set(d, ("n_qubits",), 0), "n_qubits must be positive"),
+    "unknown_kind": (lambda d: _set(d, ("gates", 0, "kind"), "t"), "gate 0: unknown kind 't'"),
+    "repeated_target": (lambda d: _set(d, ("gates", 1, "qubits"), [0, 0]),
+                        "gate 1: repeated target qubit"),
+    "params_on_fixed_gate": (lambda d: _set(d, ("gates", 0, "params"), [0.5]),
+                             "gate 0: unexpected parameters"),
+    "unitary_too_wide": (lambda d: d.update(n_qubits=4, gates=d["gates"] + [
+        {"kind": "unitary", "qubits": [0, 1, 2, 3], "params": []}]),
+        "gate 3: opaque unitaries are capped at 3 qubits"),
+    "unitary_without_matrix": (lambda d: d["gates"].append(
+        {"kind": "unitary", "qubits": [2], "params": []}), "gate 3: opaque gate missing matrix"),
+    "wrong_arity": (lambda d: _set(d, ("gates", 1, "qubits"), [0]), "gate 1: cnot takes 2 qubit(s)"),
+    "cut_qubit_out_of_range": (lambda d: _set(d, ("cuts", 0, "qubit"), 5),
+                               "cut 1: qubit 5 out of range"),
+    "after_gate_out_of_range": (lambda d: _set(d, ("cuts", 0, "after_gate"), 7),
+                                "cut 1: after_gate 7 out of range"),
+    "matrix_length": (lambda d: d["gates"].append(
+        {"kind": "unitary", "qubits": [2], "params": [], "matrix": [[1, 0], [0, 0], [0, 0]]}),
+        "matrix length 3 does not fit 1 qubit(s)"),
+}
+
+
+class TestCircuitValidation:
+    @pytest.mark.parametrize("case", sorted(INVALID_CIRCUITS))
+    @pytest.mark.parametrize("command", [
+        ["run", "--trials", "1", "--shots", "100"],
+        ["detect"],
+    ])
+    def test_violation_is_printed_with_exit_three(self, tmp_path, capsys, command, case):
+        edit, message = INVALID_CIRCUITS[case]
+        doc = fig1_doc()
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(command + ["--circuit", str(path)]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestParser:

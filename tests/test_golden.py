@@ -338,8 +338,14 @@ class TestReportJson:
         doc = json.loads(detect_statistical(results, obs, tau=0.05).to_json())
         for row in doc:
             assert set(row) == {"cut", "basis", "magnitude", "golden", "radius",
-                                "shots"}
+                                "shots", "insufficient"}
             assert row["shots"] == 10000
+            assert row["insufficient"] is False
+
+    def test_entry_of_an_absent_pair_raises_key_error(self):
+        tensor, _ = upstream_tensor(fig1(), ObservableSpec.distribution(()))
+        with pytest.raises(KeyError):
+            detect_exact(tensor).entry(2, PauliOp.X)
 
     def test_two_cut_report_covers_both(self):
         from conftest import make_cut_circuit

@@ -166,6 +166,11 @@ class TestParentPermutation:
         assert got.dtype == np.int64
         assert np.array_equal(got, loop_permutation(f1, f2, circ.n_qubits))
 
+    def test_fragments_that_do_not_cover_the_parent_rejected(self):
+        f1, f2 = bipartition(fig1())
+        with pytest.raises(SupportMismatch, match="do not cover the parent"):
+            parent_permutation(f1, f2, 4)
+
     def test_crossed_split_is_not_the_identity(self):
         f1, f2 = bipartition(crossed())
         assert not np.array_equal(parent_permutation(f1, f2, 4), np.arange(16))
@@ -476,6 +481,10 @@ class TestRejections:
     def test_uncut_circuit_rejected(self):
         with pytest.raises(ValueError):
             reconstruct(Circuit(2, (cnot(0, 1),), ()))
+
+    def test_pauli_on_a_qubit_the_circuit_lacks_rejected(self):
+        with pytest.raises(SupportMismatch, match="parent qubit 7 has no terminal output"):
+            reconstruct(fig1(), ObservableSpec.pauli_string("Z", (7,)))
 
     def test_bridged_cut_rejected(self):
         bridged = Circuit(2, (cnot(0, 1), cnot(0, 1)), (CutPoint(1, 0, 1),))
@@ -835,7 +844,7 @@ class TestOneStreamPerSide:
             checks.append(neglected)
             return _neglected_by_cut(cut_ids, neglected)
 
-        for module in (fragmenter, reconstructor, metrics):
+        for module in (fragmenter, metrics):
             monkeypatch.setattr(module, "_neglected_by_cut", counting)
         neglect = [(1, "Y")] if prune == "known" else ()
         run = reconstruct(golden_ansatz(5, 2, 7), prune=prune, neglect=neglect)
@@ -853,7 +862,7 @@ class TestOneStreamPerSide:
             checks.append(neglected)
             return _neglected_by_cut(cut_ids, neglected)
 
-        for module in (fragmenter, reconstructor, metrics):
+        for module in (fragmenter, metrics):
             monkeypatch.setattr(module, "_neglected_by_cut", counting)
         circ = golden_ansatz(5, 2, 7)
         neglect = [(1, "Y")] if prune == "known" else ()

@@ -371,6 +371,10 @@ class TestBoundaryChecks:
         assert f1.upstream_cut_qubits == ((1, 2),)  # local qubit 2 is the cut wire
         return f1
 
+    def test_build_tensor_rejects_no_results(self):
+        with pytest.raises(MissingVariant, match="no variant results"):
+            build_tensor([], ObservableSpec.distribution(()), "upstream")
+
     def test_operator_tensor_rejects_cut_wire_projector(self):
         with pytest.raises(SupportMismatch, match="qubit 2 is not a fragment output"):
             operator_tensor(self.fragment(), ObservableSpec.projector("0", (2,)))

@@ -605,6 +605,24 @@ class TestExactExpectation:
         with pytest.raises(SupportMismatch):
             exact_expectation(psi, ObservableSpec.pauli_string("Z", (3,)))
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: ObservableSpec.pauli_string("Z", (0, 1)), "one Pauli per support qubit"),
+        (lambda: ObservableSpec.projector("0", (0, 1)), "bitstring length must match"),
+    ])
+    def test_labels_must_match_the_support(self, make, message):
+        with pytest.raises(SupportMismatch, match=message):
+            make()
+
+    def test_distribution_is_not_an_expectation(self):
+        psi = simulate(bell_circuit())
+        with pytest.raises(SupportMismatch, match="pauli or projector"):
+            exact_expectation(psi, ObservableSpec.distribution((0, 1)))
+
+    @pytest.mark.parametrize("obs", [ObservableSpec.pauli_string((), ()),
+                                     ObservableSpec.projector("", ())])
+    def test_empty_support_is_the_identity(self, obs):
+        assert exact_expectation(simulate(bell_circuit()), obs) == 1.0
+
     @pytest.mark.parametrize("qubit", [0.7, 1.0, True])
     def test_non_integer_observable_qubit_rejected(self, qubit):
         # int() would read 0.7 as qubit 0
@@ -645,6 +663,10 @@ class TestExactDistribution:
             b0 = (i >> 3) & 1
             want[(b2 << 1) | b0] += p
         assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_repeated_qubit_rejected(self):
+        with pytest.raises(SupportMismatch, match="repeated qubit"):
+            exact_distribution(simulate(bell_circuit()), (0, 0))
 
     def test_sums_to_one(self):
         p = exact_distribution(simulate(random_circuit(5, 3, 8)), range(5))

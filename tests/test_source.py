@@ -250,6 +250,41 @@ def test_private_names_are_used():
     assert defined and not unused, "private goldcut names nothing reads: %s" % unused
 
 
+def _unused_imports(source):
+    """(line, name) of each name an import binds that the module never reads;
+    from __future__ imports set compiler flags and bind nothing."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+@pytest.mark.parametrize("source,flagged", [
+    ("import json\njson.dumps(1)", []),
+    ("import os.path\nos.sep", []),
+    ("import numpy as np\nx = 1", ["np"]),
+    ("from __future__ import annotations\nfrom .a import b, c\nb()", ["c"]),
+    ("from .a import T\ndef f(x: T): pass", []),
+])
+def test_unused_imports_are_found(source, flagged):
+    assert [name for _, name in _unused_imports(source)] == flagged
+
+
+def test_imports_are_used():
+    # a module imports a name to use it, not to pass it on: a client imports
+    # a name from the module that defines it, and a name a simplification
+    # leaves without uses goes with it (the package __init__ re-exports)
+    found = ["%s:%d %s" % (path.name, line, name)
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+             for line, name in _unused_imports(path.read_text(encoding="utf-8"))]
+    assert not found, "imported names goldcut modules never use: %s" % ", ".join(found)
+
+
 # numpy names added in 2.x (np.bool and np.long came back in 2.0 after
 # 1.24 removed them); pyproject.toml promises numpy>=1.24
 NUMPY_2_ONLY = {
