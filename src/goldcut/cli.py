@@ -26,11 +26,8 @@ from . import circuits
 
 
 def _load_circuit(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError("cannot read circuit file: %s" % exc) from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         circ = circuits.from_json(text)
     except Exception as exc:
@@ -216,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GoldcutError, ValueError) as exc:
+    except (GoldcutError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3 if isinstance(exc, GoldcutError) else 2
 

@@ -36,7 +36,7 @@ def weighted_distance(p, q) -> float:
         raise EmptySupport("ground truth has no positive-probability outcome")
     for name, dist in (("p", pd), ("q", qd)):
         total = sum(dist.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # a NaN total fails too
             raise ValueError("%s sums to %.12g, expected 1" % (name, total))
     return float(sum((pd.get(x, 0.0) - qd[x]) ** 2 / qd[x] for x in support))
 

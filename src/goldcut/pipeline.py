@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fragmenter
 from .circuits import Circuit, Fragment, _unchecked, bipartition, uncut
 from .errors import SupportMismatch
-from .fragmenter import _pairs, downstream_variants, run_fragment, upstream_variants
+from .fragmenter import _Checked, _pairs, downstream_variants, run_fragment, upstream_variants
 from .golden import (
     DEFAULT_ALPHA,
     DEFAULT_TAU,
@@ -194,10 +193,9 @@ def reconstruct(circuit: Circuit, obs: ObservableSpec = None, shots: int = None,
     # tensor is the upstream tensor unless shots rerun the pruned set.
     a, report = upstream_report(f1, obs1, shots if prune == "statistical" else None,
                                 seed, trial, alpha=alpha, tau=tau)
-    # a run checks its set once: pruned checks neglect, f1 keeps others checked
-    pairs = () if prune == "off" else report.golden_pairs()
-    a = a.pruned(neglect if prune == "known" else f1._keep(
-        "_neglected", pairs, lambda: fragmenter._neglected_by_cut(a.cut_ids, pairs)))
+    # pruned checks neglect; the detectors flag only pairs of a's own cuts
+    a = a.pruned(neglect if prune == "known" else _Checked(
+        () if prune == "off" else report.golden_pairs()))
     cut_ids, neglected, used = a.cut_ids, a.neglected, 0 if shots is None else shots
     (up, down, tuples), base = f1._keep("_counts", neglected, lambda: (
         _counts(cut_ids, neglected), _counts(cut_ids, ())))

@@ -15,9 +15,10 @@ and the identity row adds the two Z columns. operator_tensor reads the
 exact cut operator instead: the four pairs (b, b') of computational bits
 per cut, 4^K data instead of 6^K variants, mapped by OPERATOR_MAPS. A
 neglected set is checked by fragmenter's rule where it is first read only.
-The uncut expectation is (1/2^K) * sum over kept M of A[M] * B[M], and the
+The uncut expectation is (1/2^K) * sum over M of A[M] * B[M], and the
 uncut distribution the same sum per output bitstring pair; contract_tensors
-reads which from the tensors' mode. contract_operator gives the exact
+reads which from the tensors' mode and contracts every tuple, a neglected
+one adding nothing through its zero rows. contract_operator gives the exact
 result without building B: the sum over M moves onto A, which the
 transposed downstream OPERATOR_MAPS take to one cut operator per upstream
 output, met by the downstream psi in one complex product and one real
@@ -28,7 +29,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from math import prod
 
 import numpy as np
@@ -209,14 +209,12 @@ def build_tensor(results, obs, side, neglected=frozenset()) -> FragmentTensor:
         return (data if dist else (data @ weights)[..., None]).transpose(view)
 
     maps = [by_label[:, js].reshape(4, -1) for js in kept[fixed:]]
-    entries = np.zeros((4 ** fixed, 4 ** (k - fixed), 2 ** len(out_bits) if dist else 1))
+    entries = np.zeros((4 ** k, 2 ** len(out_bits) if dist else 1))
     for head in itertools.product(*kept[:fixed]):
         # block(head)'s one reference is _map_cuts', which frees it after the first map
-        mapped = _map_cuts(maps, block(head)).reshape(4 ** (k - fixed), per_label ** fixed, -1)
-        cols = by_label[:, head[0]] if fixed else np.ones((1, 1))
-        for row, col in zip(*np.nonzero(cols)):  # the fixed cut's map, term by term
-            entries[row] += cols[row, col] * mapped[:, col]
-        del mapped  # freed before the next block is made
+        entries += _map_cuts(maps + [by_label[:, j] for j in head], block(head))
+    # _map_cuts leaves the fixed cut's rows last; the tensor has them first
+    entries = entries.reshape(4 ** (k - fixed), 4 ** fixed, -1).transpose(1, 0, 2)
     return _tensor(side, cut_ids, obs, entries, source, out_bits).pruned(neglected)
 
 
@@ -279,13 +277,6 @@ class Reconstruction:
     neglected: frozenset
 
 
-def _kept(cut_ids, neglected):
-    """Boolean (4,)*K mask of the basis tuples that avoid every neglected
-    (cut_id, PauliOp) pair, of a set checked before (a tensor's own)."""
-    rows = [np.array([(cid, p) not in neglected for p in BASES]) for cid in cut_ids]
-    return reduce(np.multiply.outer, rows[1:], rows[0])
-
-
 def _check_pair(a: FragmentTensor, side, cut_ids, mode):
     """Raise unless a is an upstream tensor that contracts with a downstream
     side of these cut ids and this mode."""
@@ -313,14 +304,14 @@ def _reconstruction(raw, a: FragmentTensor) -> Reconstruction:
 
 
 def contract_tensors(a: FragmentTensor, b: FragmentTensor) -> Reconstruction:
-    """(1/2^K) * sum of A[M]*B[M] over the tuples M that avoid the tensors'
-    neglected bases, in the tensors' mode: one value, or one entry per pair
-    of output bitstrings, upstream bits first."""
+    """(1/2^K) * sum of A[M]*B[M] over every basis tuple M, in the tensors'
+    mode: one value, or one entry per pair of output bitstrings, upstream
+    bits first. A tuple that touches the tensors' neglected bases adds
+    nothing, since pruned wrote +0.0 in its rows."""
     _check_pair(a, b.side, b.cut_ids, b.mode)
     if a.neglected != b.neglected:
         raise ArityMismatch("tensors were built with different neglected sets")
-    mask = _kept(a.cut_ids, a.neglected).reshape(-1)
-    av, bv = (t.entries.reshape(mask.size, -1)[mask] for t in (a, b))
+    av, bv = (t.entries.reshape(4 ** a.n_cuts, -1) for t in (a, b))
     return _reconstruction((av.T @ bv).reshape(-1) / 2 ** a.n_cuts, a)
 
 

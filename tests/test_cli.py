@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, file output, determinism."""
+import argparse
 import json
 import os
 import subprocess
@@ -520,6 +521,33 @@ class TestCircuitValidation:
         capsys.readouterr()
         assert main(command + ["--circuit", str(path)]) == 3
         assert message in capsys.readouterr().err
+
+
+def out_parsers():
+    """The parser of each subcommand of build_parser() that takes --out, by name."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: p for name, p in sub.choices.items()
+            if any("--out" in a.option_strings for a in p._actions)}
+
+
+class TestUnwritableOut:
+    # a value for each required option; a subcommand with another required
+    # option fails here until it is given one
+    REQUIRED = {"--qubits": "3", "--cuts": "1"}
+
+    @pytest.mark.parametrize("command", sorted(out_parsers()))
+    def test_path_in_a_missing_directory_is_config_error(self, tmp_path, capsys, command):
+        values = dict(self.REQUIRED, **{"--circuit": str(ansatz_path(tmp_path))})
+        argv = [command]
+        for action in out_parsers()[command]._actions:
+            if action.required:
+                argv += [action.option_strings[0], values[action.option_strings[0]]]
+        out = str(tmp_path / "missing" / "out")
+        capsys.readouterr()
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
 
 
 class TestParser:

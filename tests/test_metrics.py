@@ -63,6 +63,13 @@ class TestWeightedDistance:
         with pytest.raises(ValueError):
             weighted_distance({0: 1.0}, {0: 1.1})
 
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_nan_rejected(self, side):
+        # a NaN sum is not within 1e-9 of 1, whichever input holds it
+        good, bad = [0.5, 0.5], [float("nan"), 0.5]
+        with pytest.raises(ValueError, match="%s sums to nan" % side):
+            weighted_distance(*((bad, good) if side == "p" else (good, bad)))
+
     def test_empty_support(self):
         with pytest.raises(EmptySupport):
             weighted_distance({0: 1.0}, {})

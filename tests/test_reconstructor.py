@@ -608,6 +608,38 @@ class TestContractDistribution:
         assert np.allclose(value, clamped / clamped.sum())
 
 
+class TestContractPruned:
+    """contract_tensors contracts every tuple, so pruned's zero rows alone
+    must drop the tuples that touch the neglected set."""
+
+    @pytest.mark.parametrize("shots", [None, 300], ids=["operator", "shots"])
+    @pytest.mark.parametrize("mode", ["distribution", "expectation"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_the_sum_over_the_tuples_that_avoid_the_set(self, k, mode, shots):
+        f1, f2 = bipartition(make_cut_circuit(k + 1, k + 1, k, 2, 80 + k))
+        obs_a, obs_b = (DIST, DIST) if mode == "distribution" else (
+            ObservableSpec.pauli_string([PauliOp.Z], [f.output_qubits[0]]) for f in (f1, f2))
+        if shots is None:
+            a, b = operator_tensor(f1, obs_a), operator_tensor(f2, obs_b)
+        else:
+            a = build_tensor(run_fragment(f1, upstream_variants(f1, obs=obs_a), shots=shots,
+                                          seed=k), obs_a, "upstream")
+            b = build_tensor(run_fragment(f2, downstream_variants(f2, obs=obs_b), shots=shots,
+                                          seed=k, seed_path=(1,)), obs_b, "downstream")
+        pairs = [(cid, p) for cid in a.cut_ids for p in MEASURED_BASES]
+        rng = np.random.default_rng(k)
+        for _ in range(4):
+            picked = rng.choice(len(pairs), size=rng.integers(1, len(pairs) + 1), replace=False)
+            neglected = {pairs[i] for i in picked}
+            want = 0.0
+            for m in itertools.product(range(4), repeat=k):
+                if all((cid, reconstructor.BASES[i]) not in neglected
+                       for cid, i in zip(a.cut_ids, m)):
+                    want = want + np.multiply.outer(a.entries[m], b.entries[m])
+            rec = contract_tensors(a.pruned(neglected), b.pruned(neglected))
+            assert np.allclose(np.ravel(rec.raw), np.ravel(want) / 2 ** k, rtol=0, atol=1e-12)
+
+
 class TestGoldenPruning:
     def test_pruned_contraction_is_exact(self):
         circ = golden_ansatz(3, 1, 0)
